@@ -1,7 +1,9 @@
 # Stdlib-only Go module; no codegen. `make check` is the full gate the
 # test suite is expected to pass, including the race detector (the
-# concurrent build pipeline and the HTTP server are exercised under -race)
-# and a short pass over each fuzz target's seed corpus. `make bench` is
+# concurrent build pipeline and the HTTP server are exercised under -race),
+# a short pass over each fuzz target's seed corpus, and the benchmark
+# module in perfbench/ (its own go.mod), so an API change that breaks the
+# benchmark's build fails here rather than in a benchmark run. `make bench` is
 # the serving-path load benchmark — deliberately outside the check gate:
 # it measures, it does not pass/fail. `make fuzz` runs the coverage-guided
 # fuzzers for FUZZTIME each (longer runs: make fuzz FUZZTIME=5m).
@@ -21,9 +23,9 @@ FUZZ_TARGETS = \
 	./internal/fleet:FuzzTenantName \
 	./internal/serve:FuzzQueryEndpoint
 
-.PHONY: check vet build test race fuzz fuzz-short bench benchcore microbench
+.PHONY: check vet build test race fuzz fuzz-short perfbench bench benchcore microbench
 
-check: vet build race fuzz-short
+check: vet build race fuzz-short perfbench
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
@@ -50,6 +52,9 @@ test:
 race:
 	$(GO) test -race ./...
 
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # bench seeds the serving perf trajectory: generate a synthetic corpus,
 # start an in-process server, drive a short closed-loop load run —
 # single-query, then the same workload batched 32 queries per POST
@@ -57,11 +62,8 @@ race:
 # QPS, p50/p95/p99, server-side metrics, batched vs single throughput).
 # -methods all additionally sweeps every registered estimator in-process,
 # adding the accuracy×latency matrix (q-error vs exact counts, per-method
-# throughput, ensemble divergence counts) to the report. -replicas adds
-# the 1→N shard-replica scaling matrix (capacity-bounded replicas, one
-# per shard, driven round-robin; linear_fraction ≈ 1.0 is perfect fleet
-# scaling) and -tenants drives the workload through the multi-tenant
-# /v1/t routes. -backends reloads the summary through both snapshot
+# throughput, ensemble divergence counts) to the report. -tenants drives
+# the workload through the multi-tenant /v1/t routes. -backends reloads the summary through both snapshot
 # forms (frozen TLAT, compressed TLCZ) and adds the size×throughput
 # comparison. -ingest runs a mixed read/write pass — readers estimating
 # while a writer streams documents through the zero-downtime ingest
@@ -74,7 +76,7 @@ race:
 bench:
 	$(GO) run ./cmd/treelattice loadbench -gen xmark -scale 20000 \
 		-duration 3s -warmup 500ms -seed 1 -batch 32 -methods all \
-		-replicas 1,2,4 -tenants 2 -backends -ingest -query \
+		-tenants 2 -backends -ingest -query \
 		-out BENCH_serve.json
 
 # benchcore is the build/estimate-path counterpart of `make bench`: it

@@ -135,8 +135,13 @@ func runCorpus(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "added %d documents", len(docs))
 		if t := c.BuildTimings(); t != nil {
-			for _, s := range t.Stages() {
-				fmt.Fprintf(stdout, " %s=%s", s.Stage, s.Duration.Round(time.Millisecond))
+			// A stage can run twice (the delta takes the batch, then the
+			// fold); print each stage's total once, in pipeline order.
+			ms := t.Millis()
+			for _, stage := range []string{"parse", "mine", "reduce", "merge", "persist"} {
+				if v, ok := ms[stage]; ok {
+					fmt.Fprintf(stdout, " %s=%s", stage, time.Duration(v*float64(time.Millisecond)).Round(time.Millisecond))
+				}
 			}
 		}
 		fmt.Fprintln(stdout)
@@ -256,12 +261,12 @@ func runServe(args []string, stdout io.Writer) error {
 	dir := fs.String("corpus", "", "corpus directory")
 	addr := fs.String("addr", "127.0.0.1:8357", "listen address")
 	workers := fs.Int("workers", 0, "upload mining parallelism (0 = all CPUs)")
-	frozen := fs.Bool("frozen", false, "serve a read-only replica: load the summary in the frozen representation (zero-allocation lookups; document mutations answer 409)")
+	frozen := fs.Bool("frozen", false, "serve a read-only replica: opening never writes, and document writes answer 409 unless -ingest is on")
 	debugAddr := fs.String("debug-addr", "", "separate listen address for pprof/expvar/metrics (off when empty)")
 	fleetRoot := fs.String("fleet", "", "fleet root directory holding tenant snapshot subdirectories; enables /v1/t/{tenant} routes beyond the default tenant")
 	maxResident := fs.Int("max-resident", 0, "max lazily-loaded tenants resident at once (0 = default)")
 	maxResidentBytes := fs.Int64("max-resident-bytes", 0, "byte budget for lazily-loaded tenants; least-recently-used tenants are evicted past it (0 = unlimited)")
-	ingest := fs.Bool("ingest", false, "enable zero-downtime ingest: document adds land in a delta overlay served via RCU epochs, and a background refreezer folds them into crash-safe snapshots (works with -frozen)")
+	ingest := fs.Bool("ingest", false, "fold in the background: document writes return once they land in the delta overlay served via RCU epochs, and a refreezer folds them into crash-safe snapshots (also opens -frozen replicas to writes)")
 	refreezeInterval := fs.Duration("refreeze-interval", 30*time.Second, "background refreeze cadence; watermark crossings also trigger one (0 = watermark-only)")
 	deltaMaxBytes := fs.Int("delta-max-bytes", 0, "delta size watermark that kicks an early refreeze (0 = 4MiB)")
 	deltaMaxDocs := fs.Int("delta-max-docs", 0, "delta document-count watermark that kicks an early refreeze (0 = 256)")
@@ -325,8 +330,8 @@ func runServe(args []string, stdout io.Writer) error {
 }
 
 // shutdownTimeout bounds the graceful drain: in-flight estimates are
-// sub-millisecond, but an upload mid-mine can hold the write lock for a
-// while on a big document.
+// sub-millisecond, but an upload can spend a while mining and folding a
+// big document.
 const shutdownTimeout = 10 * time.Second
 
 // serveCorpus runs the HTTP server (and optional debug listener) until

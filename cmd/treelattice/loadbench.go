@@ -41,11 +41,6 @@ type benchReport struct {
 	// requested estimator driven in-process over the same workload, scored
 	// against exact counts on a subsample.
 	Methods []methodReport `json:"methods,omitempty"`
-	// ShardScaling is the 1→N shard-replica matrix from a -replicas
-	// sweep: the corpus sharded N ways, each shard served by its own
-	// capacity-bounded replica, driven round-robin. LinearFraction is
-	// throughput relative to perfectly linear scaling from the first row.
-	ShardScaling []replicaScaleRow `json:"shard_scaling,omitempty"`
 	// TenantResult is the multi-tenant mix run (-tenants N): the same
 	// workload driven round-robin across N tenants' /v1/t routes, so the
 	// registry, per-tenant quotas, and per-tenant metrics sit on the
@@ -123,8 +118,6 @@ type benchConfig struct {
 	Requests    int     `json:"requests,omitempty"`
 	WarmupSec   float64 `json:"warmup_seconds,omitempty"`
 	OpenLoopQPS float64 `json:"open_loop_qps,omitempty"`
-	Replicas    []int   `json:"replicas,omitempty"`
-	ServiceMs   float64 `json:"service_floor_ms,omitempty"`
 	Tenants     int     `json:"tenants,omitempty"`
 }
 
@@ -156,9 +149,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 	neg := fs.Float64("neg", 0.25, "target fraction of zero-selectivity queries in the mix")
 	seed := fs.Int64("seed", 1, "workload generation seed (same seed = same mix)")
 	methodsSpec := fs.String("methods", "", `sweep these estimation methods in-process ("all" or a comma list), adding a per-method accuracy×latency matrix to the report`)
-	replicasSpec := fs.String("replicas", "", `shard-replica scaling sweep ("1,2,4"): shard the corpus N ways per point, serve each shard from a capacity-bounded replica, and add the 1→N scaling matrix to the report`)
-	service := fs.Duration("service", 5*time.Millisecond, "modeled per-request service floor of each -replicas replica (bounds replica capacity so the sweep measures fleet scaling, not single-host CPU)")
-	scaleDur := fs.Duration("scaledur", 2*time.Second, "measured duration of each -replicas point")
 	tenants := fs.Int("tenants", 0, "also drive the workload round-robin across this many tenants' /v1/t/{tenant}/estimate routes (default in-process server only)")
 	backends := fs.Bool("backends", false, "also compare the frozen and compressed snapshot backends in-process over the same workload, adding a size×throughput matrix to the report")
 	queryMatrix := fs.Bool("query", false, "also run the plan-vs-naive twig execution matrix over the Table 3 datasets (nasa, imdb, psd, xmark), adding a query_plan section to the report; with the default in-process server, additionally drives a count-only /v1/query mix over HTTP")
@@ -409,22 +399,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Shard-replica scaling sweep: the fleet-scaling headline number.
-	var scaleRows []replicaScaleRow
-	if *replicasSpec != "" {
-		counts, err := parseIntList(*replicasSpec, "-replicas")
-		if err != nil {
-			return err
-		}
-		cfg.Replicas = counts
-		cfg.ServiceMs = float64(*service) / 1e6
-		scaleRows, err = runShardScaling(context.Background(), c, w,
-			counts, *service, *scaleDur, core.Method(*method), stdout)
-		if err != nil {
-			return err
-		}
-	}
-
 	report := benchReport{
 		Config: cfg,
 		Workload: workloadSummary{
@@ -433,7 +407,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 		Result:       res,
 		BatchResult:  batchRes,
 		Methods:      methodRows,
-		ShardScaling: scaleRows,
 		TenantResult: tenantRes,
 		Backends:     backendRows,
 		Ingest:       ingestRep,
@@ -758,6 +731,33 @@ func copyDirTree(src, dst string) error {
 		}
 	}
 	return nil
+}
+
+// writeTenantFleet materializes n tenants under root, each holding the
+// summary as a frozen snapshot, and returns their names — a fleet root
+// the serve registry can lazily load from.
+func writeTenantFleet(root string, sum *core.Summary, n int) ([]string, error) {
+	names := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("t%d", i)
+		dir := filepath.Join(root, name)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		f, err := os.Create(filepath.Join(dir, fleet.SummaryFile))
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sum.WriteTo(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+		names = append(names, name)
+	}
+	return names, nil
 }
 
 // parseSizes parses "3,4,5".

@@ -93,10 +93,10 @@ func (b decompBackend) Capabilities() Capabilities {
 
 func (b decompBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) {
 	if b.fixed {
-		return wholeQueryPrepared{est: &estimate.FixSized{Sum: s.store(), Cache: s.SubCache(b.method)}}, nil
+		return wholeQueryPrepared{est: &estimate.FixSized{Sum: s.st, Cache: s.SubCache(b.method)}}, nil
 	}
 	return recursivePrepared{
-		wholeQueryPrepared{est: &estimate.Recursive{Sum: s.store(), Voting: b.voting, Cache: s.SubCache(b.method)}},
+		wholeQueryPrepared{est: &estimate.Recursive{Sum: s.st, Voting: b.voting, Cache: s.SubCache(b.method)}},
 	}, nil
 }
 

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/xmlparse"
 )
 
 // sampleQueries builds a mixed batch (present patterns, decomposed
@@ -137,8 +137,8 @@ func TestFrozenSummaryEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frozen.Mutable() || !frozen.FrozenStore() {
-		t.Fatalf("frozen summary: Mutable=%v FrozenStore=%v", frozen.Mutable(), frozen.FrozenStore())
+	if got := frozen.StoreKind(); got != "frozen" {
+		t.Fatalf("ReadFrozen store kind = %q", got)
 	}
 	if frozen.K() != sum.K() || frozen.Patterns() != sum.Patterns() || frozen.SizeBytes() != sum.SizeBytes() {
 		t.Fatal("frozen summary header diverges")
@@ -163,112 +163,6 @@ func TestFrozenSummaryEstimates(t *testing.T) {
 				t.Fatalf("%s query %d: frozen %v != mutable %v", method, i, got, want)
 			}
 		}
-	}
-}
-
-// TestFrozenSummaryRejectsMutation: every mutating entry point fails
-// with ErrFrozenSummary and the summary stays serviceable.
-func TestFrozenSummaryRejectsMutation(t *testing.T) {
-	sum, tr, _ := buildSample(t, 3)
-	var buf bytes.Buffer
-	if _, err := sum.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	frozen, err := ReadFrozen(bytes.NewReader(buf.Bytes()), labeltree.NewDict())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := frozen.AddTree(tr); !errors.Is(err, ErrFrozenSummary) {
-		t.Fatalf("AddTree err = %v", err)
-	}
-	if err := frozen.RemoveTree(tr); !errors.Is(err, ErrFrozenSummary) {
-		t.Fatalf("RemoveTree err = %v", err)
-	}
-	if err := frozen.MergeSummary(sum); !errors.Is(err, ErrFrozenSummary) {
-		t.Fatalf("MergeSummary err = %v", err)
-	}
-	if err := sum.MergeSummary(frozen); !errors.Is(err, ErrFrozenSummary) {
-		t.Fatalf("MergeSummary(frozen other) err = %v", err)
-	}
-	if _, err := frozen.WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrFrozenSummary) {
-		t.Fatalf("WriteTo err = %v", err)
-	}
-	if got := frozen.Prune(0); got != frozen {
-		t.Fatal("Prune on frozen-only summary did not return the summary unchanged")
-	}
-	// Still serves estimates after the failed mutations.
-	q, err := frozen.ParseQuery("laptop(brand,price)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := frozen.Estimate(q, MethodRecursive); err != nil || v != 2 {
-		t.Fatalf("estimate after failed mutations = %v, %v", v, err)
-	}
-}
-
-// TestFreezeTracksMutation: a frozen snapshot on a mutable summary is
-// refreshed by mutations, so reads never see stale counts.
-func TestFreezeTracksMutation(t *testing.T) {
-	sum, _, dict := buildSample(t, 3)
-	sum.Freeze()
-	if !sum.FrozenStore() || !sum.Mutable() {
-		t.Fatalf("after Freeze: FrozenStore=%v Mutable=%v", sum.FrozenStore(), sum.Mutable())
-	}
-	q, err := sum.ParseQuery("laptop(brand,price)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := sum.Estimate(q, MethodRecursive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := xmlparse.Parse(strings.NewReader("<computer><laptops><laptop><brand/><price/></laptop></laptops></computer>"), dict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.AddTree(extra); err != nil {
-		t.Fatal(err)
-	}
-	after, err := sum.Estimate(q, MethodRecursive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != before+1 {
-		t.Fatalf("frozen store stale after AddTree: before=%v after=%v", before, after)
-	}
-}
-
-// TestSubCacheInvalidatedOnMutation: cached sub-estimates must not
-// survive a summary mutation.
-func TestSubCacheInvalidatedOnMutation(t *testing.T) {
-	sum, _, dict := buildSample(t, 2) // K=2 forces decomposition (and caching) early
-	q, err := sum.ParseQuery("computer(laptops(laptop(brand,price)))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := sum.Estimate(q, MethodRecursive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.SubCacheStats().Entries == 0 {
-		t.Fatal("no sub-estimates cached")
-	}
-	extra, err := xmlparse.Parse(strings.NewReader("<computer><laptops><laptop><brand/><price/></laptop></laptops></computer>"), dict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.AddTree(extra); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.SubCacheStats().Entries; got != 0 {
-		t.Fatalf("%d cached sub-estimates survived AddTree", got)
-	}
-	after, err := sum.Estimate(q, MethodRecursive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == before {
-		t.Fatal("estimate unchanged after adding a matching document (stale cache?)")
 	}
 }
 
@@ -297,6 +191,31 @@ func TestReadFrozenGarbage(t *testing.T) {
 	for i, data := range []string{"", "XXXX", "TLAT\x02", "TLAT\x01\x04\x00"} {
 		if _, err := ReadFrozen(strings.NewReader(data), labeltree.NewDict()); err == nil {
 			t.Errorf("case %d: ReadFrozen accepted garbage", i)
+		}
+	}
+}
+
+// TestWriteFromSnapshotStores: a summary serializes from whichever
+// store it holds — frozen and compressed summaries write the same TLAT
+// and TLCZ bytes as the map-backed summary they were taken from.
+func TestWriteFromSnapshotStores(t *testing.T) {
+	sum, _, _ := buildSample(t, 3)
+	writers := map[string]func(*Summary, io.Writer) (int64, error){
+		"tlat": (*Summary).WriteTo,
+		"tlcz": (*Summary).WriteCompressed,
+	}
+	for _, snap := range []*Summary{sum.Freeze(), sum.Compress()} {
+		for form, write := range writers {
+			var want, got bytes.Buffer
+			if _, err := write(sum, &want); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := write(snap, &got); err != nil {
+				t.Fatalf("%s from %s: %v", form, snap.StoreKind(), err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("%s from %s differs from the map-backed bytes", form, snap.StoreKind())
+			}
 		}
 	}
 }

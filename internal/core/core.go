@@ -1,8 +1,9 @@
 // Package core ties the paper's pieces into the TreeLattice system: build
 // a lattice summary from a document by frequent-tree mining, estimate twig
-// query selectivities by probabilistic decomposition, prune δ-derivable
-// patterns under a memory budget, and maintain the summary incrementally
-// across document batches.
+// query selectivities by probabilistic decomposition, and prune
+// δ-derivable patterns under a memory budget. A Summary is an immutable
+// read view; documents change a corpus through the epoch pipeline
+// (epoch.go), which publishes a new Summary per change.
 package core
 
 import (
@@ -73,23 +74,17 @@ type BuildOptions struct {
 // layer feeds these into per-method obs histograms.
 type EstimateObserver func(method Method, d time.Duration)
 
-// Summary is a TreeLattice summary of one or more documents.
-//
-// A summary has up to three backends: the map-backed lattice (mutable;
-// built by mining), an optional frozen snapshot (immutable, flat
-// arena + open addressing; see lattice.Frozen), and an optional
-// compressed snapshot (immutable, front-coded sorted blocks; see
-// lattice.Compressed). Freeze or Compress installs the respective
-// snapshot and routes all estimates through it; a summary loaded with
-// ReadFrozen or ReadCompressed has only that snapshot and rejects every
-// mutation with ErrFrozenSummary. All backends answer identically, so
-// switching is purely a space/speed decision.
+// Summary is an immutable TreeLattice summary of one or more documents:
+// a read view over exactly one estimate.Store. The store is the
+// map-backed lattice a build mines, a frozen snapshot (flat arena + open
+// addressing; see lattice.Frozen), a compressed snapshot (front-coded
+// sorted blocks; see lattice.Compressed), an epoch's base + delta merge,
+// or a shard-summing view. Freeze and Compress return new summaries over
+// the snapshot forms. All backends answer identically, so switching is
+// purely a space/speed decision.
 type Summary struct {
-	lat    *lattice.Summary    // nil when loaded snapshot-only
-	frozen *lattice.Frozen     // nil until Freeze or ReadFrozen
-	comp   *lattice.Compressed // nil until Compress or ReadCompressed
-	multi  estimate.Store      // set by FromShards: summing view over shard stores
-	dict   *labeltree.Dict
+	st   estimate.Store
+	dict *labeltree.Dict
 	// observe, when non-nil, is called with the latency of every estimate
 	// issued through Estimator or EstimateWithTrace. Set once via
 	// Instrument before the summary sees concurrent traffic.
@@ -97,8 +92,8 @@ type Summary struct {
 
 	// Per-method shared sub-estimate caches, created on first use. Cached
 	// values depend on the estimator configuration (voting changes
-	// out-of-range sub-estimates), so each method gets its own cache; all
-	// are reset whenever the summary mutates.
+	// out-of-range sub-estimates), so each method gets its own cache; the
+	// store never changes under them.
 	cacheMu     sync.Mutex
 	subCaches   map[Method]*estimate.SubCache
 	subCacheCap int // entries per cache; 0 = estimate's default
@@ -110,8 +105,7 @@ type Summary struct {
 	// registry resolves methods to backends (nil = DefaultRegistry).
 	registry *Registry
 	// prepMu guards source and the prepared-backend cache; the cache
-	// empties whenever the summary mutates, freezes, or rebinds its
-	// source (see registry.go).
+	// empties whenever the summary rebinds its source (see registry.go).
 	prepMu   sync.Mutex
 	source   TreeSource
 	prepared map[Method]Prepared
@@ -165,7 +159,7 @@ func BuildContext(ctx context.Context, t *labeltree.Tree, opts BuildOptions) (*S
 	if err != nil {
 		return nil, fmt.Errorf("core: building summary: %w", err)
 	}
-	return &Summary{lat: lat, dict: t.Dict(), source: TreeSliceSource{t}}, nil
+	return &Summary{st: lat, dict: t.Dict(), source: TreeSliceSource{t}}, nil
 }
 
 // BuildForestContext mines a shared summary of several documents in
@@ -227,7 +221,7 @@ func BuildForestContext(ctx context.Context, trees []*labeltree.Tree, opts Build
 	if err != nil {
 		return nil, fmt.Errorf("core: merging shards: %w", err)
 	}
-	return &Summary{lat: merged, dict: dict, source: TreeSliceSource(trees)}, nil
+	return &Summary{st: merged, dict: dict, source: TreeSliceSource(trees)}, nil
 }
 
 // checkOptions applies defaults and validates the lattice level.
@@ -252,23 +246,7 @@ func miningOptions(opts BuildOptions) mine.Options {
 
 // FromLattice wraps an existing lattice summary.
 func FromLattice(lat *lattice.Summary) *Summary {
-	return &Summary{lat: lat, dict: lat.Dict()}
-}
-
-// store returns the backend estimates read from: the shard-combining
-// view when built with FromShards, else the compressed snapshot, else
-// the frozen snapshot, else the map-backed lattice.
-func (s *Summary) store() estimate.Store {
-	if s.multi != nil {
-		return s.multi
-	}
-	if s.comp != nil {
-		return s.comp
-	}
-	if s.frozen != nil {
-		return s.frozen
-	}
-	return s.lat
+	return &Summary{st: lat, dict: lat.Dict()}
 }
 
 // sized is implemented by every store backend that can report its
@@ -278,37 +256,43 @@ type sized interface {
 	Len() int
 }
 
-// Freeze installs (or refreshes) a read-optimized snapshot of the
-// summary and routes subsequent estimates through it. The summary stays
-// mutable; mutations refresh the snapshot automatically. Freezing an
-// already frozen-only summary is a no-op.
-func (s *Summary) Freeze() {
-	if s.lat != nil {
-		s.frozen = lattice.Freeze(s.lat)
-		// Prepared backends hold the previous store; rebind lazily.
-		s.invalidatePrepared()
+// derive returns a summary over st that keeps this summary's serving
+// configuration (instrumentation, registry, cache settings) and bound
+// document source. Caches and prepared backends start empty: they
+// belong to the store they were built against.
+func (s *Summary) derive(st estimate.Store) *Summary {
+	return &Summary{
+		st:          st,
+		dict:        s.dict,
+		observe:     s.observe,
+		registry:    s.registry,
+		subCacheCap: s.subCacheCap,
+		subCacheNew: s.subCacheNew,
+		source:      s.Source(),
 	}
 }
 
-// Compress installs (or refreshes) a compressed read-only snapshot of
-// the summary and routes subsequent estimates through it. The summary
-// stays mutable; mutations refresh the snapshot automatically.
-// Compressing a snapshot-only summary is a no-op.
-func (s *Summary) Compress() {
-	if s.lat != nil {
-		s.comp = lattice.Compress(s.lat)
-		s.invalidatePrepared()
+// Freeze returns a summary over a read-optimized frozen snapshot of this
+// summary's map-backed lattice. A summary that already reads from a
+// snapshot (or a combining view) is returned unchanged.
+func (s *Summary) Freeze() *Summary {
+	lat := s.Lattice()
+	if lat == nil {
+		return s
 	}
+	return s.derive(lattice.Freeze(lat))
 }
 
-// Mutable reports whether the summary can accept mutations (AddTree,
-// RemoveTree, MergeSummary). Summaries loaded with ReadFrozen or
-// ReadCompressed are not mutable.
-func (s *Summary) Mutable() bool { return s.lat != nil }
-
-// FrozenStore reports whether estimates run against an immutable
-// snapshot (frozen or compressed) rather than the map-backed lattice.
-func (s *Summary) FrozenStore() bool { return s.frozen != nil || s.comp != nil }
+// Compress returns a summary over a compressed snapshot of this
+// summary's map-backed lattice. A summary that already reads from a
+// snapshot (or a combining view) is returned unchanged.
+func (s *Summary) Compress() *Summary {
+	lat := s.Lattice()
+	if lat == nil {
+		return s
+	}
+	return s.derive(lattice.Compress(lat))
+}
 
 // SubCache returns the shared sub-estimate cache for method, creating it
 // on first use. Safe for concurrent use; the cache is dedicated to this
@@ -372,39 +356,22 @@ func (s *Summary) SubCacheStats() estimate.SubCacheStats {
 	return total
 }
 
-// invalidateDerived resets every derived read structure after a
-// successful mutation: sub-estimate caches are emptied and an installed
-// frozen snapshot is rebuilt. Callers synchronize mutations against
-// concurrent estimates themselves (the map-backed lattice is not
-// concurrency-safe under writes to begin with).
-func (s *Summary) invalidateDerived() {
-	s.cacheMu.Lock()
-	for _, c := range s.subCaches {
-		c.Reset()
-	}
-	s.cacheMu.Unlock()
-	if s.frozen != nil && s.lat != nil {
-		s.frozen = lattice.Freeze(s.lat)
-	}
-	if s.comp != nil && s.lat != nil {
-		s.comp = lattice.Compress(s.lat)
-	}
-	s.invalidatePrepared()
-}
-
 // K returns the lattice level.
-func (s *Summary) K() int { return s.store().K() }
+func (s *Summary) K() int { return s.st.K() }
 
 // Dict returns the label dictionary queries must be parsed against.
 func (s *Summary) Dict() *labeltree.Dict { return s.dict }
 
 // Lattice exposes the underlying map-backed lattice summary. It is nil
-// for summaries loaded with ReadFrozen.
-func (s *Summary) Lattice() *lattice.Summary { return s.lat }
+// for summaries over any other store (snapshots, epochs, shards).
+func (s *Summary) Lattice() *lattice.Summary {
+	lat, _ := s.st.(*lattice.Summary)
+	return lat
+}
 
 // SizeBytes is the accounted storage size of the summary.
 func (s *Summary) SizeBytes() int {
-	if sz, ok := s.store().(sized); ok {
+	if sz, ok := s.st.(sized); ok {
 		return sz.SizeBytes()
 	}
 	return 0
@@ -414,7 +381,7 @@ func (s *Summary) SizeBytes() int {
 // shard-combined summary this sums per-shard entries, so a pattern held
 // by several shards counts once per shard.
 func (s *Summary) Patterns() int {
-	if sz, ok := s.store().(sized); ok {
+	if sz, ok := s.st.(sized); ok {
 		return sz.Len()
 	}
 	return 0
@@ -617,110 +584,29 @@ func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64
 // decompositions, an indicator of how hard the conditional-independence
 // assumption is working.
 func (s *Summary) EstimateInterval(q labeltree.Pattern) estimate.Interval {
-	return estimate.EstimateInterval(s.store(), q)
-}
-
-// AddTree incrementally folds another document into the summary: the
-// document is mined at the same K and its counts are merged. (Documents
-// are independent trees, so pattern matches never span batches and counts
-// are additive.) AddTree fails with ErrPrunedSummary on a pruned summary,
-// whose missing patterns cannot be updated.
-func (s *Summary) AddTree(t *labeltree.Tree) error {
-	return s.AddTreeContext(context.Background(), t, 0)
-}
-
-// AddTreeContext is AddTree with cancellation and an explicit worker
-// count for mining the incoming document (0 means GOMAXPROCS). The
-// incremental mine runs on a private lattice, so a canceled add leaves
-// the summary untouched.
-func (s *Summary) AddTreeContext(ctx context.Context, t *labeltree.Tree, workers int) error {
-	if s.lat == nil {
-		return fmt.Errorf("%w: cannot add documents", ErrFrozenSummary)
-	}
-	if s.lat.Pruned() {
-		return fmt.Errorf("%w: cannot add documents", ErrPrunedSummary)
-	}
-	if t.Dict() != s.dict {
-		return fmt.Errorf("%w: document dictionary differs from summary's", ErrDictMismatch)
-	}
-	inc, err := mine.MineContext(ctx, t, s.lat.K(), mine.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if err := s.lat.Merge(inc); err != nil {
-		return err
-	}
-	s.invalidateDerived()
-	return nil
-}
-
-// MergeSummary folds another summary's counts into this one — the bulk
-// equivalent of AddTree for pre-mined batches. Both summaries must share
-// a dictionary and K, and neither may be pruned.
-func (s *Summary) MergeSummary(other *Summary) error {
-	if s.lat == nil || other.lat == nil {
-		return fmt.Errorf("%w: cannot merge", ErrFrozenSummary)
-	}
-	if s.lat.Pruned() || other.lat.Pruned() {
-		return fmt.Errorf("%w: cannot merge", ErrPrunedSummary)
-	}
-	if other.dict != s.dict {
-		return fmt.Errorf("%w: summaries do not share a dictionary", ErrDictMismatch)
-	}
-	if err := s.lat.Merge(other.lat); err != nil {
-		return err
-	}
-	s.invalidateDerived()
-	return nil
-}
-
-// RemoveTree subtracts a previously added document's counts from the
-// summary — the inverse of AddTree for corpora maintained incrementally.
-// Removing a document that was never added is invalid: counts going
-// negative are reported as errors, and the summary may be left partially
-// updated when that happens.
-func (s *Summary) RemoveTree(t *labeltree.Tree) error {
-	if s.lat == nil {
-		return fmt.Errorf("%w: cannot remove documents", ErrFrozenSummary)
-	}
-	if s.lat.Pruned() {
-		return fmt.Errorf("%w: cannot remove documents", ErrPrunedSummary)
-	}
-	if t.Dict() != s.dict {
-		return fmt.Errorf("%w: document dictionary differs from summary's", ErrDictMismatch)
-	}
-	dec, err := mine.Mine(t, s.lat.K(), mine.Options{})
-	if err != nil {
-		return err
-	}
-	for _, e := range dec.Entries(0) {
-		if err := s.lat.AddCount(e.Pattern, -e.Count); err != nil {
-			return fmt.Errorf("core: removing document: %w", err)
-		}
-	}
-	s.invalidateDerived()
-	return nil
+	return estimate.EstimateInterval(s.st, q)
 }
 
 // Prune returns a copy of the summary without δ-derivable patterns
 // (Section 4.3). delta is a relative tolerance; 0 prunes only patterns
-// whose decomposition estimate is exact. A frozen-only summary is
-// returned unchanged: pruning needs the map-backed lattice.
+// whose decomposition estimate is exact. A summary over any store but
+// the map-backed lattice is returned unchanged: pruning needs the map.
 func (s *Summary) Prune(delta float64) *Summary {
-	if s.lat == nil {
+	lat := s.Lattice()
+	if lat == nil {
 		return s
 	}
-	return &Summary{lat: estimate.PruneDerivable(s.lat, delta), dict: s.dict}
+	return &Summary{st: estimate.PruneDerivable(lat, delta), dict: s.dict}
 }
 
-// WriteTo serializes the summary. Frozen-only summaries were loaded from
-// the serialized form and cannot have changed; re-serializing them is
-// rejected with ErrFrozenSummary.
+// WriteTo serializes the summary in the TLAT form, from whichever store
+// it holds.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
-	if s.lat == nil {
-		return 0, fmt.Errorf("%w: cannot serialize", ErrFrozenSummary)
+	lat, err := s.asLattice()
+	if err != nil {
+		return 0, err
 	}
-	return s.lat.WriteTo(w)
+	return lat.WriteTo(w)
 }
 
 // Read deserializes a summary written by WriteTo, interning labels into
@@ -730,18 +616,16 @@ func Read(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{lat: lat, dict: dict}, nil
+	return &Summary{st: lat, dict: dict}, nil
 }
 
 // ReadFrozen deserializes a summary straight into the read-optimized
-// frozen representation, never materializing the map backend. The result
-// serves estimates (typically faster, with zero-allocation lookups) but
-// rejects every mutation with ErrFrozenSummary — the load path for
-// read-only serving replicas.
+// frozen representation, never materializing the map backend. Its
+// lookups are allocation-free — the load path for serving replicas.
 func ReadFrozen(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 	f, err := lattice.ReadFrozen(r, dict)
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{frozen: f, dict: dict}, nil
+	return &Summary{st: f, dict: dict}, nil
 }

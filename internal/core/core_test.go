@@ -89,16 +89,16 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := Build(tr, BuildOptions{K: MaxK + 1}); !errors.Is(err, ErrKTooLarge) {
 		t.Fatalf("K=%d accepted, err = %v, want ErrKTooLarge", MaxK+1, err)
 	}
-	if err := sum.Prune(0).AddTree(tr); !errors.Is(err, ErrPrunedSummary) {
-		t.Fatalf("pruned AddTree = %v, want ErrPrunedSummary", err)
+	if _, err := sum.Prune(0).Materialize(); !errors.Is(err, ErrPrunedSummary) {
+		t.Fatalf("pruned Materialize = %v, want ErrPrunedSummary", err)
 	}
 	otherDict := labeltree.NewDict()
 	other, err := xmlparse.Parse(strings.NewReader("<x><y/></x>"), otherDict, xmlparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sum.AddTree(other); !errors.Is(err, ErrDictMismatch) {
-		t.Fatalf("foreign dict AddTree = %v, want ErrDictMismatch", err)
+	if _, err := BuildForestContext(context.Background(), []*labeltree.Tree{tr, other}, BuildOptions{K: 3}); !errors.Is(err, ErrDictMismatch) {
+		t.Fatalf("foreign dict forest = %v, want ErrDictMismatch", err)
 	}
 }
 
@@ -141,7 +141,7 @@ func forestTrees(t *testing.T, n int) []*labeltree.Tree {
 
 // TestBuildForestEquivalence is the pipeline's core invariant: for any
 // worker count the parallel build is bit-identical (serialized form) to
-// the sequential incremental build. Serialized equality also pins the
+// mining each document alone and merging the lattices in order. Serialized equality also pins the
 // candidate enumeration order: which isomorphism representative a summary
 // stores for each key is decided by the byte-encoder's lexicographic
 // candidate ordering in the miner, and must not shift with parallelism.
@@ -153,7 +153,11 @@ func TestBuildForestEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range trees[1:] {
-		if err := seq.AddTree(tr); err != nil {
+		inc, err := Build(tr, BuildOptions{K: 4, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seq.Lattice().Merge(inc.Lattice()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,79 +187,6 @@ func TestBuildForestRejectsMixedDicts(t *testing.T) {
 	_, err := BuildForestContext(context.Background(), []*labeltree.Tree{a[0], b[0]}, BuildOptions{K: 3})
 	if !errors.Is(err, ErrDictMismatch) {
 		t.Fatalf("mixed dict forest = %v, want ErrDictMismatch", err)
-	}
-}
-
-func TestMergeSummary(t *testing.T) {
-	trees := forestTrees(t, 2)
-	a, err := Build(trees[0], BuildOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(trees[1], BuildOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(trees[0], BuildOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := want.AddTree(trees[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MergeSummary(b); err != nil {
-		t.Fatal(err)
-	}
-	var wantBuf, gotBuf bytes.Buffer
-	want.WriteTo(&wantBuf)
-	a.WriteTo(&gotBuf)
-	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-		t.Fatal("MergeSummary differs from AddTree")
-	}
-	if err := a.Prune(0).MergeSummary(b); !errors.Is(err, ErrPrunedSummary) {
-		t.Fatalf("pruned merge = %v, want ErrPrunedSummary", err)
-	}
-}
-
-func TestAddTreeIncremental(t *testing.T) {
-	sum, tr, dict := buildSample(t, 3)
-	// Add a second copy of the document: counts double.
-	tr2, err := xmlparse.Parse(strings.NewReader(`<computer><laptops><laptop><brand/><price/></laptop></laptops></computer>`), dict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, _ := sum.EstimateQuery("laptop(brand,price)", MethodRecursive)
-	if err := sum.AddTree(tr2); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := sum.EstimateQuery("laptop(brand,price)", MethodRecursive)
-	if after != before+1 {
-		t.Fatalf("incremental count = %v, want %v", after, before+1)
-	}
-	// Merged summary equals mining the concatenation: cross-check one
-	// more pattern.
-	c1 := match.NewCounter(tr).Count(labeltree.MustParsePattern("laptops(laptop)", dict))
-	c2 := match.NewCounter(tr2).Count(labeltree.MustParsePattern("laptops(laptop)", dict))
-	got, _ := sum.EstimateQuery("laptops(laptop)", MethodRecursive)
-	if got != float64(c1+c2) {
-		t.Fatalf("merged laptops(laptop) = %v, want %d", got, c1+c2)
-	}
-}
-
-func TestAddTreeRejectsForeignDictAndPruned(t *testing.T) {
-	sum, _, _ := buildSample(t, 3)
-	otherDict := labeltree.NewDict()
-	other, err := xmlparse.Parse(strings.NewReader("<x><y/></x>"), otherDict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.AddTree(other); err == nil {
-		t.Fatal("foreign dictionary accepted")
-	}
-	pruned := sum.Prune(0)
-	_, tr, _ := buildSample(t, 3)
-	if err := pruned.AddTree(tr); err == nil {
-		t.Fatal("AddTree on pruned summary accepted")
 	}
 }
 
@@ -372,55 +303,6 @@ func TestValuePredicateEstimation(t *testing.T) {
 	}
 	if got2 != 2 {
 		t.Fatalf("combined predicate estimate = %v, want 2", got2)
-	}
-}
-
-func TestRemoveTreeInvertsAddTree(t *testing.T) {
-	sum, _, dict := buildSample(t, 3)
-	baseline := sum.Lattice().Entries(0)
-	tr2, err := xmlparse.Parse(strings.NewReader(`<computer><laptops><laptop><brand/></laptop></laptops></computer>`), dict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.AddTree(tr2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.RemoveTree(tr2); err != nil {
-		t.Fatal(err)
-	}
-	after := sum.Lattice().Entries(0)
-	if len(after) != len(baseline) {
-		t.Fatalf("entry count %d != %d after add+remove", len(after), len(baseline))
-	}
-	for i := range baseline {
-		if baseline[i].Pattern.Key() != after[i].Pattern.Key() || baseline[i].Count != after[i].Count {
-			t.Fatalf("entry %d changed after add+remove", i)
-		}
-	}
-}
-
-func TestRemoveTreeGuards(t *testing.T) {
-	sum, tr, _ := buildSample(t, 3)
-	pruned := sum.Prune(0)
-	if err := pruned.RemoveTree(tr); err == nil {
-		t.Fatal("RemoveTree on pruned summary accepted")
-	}
-	otherDict := labeltree.NewDict()
-	other, err := xmlparse.Parse(strings.NewReader("<x/>"), otherDict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.RemoveTree(other); err == nil {
-		t.Fatal("foreign dictionary accepted")
-	}
-	// Removing a document that was never added drives counts negative.
-	bigDict := sum.Dict()
-	big, err := xmlparse.Parse(strings.NewReader(`<computer><laptops><laptop><brand/><price/></laptop><laptop><brand/><price/></laptop><laptop><brand/><price/></laptop></laptops></computer>`), bigDict, xmlparse.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.RemoveTree(big); err == nil {
-		t.Fatal("over-removal accepted")
 	}
 }
 

@@ -10,18 +10,18 @@ import (
 	"treelattice/internal/twigjoin"
 )
 
-// This file is the RCU epoch seam of the zero-downtime ingest pipeline.
-// An Epoch is one immutable serving state: a base summary (frozen,
-// compressed, or map-backed), the delta overlay of documents ingested
-// since the base was cut, and the document snapshot backing
-// document-driven estimators. Writers publish a fresh Epoch per change
-// through an atomic pointer swap; readers load the pointer once per
-// request and finish against that epoch even if a dozen more are
-// published meanwhile. Nothing in an epoch ever mutates, so there is no
-// read-side locking anywhere — and because every epoch carries a fresh
-// merged Summary, its sub-estimate and prepared-backend caches are
-// per-epoch by construction: publishing a new epoch is the cache
-// invalidation.
+// This file is the RCU epoch seam of the corpus write path — the only
+// way a served summary changes. An Epoch is one immutable serving
+// state: a base summary (frozen, compressed, or map-backed), the delta
+// overlay of documents added and removed since the base was cut, and
+// the document snapshot backing document-driven estimators. Writers
+// publish a fresh Epoch per change through an atomic pointer swap;
+// readers load the pointer once per request and finish against that
+// epoch even if a dozen more are published meanwhile. Nothing in an
+// epoch ever mutates, so there is no read-side locking anywhere — and
+// because every epoch carries a fresh Summary, its sub-estimate and
+// prepared-backend caches are per-epoch by construction: publishing a
+// new epoch is the cache invalidation.
 
 // Epoch is one immutable serving state. Estimates run against Summary;
 // Docs/Names are the sorted document snapshot the summary's
@@ -67,9 +67,9 @@ func (e *Epoch) HasDoc(name string) (int, bool) {
 	return lo, lo < len(e.Names) && e.Names[lo] == name
 }
 
-// EpochHandle is the atomic publication point readers and the ingest
+// EpochHandle is the atomic publication point readers and the corpus
 // writer share. Current never blocks; Publish is called by one writer
-// at a time (the ingest path serializes writers internally).
+// at a time (the corpus serializes writers internally).
 type EpochHandle struct {
 	cur atomic.Pointer[Epoch]
 	seq atomic.Uint64
@@ -87,23 +87,21 @@ func (h *EpochHandle) SetTwigIndexer(ix *twigjoin.Indexer) { h.indexer = ix }
 func (h *EpochHandle) Current() *Epoch { return h.cur.Load() }
 
 // Publish builds the next epoch over base merged with delta and swaps
-// it in. The serving configuration (instrumentation observer, private
+// it in. An epoch whose delta is nil or empty serves the base store
+// directly. The serving configuration (instrumentation observer, private
 // registry, sub-cache capacity and creation hook) is inherited from the
 // base summary when set there, else from the previous epoch's summary —
 // so a handler that instrumented epoch 1 keeps its metrics flowing
 // through every later epoch. docs/names must be sorted by name and
 // positionally aligned; the new epoch's summary binds them as its
 // TreeSource.
-func (h *EpochHandle) Publish(base *Summary, delta estimate.Store, docs []*labeltree.Tree, names []string) *Epoch {
+func (h *EpochHandle) Publish(base *Summary, delta *lattice.Delta, docs []*labeltree.Tree, names []string) *Epoch {
 	prev := h.cur.Load()
-	sum := &Summary{
-		multi:       &estimate.Merged{Base: base.store(), Delta: delta},
-		dict:        base.dict,
-		observe:     base.observe,
-		registry:    base.registry,
-		subCacheCap: base.subCacheCap,
-		subCacheNew: base.subCacheNew,
+	st := base.st
+	if delta != nil && !delta.Empty() {
+		st = &estimate.Merged{Base: base.st, Delta: delta}
 	}
+	sum := base.derive(st)
 	if prev != nil {
 		ps := prev.Summary
 		if sum.observe == nil {
@@ -125,7 +123,7 @@ func (h *EpochHandle) Publish(base *Summary, delta estimate.Store, docs []*label
 	return e
 }
 
-// IngestStats is the observability snapshot of the zero-downtime ingest
+// IngestStats is the observability snapshot of the background ingest
 // pipeline, surfaced under /v1/stats.
 type IngestStats struct {
 	// Epoch is the serving epoch number (0 = ingest not enabled).
@@ -147,40 +145,21 @@ type IngestStats struct {
 	Backpressured uint64 `json:"backpressured"`
 }
 
-// entriesStore is the backend surface Materialize needs: every
-// single-store backend (map, frozen, compressed) can enumerate its
-// entries with decoded patterns.
-type entriesStore interface {
-	Entries(size int) []lattice.Entry
-	K() int
-	Pruned() bool
-}
-
 // Materialize returns a mutable map-backed copy of the summary's
 // counts — the refreeze path's way back from a frozen or compressed
-// base to a lattice it can fold a delta into. Shard-combined summaries
-// cannot materialize (shards are rebuilt, not edited), and pruned
-// summaries must not (missing patterns are derivable, not absent; a
-// fold would corrupt them).
+// base to a lattice it can fold a delta into. Combining views (epochs,
+// shards) cannot materialize, and pruned summaries must not (missing
+// patterns are derivable, not absent; a fold would corrupt them).
 func (s *Summary) Materialize() (*lattice.Summary, error) {
-	if s.lat != nil {
-		if s.lat.Pruned() {
-			return nil, fmt.Errorf("%w: cannot materialize", ErrPrunedSummary)
-		}
-		return s.lat.Clone(), nil
-	}
-	st, ok := s.store().(entriesStore)
-	if !ok {
-		return nil, fmt.Errorf("core: %s summary cannot materialize", s.StoreKind())
-	}
-	if st.Pruned() {
+	if s.st.Pruned() {
 		return nil, fmt.Errorf("%w: cannot materialize", ErrPrunedSummary)
 	}
-	lat := lattice.New(st.K(), s.dict)
-	for _, e := range st.Entries(0) {
-		if err := lat.Add(e.Pattern, e.Count); err != nil {
-			return nil, err
-		}
+	lat, err := s.asLattice()
+	if err != nil {
+		return nil, err
+	}
+	if lat == s.Lattice() {
+		lat = lat.Clone()
 	}
 	return lat, nil
 }

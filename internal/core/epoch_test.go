@@ -117,9 +117,9 @@ func TestEpochDifferentialIdentity(t *testing.T) {
 			}
 			switch backend {
 			case "frozen":
-				base.Freeze()
+				base = base.Freeze()
 			case "compressed":
-				base.Compress()
+				base = base.Compress()
 			}
 			handle := &EpochHandle{}
 			ep := handle.Publish(base, delta, all, epochNames(len(all)))
@@ -174,7 +174,7 @@ func TestEpochSwapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Freeze()
+	base = base.Freeze()
 	queries := epochQueries(t, base)
 	deltaB := mineDelta(t, k, dict, deltaTrees)
 	deltaA := lattice.NewDelta(k, dict)
@@ -299,5 +299,41 @@ func TestEpochSwapStress(t *testing.T) {
 	}
 	if got := handle.Current().ID; got != uint64(swaps)+1 {
 		t.Fatalf("epoch ID = %d, want %d (1 initial + %d swaps)", got, swaps+1, swaps)
+	}
+}
+
+// TestSubCacheInvalidatedOnMutation: cached sub-estimates must not
+// survive a change to the counts. Summaries never mutate; a change
+// publishes a new epoch, whose summary starts with empty caches.
+func TestSubCacheInvalidatedOnMutation(t *testing.T) {
+	sum, _, dict := buildSample(t, 2) // K=2 forces decomposition (and caching) early
+	base := sum.Freeze()
+	handle := &EpochHandle{}
+	ep := handle.Publish(base, nil, nil, nil)
+	q, err := ep.Summary.ParseQuery("computer(laptops(laptop(brand,price)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := ep.Summary.Estimate(q, MethodRecursive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Summary.SubCacheStats().Entries == 0 {
+		t.Fatal("no sub-estimates cached")
+	}
+	extra, err := xmlparse.Parse(strings.NewReader("<computer><laptops><laptop><brand/><price/></laptop></laptops></computer>"), dict, xmlparse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := handle.Publish(base, mineDelta(t, 2, dict, []*labeltree.Tree{extra}), nil, nil)
+	if got := next.Summary.SubCacheStats().Entries; got != 0 {
+		t.Fatalf("%d cached sub-estimates carried into the next epoch", got)
+	}
+	after, err := next.Summary.Estimate(q, MethodRecursive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before {
+		t.Fatal("estimate unchanged after adding a matching document (stale cache?)")
 	}
 }

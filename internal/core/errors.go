@@ -19,16 +19,12 @@ var (
 	// enumeration is exponential in K; the cap keeps a mistyped K from
 	// consuming the machine.
 	ErrKTooLarge = errors.New("treelattice: K too large")
-	// ErrPrunedSummary reports an incremental update against a pruned
-	// summary, whose missing patterns cannot be maintained.
+	// ErrPrunedSummary reports a fold against a pruned summary, whose
+	// missing patterns cannot be maintained.
 	ErrPrunedSummary = errors.New("treelattice: summary is pruned")
 	// ErrDictMismatch reports trees or summaries that do not share a
 	// label dictionary.
 	ErrDictMismatch = errors.New("treelattice: different label dictionary")
-	// ErrFrozenSummary reports a mutation against a summary loaded in the
-	// read-only frozen representation (ReadFrozen), which has no map
-	// backend to update.
-	ErrFrozenSummary = errors.New("treelattice: summary is frozen")
 	// ErrBudgetExhausted reports an estimator that ran out of its internal
 	// work budget (the sampling backend's node budget) before producing an
 	// answer. Like a blown deadline, it makes the estimate degradable: the

@@ -146,7 +146,7 @@ type Estimator interface {
 	Capabilities() Capabilities
 	// Prepare binds the backend to a summary (building synopses,
 	// indexes, or tables as needed). The result is cached per summary
-	// until the summary mutates.
+	// until it rebinds its document source.
 	Prepare(ctx context.Context, s *Summary) (Prepared, error)
 }
 
@@ -276,7 +276,7 @@ func (s *Summary) LookupMethod(m Method) (Capabilities, error) {
 // use. Preparation runs outside the lock (it may be expensive — sampling
 // builds per-document indexes), so two racing first uses may both
 // prepare; the extra instance is dropped. The cache empties whenever the
-// summary mutates, freezes, or rebinds its source.
+// summary rebinds its source.
 func (s *Summary) preparedFor(ctx context.Context, m Method) (Prepared, error) {
 	s.prepMu.Lock()
 	p, ok := s.prepared[m]
@@ -303,14 +303,6 @@ func (s *Summary) preparedFor(ctx context.Context, m Method) (Prepared, error) {
 	}
 	s.prepMu.Unlock()
 	return p, nil
-}
-
-// invalidatePrepared drops every cached Prepared; called on mutation and
-// freeze, whose store changes would leave backends reading stale state.
-func (s *Summary) invalidatePrepared() {
-	s.prepMu.Lock()
-	s.prepared = nil
-	s.prepMu.Unlock()
 }
 
 // runPrepared drives one estimate through a Prepared's

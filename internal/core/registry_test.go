@@ -63,11 +63,11 @@ func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q 
 	t.Helper()
 	switch m {
 	case MethodRecursive:
-		return (&estimate.Recursive{Sum: sum.store()}).Estimate(q)
+		return (&estimate.Recursive{Sum: sum.st}).Estimate(q)
 	case MethodRecursiveVoting:
-		return (&estimate.Recursive{Sum: sum.store(), Voting: true}).Estimate(q)
+		return (&estimate.Recursive{Sum: sum.st, Voting: true}).Estimate(q)
 	case MethodFixSized:
-		return (&estimate.FixSized{Sum: sum.store()}).Estimate(q)
+		return (&estimate.FixSized{Sum: sum.st}).Estimate(q)
 	case MethodMarkov:
 		k := sum.K()
 		if k < 2 {
@@ -104,9 +104,9 @@ func TestRegistryDifferentialIdentity(t *testing.T) {
 		sum, tr, queries := registrySample(t)
 		switch backend {
 		case "frozen":
-			sum.Freeze()
+			sum = sum.Freeze()
 		case "compressed":
-			sum.Compress()
+			sum = sum.Compress()
 		}
 		if got := sum.StoreKind(); got != backend {
 			t.Fatalf("StoreKind() = %q, want %q", got, backend)
@@ -171,9 +171,6 @@ func TestRegistryDifferentialSnapshotFiles(t *testing.T) {
 		}
 		if got := loaded.StoreKind(); got != fc.kind {
 			t.Fatalf("loaded %s snapshot: StoreKind() = %q", fc.kind, got)
-		}
-		if loaded.Mutable() {
-			t.Fatalf("loaded %s snapshot must not be mutable", fc.kind)
 		}
 		if loaded.ResidentBytes() <= 0 {
 			t.Fatalf("loaded %s snapshot: ResidentBytes() = %d", fc.kind, loaded.ResidentBytes())

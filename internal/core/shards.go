@@ -24,8 +24,7 @@ import (
 // All shards must share one label dictionary and one lattice level K;
 // pruning is contagious (the union is pruned if any shard is). The result
 // carries no TreeSource; bind one with BindSource to enable
-// document-needing methods. Like a ReadFrozen summary, it rejects every
-// mutation with ErrFrozenSummary — shards are rebuilt, not edited.
+// document-needing methods. Shards are rebuilt, not edited.
 func FromShards(shards []*Summary) (*Summary, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: FromShards needs at least one shard")
@@ -40,13 +39,13 @@ func FromShards(shards []*Summary) (*Summary, error) {
 		if sh.K() != k {
 			return nil, fmt.Errorf("core: shard %d has K=%d, want K=%d", i, sh.K(), k)
 		}
-		st := sh.store()
+		st := sh.st
 		ss.stores[i] = st
 		if st.Pruned() {
 			ss.pruned = true
 		}
 	}
-	return &Summary{multi: ss, dict: dict}, nil
+	return &Summary{st: ss, dict: dict}, nil
 }
 
 // shardStore sums pattern counts across per-shard stores. Presence is the

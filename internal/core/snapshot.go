@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
 )
@@ -14,25 +15,57 @@ import (
 // by Read/ReadFrozen, and the compressed TLCZ layout), plus the
 // introspection servers use to account for what is resident.
 
-// WriteCompressed serializes the summary in the compressed TLCZ form.
-// Like WriteTo it needs the map-backed lattice; snapshot-only summaries
-// are rejected with ErrFrozenSummary.
+// WriteCompressed serializes the summary in the compressed TLCZ form,
+// from whichever store it holds.
 func (s *Summary) WriteCompressed(w io.Writer) (int64, error) {
-	if s.lat == nil {
-		return 0, fmt.Errorf("%w: cannot serialize", ErrFrozenSummary)
+	lat, err := s.asLattice()
+	if err != nil {
+		return 0, err
 	}
-	return lattice.WriteCompressed(w, s.lat)
+	return lattice.WriteCompressed(w, lat)
 }
 
 // ReadCompressed deserializes a summary written by WriteCompressed,
-// interning labels into dict. Like ReadFrozen, the result serves
-// estimates but rejects every mutation with ErrFrozenSummary.
+// interning labels into dict.
 func ReadCompressed(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 	c, err := lattice.ReadCompressed(r, dict)
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{comp: c, dict: dict}, nil
+	return &Summary{st: c, dict: dict}, nil
+}
+
+// entriesStore is the backend surface serialization and Materialize
+// need: every single-store backend (map, frozen, compressed) can
+// enumerate its entries with decoded patterns.
+type entriesStore interface {
+	Entries(size int) []lattice.Entry
+	K() int
+	Pruned() bool
+}
+
+// asLattice returns the summary's counts as a map-backed lattice: the
+// store itself when it is one, else a copy rebuilt from the snapshot's
+// entries. Callers must not mutate the result. Combining views (epochs,
+// shards) hold no single entry list and cannot serialize.
+func (s *Summary) asLattice() (*lattice.Summary, error) {
+	if lat := s.Lattice(); lat != nil {
+		return lat, nil
+	}
+	st, ok := s.st.(entriesStore)
+	if !ok {
+		return nil, fmt.Errorf("core: %s summary cannot be serialized", s.StoreKind())
+	}
+	lat := lattice.New(st.K(), s.dict)
+	for _, e := range st.Entries(0) {
+		if err := lat.Add(e.Pattern, e.Count); err != nil {
+			return nil, err
+		}
+	}
+	if st.Pruned() {
+		lat.MarkPruned()
+	}
+	return lat, nil
 }
 
 // OpenSnapshotFile loads a read-only summary from path, detecting the
@@ -56,7 +89,7 @@ func OpenSnapshotFile(path string, dict *labeltree.Dict) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Summary{comp: c, dict: dict}, nil
+		return &Summary{st: c, dict: dict}, nil
 	}
 	defer f.Close()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -65,23 +98,18 @@ func OpenSnapshotFile(path string, dict *labeltree.Dict) (*Summary, error) {
 	return ReadFrozen(f, dict)
 }
 
-// kinded is implemented by combining stores that name their own backend
-// kind (the delta-merged view); plain shard combination stays "shards".
-type kinded interface{ StoreKind() string }
-
-// StoreKind names the backend estimates currently read from: "shards",
-// "delta" (epoch view: immutable base + ingest overlay), "compressed",
+// StoreKind names the backend estimates read from: "shards", "delta"
+// (epoch view: immutable base + unfolded changes), "compressed",
 // "frozen", or "map".
 func (s *Summary) StoreKind() string {
-	switch {
-	case s.multi != nil:
-		if k, ok := s.multi.(kinded); ok {
-			return k.StoreKind()
-		}
+	switch st := s.st.(type) {
+	case *shardStore:
 		return "shards"
-	case s.comp != nil:
+	case *estimate.Merged:
+		return st.StoreKind()
+	case *lattice.Compressed:
 		return "compressed"
-	case s.frozen != nil:
+	case *lattice.Frozen:
 		return "frozen"
 	default:
 		return "map"
@@ -99,10 +127,10 @@ type residentSized interface {
 // size, identical across backends — this reflects the representation,
 // which is what byte-budget admission in the fleet registry meters.
 func (s *Summary) ResidentBytes() int {
-	if rs, ok := s.store().(residentSized); ok {
+	if rs, ok := s.st.(residentSized); ok {
 		return rs.ResidentBytes()
 	}
-	if sz, ok := s.store().(sized); ok {
+	if sz, ok := s.st.(sized); ok {
 		return sz.SizeBytes()
 	}
 	return 0
@@ -114,8 +142,8 @@ func (s *Summary) ResidentBytes() int {
 // summary answers misses. Summaries whose backends hold no external
 // resources return nil untouched.
 func (s *Summary) CloseStore() error {
-	if s.comp != nil {
-		return s.comp.Close()
+	if c, ok := s.st.(*lattice.Compressed); ok {
+		return c.Close()
 	}
 	return nil
 }

@@ -6,11 +6,18 @@
 // Layout under the corpus root:
 //
 //	corpus.meta          K, bucket configuration (plain text key=value)
-//	summary.tlat         the merged lattice summary
 //	docs/<name>.tltr     each document in the binary tree format
+//	docs/<name>.tomb     a removed document, kept until its removal is folded
+//	epoch-NNNNNN.tlat    numbered base snapshots (or .tlcz when compressed)
+//	epoch-NNNNNN.meta    numbered manifests: snapshot=<file> + doc=<name> lines
+//	summary.tlat         the TLAT snapshot, while it counts every document
 //
-// All mutating operations write the summary through to disk; a corpus is
-// single-writer (no file locking is attempted).
+// Every write goes through one path (see ingest.go): the change lands in
+// a copy-on-write delta, is published to readers as a new RCU epoch, and
+// is folded into a new snapshot that a manifest commits. Without
+// EnableIngest the fold runs inline, so a write is folded and durable
+// when it returns; EnableIngest moves folds to a background refreezer.
+// Readers never lock; writers serialize internally.
 package corpus
 
 import (
@@ -21,10 +28,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"treelattice/internal/core"
 	"treelattice/internal/fsx"
@@ -38,16 +47,15 @@ import (
 
 // Sentinel errors callers can branch on with errors.Is.
 var (
-	// ErrDocExists reports an add under a name already in the corpus.
+	// ErrDocExists reports an add under a name already in the corpus, or
+	// under a removed name whose removal is not folded yet.
 	ErrDocExists = errors.New("corpus: document already exists")
 	// ErrNoSuchDoc reports an operation on a name not in the corpus.
 	ErrNoSuchDoc = errors.New("corpus: no such document")
+	// ErrReadOnly reports a write against a corpus opened with
+	// OpenReadOnly that has not enabled ingest.
+	ErrReadOnly = errors.New("corpus: read-only replica")
 )
-
-// buildEmptySummary returns a zero-document summary at level k.
-func buildEmptySummary(k int, dict *labeltree.Dict) (*core.Summary, error) {
-	return core.FromLattice(lattice.New(k, dict)), nil
-}
 
 // Options configures corpus creation.
 type Options struct {
@@ -60,34 +68,55 @@ type Options struct {
 	Attributes   bool
 }
 
-// Corpus is an open corpus. Not safe for concurrent mutation; callers
-// that mutate under traffic (the HTTP handler) serialize externally.
+// Corpus is an open corpus. Reads are safe concurrently with each other
+// and with writes; writes serialize internally.
 type Corpus struct {
-	dir     string
-	opts    Options
-	dict    *labeltree.Dict
-	summary *core.Summary
-	docs    map[string]*labeltree.Tree
-	workers int
+	dir  string
+	opts Options
+	dict *labeltree.Dict
+	// readOnly rejects writes with ErrReadOnly unless ingest is enabled.
+	readOnly bool
+	workers  int
 	// unboundedParse lifts the default XML parse limits (depth, node
 	// count). Set for CLI bulk loads of trusted files; leave unset when
 	// parsing untrusted uploads.
 	unboundedParse bool
-	// lastBuild holds the per-stage timings of the most recent mutation
-	// (add, batch add, remove).
-	lastBuild *metrics.BuildTimings
-	// ing, when non-nil, is the enabled zero-downtime ingest pipeline;
-	// readers route through its current epoch instead of the fields
-	// above (see ingest.go). Loaded atomically so readers never lock.
-	ing atomic.Pointer[ingestState]
-	// recovered carries ingest state reconstructed by a manifest-aware
-	// read-only open, consumed by the next EnableIngest.
-	recovered *ingestRecovery
+	// lastBuild holds the per-stage timings of the most recent add.
+	lastBuild atomic.Pointer[metrics.BuildTimings]
 	// indexer caches one twigjoin region index per document tree for
-	// query execution; built at load, shared across ingest epochs
-	// (epochs reuse unchanged tree pointers, so their indexes carry
-	// over). Never nil after Create/open.
+	// query execution; built at load, shared across epochs (epochs reuse
+	// unchanged tree pointers, so their indexes carry over).
 	indexer *twigjoin.Indexer
+	// epochs is the publication point every reader loads from.
+	epochs core.EpochHandle
+
+	// mu serializes writers: it guards the delta, the pending change log
+	// and epoch publication.
+	mu         sync.Mutex
+	delta      *lattice.Delta
+	pending    []change // unfolded changes, in arrival order
+	deltaSince time.Time
+	// summaryLinked records that summary.tlat exists; legacy, that no
+	// manifest names a snapshot, so summary.tlat is the base itself.
+	summaryLinked, legacy bool
+
+	// foldMu serializes folds. base, folded and nextN change only under
+	// both locks; foldLat is private to the fold.
+	foldMu  sync.Mutex
+	base    *core.Summary
+	foldLat *lattice.Summary // map copy of base's counts; nil until the first fold
+	folded  []string         // sorted names the committed snapshot counts
+	nextN   uint64           // number of the next epoch snapshot and manifest
+
+	// ing, when non-nil, is the background refreezer EnableIngest started.
+	ing atomic.Pointer[ingestState]
+}
+
+// change is one unfolded write: an added document, or a removal whose
+// tombstone stays in docs/ until a fold commits it.
+type change struct {
+	name    string
+	removed bool
 }
 
 var _ core.TreeSource = (*Corpus)(nil)
@@ -125,12 +154,13 @@ func (c *Corpus) SetWorkers(n int) {
 // Workers returns the configured build parallelism (0 = GOMAXPROCS).
 func (c *Corpus) Workers() int { return c.workers }
 
-// BuildTimings returns the per-stage timings of the most recent mutating
-// operation, or nil if none has run.
-func (c *Corpus) BuildTimings() *metrics.BuildTimings { return c.lastBuild }
+// BuildTimings returns the per-stage timings of the most recent add, or
+// nil if none has run.
+func (c *Corpus) BuildTimings() *metrics.BuildTimings { return c.lastBuild.Load() }
 
 // Create initializes a new corpus directory. dir must not already contain
-// a corpus.
+// a corpus. A new corpus is epoch 0 with no snapshot: its first write
+// commits epoch 1.
 func Create(dir string, opts Options) (*Corpus, error) {
 	if opts.K == 0 {
 		opts.K = 4
@@ -141,51 +171,28 @@ func Create(dir string, opts Options) (*Corpus, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "docs"), 0o755); err != nil {
 		return nil, err
 	}
-	c := &Corpus{
-		dir:     dir,
-		opts:    opts,
-		dict:    labeltree.NewDict(),
-		docs:    make(map[string]*labeltree.Tree),
-		indexer: twigjoin.NewIndexer(),
-	}
-	// An empty summary: build from a lattice with no entries.
-	empty, err := buildEmptySummary(opts.K, c.dict)
-	if err != nil {
-		return nil, err
-	}
-	c.summary = empty
-	c.summary.BindSource(c)
+	c := newCorpus(dir, opts)
 	if err := c.writeMeta(); err != nil {
 		return nil, err
 	}
-	if err := c.writeSummary(); err != nil {
-		return nil, err
-	}
+	c.base = c.emptyBase()
+	c.nextN = 1
+	c.epochs.Publish(c.base, nil, nil, nil)
 	return c, nil
 }
 
-// Open loads an existing corpus with a mutable summary. The summary
-// file must be in the TLAT form (the form writeSummary maintains);
-// compressed snapshots carry no mutable backend and are rejected here —
-// load those with OpenReadOnly. A directory left behind by the
-// zero-downtime ingest pipeline (epoch manifests present) is recovered
-// and consolidated back to the legacy layout: the winning snapshot is
-// materialized, unfolded documents are re-mined, and summary.tlat is
-// rewritten to cover everything.
+// Open loads an existing corpus for reading and writing. The newest
+// loadable epoch snapshot is the base; documents it does not count and
+// removals it has not folded are re-mined into the delta (crash
+// recovery), and fold with the next write or Refreeze.
 func Open(dir string) (*Corpus, error) {
 	return open(dir, false)
 }
 
-// OpenReadOnly loads an existing corpus with its summary in an
-// immutable read-optimized representation, detected from the summary
-// file's magic: frozen (flat arena + open addressing) for TLAT
-// snapshots, compressed (front-coded blocks, memory-mapped where the
-// platform supports it) for TLCZ snapshots. The map backend is never
-// materialized, estimate lookups are allocation-free, and every
-// mutating operation fails with core.ErrFrozenSummary. The load path
-// for read-only serving replicas. Ingest state left by a crashed or
-// stopped pipeline is recovered without writing: unfolded documents are
-// re-mined into a delta overlay and served merged with the snapshot.
+// OpenReadOnly loads an existing corpus like Open, but rejects writes
+// with ErrReadOnly until EnableIngest — the load path for serving
+// replicas. Opening never writes, so a replica can open a directory
+// another process is writing.
 func OpenReadOnly(dir string) (*Corpus, error) {
 	return open(dir, true)
 }
@@ -195,70 +202,32 @@ func open(dir string, readOnly bool) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{
-		dir:     dir,
-		opts:    opts,
-		dict:    labeltree.NewDict(),
-		docs:    make(map[string]*labeltree.Tree),
-		indexer: twigjoin.NewIndexer(),
-	}
-	mans, err := scanManifests(dir)
-	if err != nil {
+	c := newCorpus(dir, opts)
+	c.readOnly = readOnly
+	if err := c.recover(); err != nil {
 		return nil, err
 	}
-	if len(mans) > 0 {
-		if err := c.openWithManifest(mans, readOnly); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	if readOnly {
-		c.summary, err = core.OpenSnapshotFile(summaryPath(dir), c.dict)
-	} else {
-		c.summary, err = func() (*core.Summary, error) {
-			f, oerr := os.Open(summaryPath(dir))
-			if oerr != nil {
-				return nil, oerr
-			}
-			defer f.Close()
-			return core.Read(f, c.dict)
-		}()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("corpus: loading summary: %w", err)
-	}
-	if err := c.loadDocs(); err != nil {
-		return nil, err
-	}
-	// The corpus itself is the summary's document source: sampling,
-	// markov, and treesketch backends prepare from the live doc set.
-	// Read-only replicas load their document trees too, so every backend
-	// works on frozen summaries.
-	c.summary.BindSource(c)
 	// Region-index every loaded document once, up front: query execution
 	// then never pays an index build on the request path.
 	c.indexer.ForAll(c.Trees())
 	return c, nil
 }
 
-// loadDocs reads every document tree under docs/ into the in-memory map.
-func (c *Corpus) loadDocs() error {
-	entries, err := os.ReadDir(filepath.Join(c.dir, "docs"))
-	if err != nil {
-		return err
+func newCorpus(dir string, opts Options) *Corpus {
+	c := &Corpus{
+		dir:     dir,
+		opts:    opts,
+		dict:    labeltree.NewDict(),
+		indexer: twigjoin.NewIndexer(),
 	}
-	for _, e := range entries {
-		name, ok := strings.CutSuffix(e.Name(), ".tltr")
-		if !ok {
-			continue
-		}
-		tree, err := c.readDoc(name)
-		if err != nil {
-			return err
-		}
-		c.docs[name] = tree
-	}
-	return nil
+	c.delta = lattice.NewDelta(opts.K, c.dict)
+	c.epochs.SetTwigIndexer(c.indexer)
+	return c
+}
+
+// emptyBase is the base of a corpus no snapshot covers yet.
+func (c *Corpus) emptyBase() *core.Summary {
+	return core.FromLattice(lattice.New(c.opts.K, c.dict)).Freeze()
 }
 
 // Options returns the corpus configuration.
@@ -267,33 +236,15 @@ func (c *Corpus) Options() Options { return c.opts }
 // Dict returns the corpus label dictionary (parse queries against it).
 func (c *Corpus) Dict() *labeltree.Dict { return c.dict }
 
-// Summary returns the live corpus summary. While ingest is enabled this
-// is the current epoch's merged (base + delta) view; callers that load
-// it once per request stay pinned to that epoch for the request's
-// lifetime even as later epochs are published.
-func (c *Corpus) Summary() *core.Summary {
-	if st := c.ing.Load(); st != nil {
-		return st.handle.Current().Summary
-	}
-	return c.summary
-}
+// Summary returns the current epoch's summary. Callers that load it once
+// per request stay pinned to that epoch for the request's lifetime even
+// as later epochs are published.
+func (c *Corpus) Summary() *core.Summary { return c.epochs.Current().Summary }
 
 // Docs lists document names in sorted order.
 func (c *Corpus) Docs() []string {
-	if st := c.ing.Load(); st != nil {
-		return append([]string(nil), st.handle.Current().Names...)
-	}
-	out := make([]string, 0, len(c.docs))
-	for n := range c.docs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string{}, c.epochs.Current().Names...)
 }
-
-// DocNames implements core.DocNamer: document names positionally
-// aligned with Trees().
-func (c *Corpus) DocNames() []string { return c.Docs() }
 
 // TwigIndexer implements core.TwigIndexerSource: the corpus-lifetime
 // region-index cache query execution runs on.
@@ -301,31 +252,17 @@ func (c *Corpus) TwigIndexer() *twigjoin.Indexer { return c.indexer }
 
 // Doc returns a loaded document tree by name.
 func (c *Corpus) Doc(name string) (*labeltree.Tree, bool) {
-	if st := c.ing.Load(); st != nil {
-		ep := st.handle.Current()
-		if i, ok := ep.HasDoc(name); ok {
-			return ep.Docs[i], true
-		}
-		return nil, false
+	ep := c.epochs.Current()
+	if i, ok := ep.HasDoc(name); ok {
+		return ep.Docs[i], true
 	}
-	t, ok := c.docs[name]
-	return t, ok
+	return nil, false
 }
 
-// Trees implements core.TreeSource: the loaded document trees in sorted
-// name order (a stable order keeps sampling probe selection
-// deterministic). The slice reflects the live doc set; document mutations
-// invalidate prepared backends through the summary.
-func (c *Corpus) Trees() []*labeltree.Tree {
-	if st := c.ing.Load(); st != nil {
-		return st.handle.Current().Trees()
-	}
-	out := make([]*labeltree.Tree, 0, len(c.docs))
-	for _, name := range c.Docs() {
-		out = append(out, c.docs[name])
-	}
-	return out
-}
+// Trees implements core.TreeSource: the current epoch's document trees
+// in sorted name order (a stable order keeps sampling probe selection
+// deterministic).
+func (c *Corpus) Trees() []*labeltree.Tree { return c.epochs.Current().Docs }
 
 // AddXML parses an XML document from r, folds it into the summary, and
 // persists both. Adding under an existing name wraps ErrDocExists.
@@ -335,65 +272,73 @@ func (c *Corpus) AddXML(name string, r io.Reader) error {
 
 // AddXMLContext is AddXML with cancellation: the incoming document is
 // mined into a private lattice with the corpus's configured worker count
-// and merged only on success, so a canceled upload leaves the summary and
-// the on-disk state untouched.
+// and lands only on success, so a canceled upload leaves the summary and
+// the on-disk state untouched. It is AddXMLBatch with one document.
 func (c *Corpus) AddXMLContext(ctx context.Context, name string, r io.Reader) error {
-	if st := c.ing.Load(); st != nil {
-		return c.ingestAdd(ctx, st, name, r)
-	}
-	if err := validName(name); err != nil {
-		return err
-	}
-	if _, exists := c.docs[name]; exists {
-		return fmt.Errorf("%w: %q", ErrDocExists, name)
-	}
-	timings := &metrics.BuildTimings{}
-	stop := timings.Start("parse")
-	tree, err := xmlparse.Parse(r, c.dict, c.parseOptions())
-	stop()
-	if err != nil {
-		return err
-	}
-	stop = timings.Start("mine")
-	err = c.summary.AddTreeContext(ctx, tree, c.workers)
-	stop()
-	if err != nil {
-		return err
-	}
-	stop = timings.Start("persist")
-	defer stop()
-	if err := c.writeDoc(name, tree); err != nil {
-		return err
-	}
-	c.docs[name] = tree
-	c.lastBuild = timings
-	return c.writeSummary()
+	return c.AddXMLBatch(ctx, []BatchDoc{{Name: name, R: r}})
 }
 
-// Remove deletes a document and subtracts its counts. Unknown names wrap
-// ErrNoSuchDoc. Removal is not supported while the ingest pipeline is
-// enabled (the delta overlay is add-only); disable ingest first.
+// Remove deletes a document and takes its counts out of the summary as
+// a negative increment. Unknown names wrap ErrNoSuchDoc. The document
+// file becomes a tombstone that stays in docs/ until the fold that
+// commits the removal, so a crash before then re-applies the removal on
+// reopen; until that fold, re-adding the name wraps ErrDocExists.
 func (c *Corpus) Remove(name string) error {
-	if c.ing.Load() != nil {
-		return fmt.Errorf("%w: remove %q", ErrIngestActive, name)
+	if err := c.checkWritable(); err != nil {
+		return err
 	}
-	tree, ok := c.docs[name]
+	tree, ok := c.Doc(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchDoc, name)
 	}
-	if err := c.summary.RemoveTree(tree); err != nil {
+	inc, err := c.mine(context.Background(), []*labeltree.Tree{tree}, nil)
+	if err != nil {
 		return err
 	}
-	delete(c.docs, name)
-	if err := os.Remove(c.docPath(name)); err != nil {
+	st := c.ing.Load()
+	over, err := c.applyRemove(st, name, tree, inc)
+	if err != nil {
 		return err
 	}
-	return c.writeSummary()
+	return c.settle(st, over, nil)
+}
+
+// applyRemove lands a removal under the write lock: the negative
+// increment enters the delta, the document file becomes a tombstone,
+// and the next epoch no longer lists the document. It reports whether
+// the delta crossed a refreeze watermark.
+func (c *Corpus) applyRemove(st *ingestState, name string, tree *labeltree.Tree, inc *lattice.Summary) (bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ep := c.epochs.Current()
+	i, ok := ep.HasDoc(name)
+	if !ok || ep.Docs[i] != tree {
+		return false, fmt.Errorf("%w: %q", ErrNoSuchDoc, name)
+	}
+	next, err := c.delta.Retract(inc)
+	if err != nil {
+		return false, err
+	}
+	if err := c.unlinkSummary(); err != nil {
+		return false, err
+	}
+	if err := fsx.RenameDurable(c.docPath(name, docExt), c.docPath(name, tombExt)); err != nil {
+		return false, err
+	}
+	names := slices.Delete(slices.Clone(ep.Names), i, i+1)
+	docs := slices.Delete(slices.Clone(ep.Docs), i, i+1)
+	return c.land(st, next, []change{{name: name, removed: true}}, docs, names), nil
 }
 
 // EstimateQuery estimates a twig query's selectivity across the corpus.
 func (c *Corpus) EstimateQuery(query string, method core.Method) (float64, error) {
 	return c.Summary().EstimateQuery(query, method)
+}
+
+// EstimateQueryContext is EstimateQuery with cancellation; see
+// core.Summary.EstimateQueryContext for the error contract.
+func (c *Corpus) EstimateQueryContext(ctx context.Context, query string, method core.Method) (float64, error) {
+	return c.Summary().EstimateQueryContext(ctx, query, method)
 }
 
 // ExactCount counts a query's matches exactly by scanning every document.
@@ -420,15 +365,32 @@ func (c *Corpus) ExactCountContext(ctx context.Context, q labeltree.Pattern) (in
 
 // ---- persistence helpers ----
 
-func metaPath(dir string) string    { return filepath.Join(dir, "corpus.meta") }
-func summaryPath(dir string) string { return filepath.Join(dir, "summary.tlat") }
+// Document file extensions: a live document and a tombstoned one.
+const (
+	docExt  = ".tltr"
+	tombExt = ".tomb"
+)
 
-func (c *Corpus) docPath(name string) string {
-	return filepath.Join(c.dir, "docs", name+".tltr")
+// summaryFile is the TLAT snapshot kept while it counts every live
+// document (see ingest.go).
+const summaryFile = "summary.tlat"
+
+func metaPath(dir string) string    { return filepath.Join(dir, "corpus.meta") }
+func summaryPath(dir string) string { return filepath.Join(dir, summaryFile) }
+
+func (c *Corpus) docPath(name, ext string) string {
+	return filepath.Join(c.dir, "docs", name+ext)
 }
 
+// validName rejects names that escape docs/ or could forge a manifest
+// line: separators, "..", and control bytes (a newline in a name would
+// otherwise write a line of its own into the next epoch manifest).
 func validName(name string) error {
-	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
+	bad := name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..")
+	for i := 0; i < len(name) && !bad; i++ {
+		bad = name[i] < 0x20 || name[i] == 0x7f
+	}
+	if bad {
 		return fmt.Errorf("corpus: invalid document name %q", name)
 	}
 	return nil
@@ -484,22 +446,15 @@ func readMeta(path string) (Options, error) {
 	return opts, nil
 }
 
-func (c *Corpus) writeSummary() error {
-	return fsx.WriteFileAtomic(summaryPath(c.dir), func(w io.Writer) error {
-		_, err := c.summary.WriteTo(w)
-		return err
-	})
-}
-
 func (c *Corpus) writeDoc(name string, t *labeltree.Tree) error {
-	return fsx.WriteFileAtomic(c.docPath(name), func(w io.Writer) error {
+	return fsx.WriteFileAtomic(c.docPath(name, docExt), func(w io.Writer) error {
 		_, err := labeltree.WriteTree(w, t)
 		return err
 	})
 }
 
-func (c *Corpus) readDoc(name string) (*labeltree.Tree, error) {
-	f, err := os.Open(c.docPath(name))
+func (c *Corpus) readDoc(file string) (*labeltree.Tree, error) {
+	f, err := os.Open(filepath.Join(c.dir, "docs", file))
 	if err != nil {
 		return nil, err
 	}

@@ -135,7 +135,7 @@ func TestAddGuards(t *testing.T) {
 	if err := c.AddXML("a", strings.NewReader(docB)); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	for _, bad := range []string{"", "x/y", "..", "a\\b"} {
+	for _, bad := range []string{"", "x/y", "..", "a\\b", "a\nb", "a\rb", "a\x00b"} {
 		if err := c.AddXML(bad, strings.NewReader(docA)); err == nil {
 			t.Fatalf("bad name %q accepted", bad)
 		}

@@ -19,43 +19,49 @@ import (
 	"treelattice/internal/fsx"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
+	"treelattice/internal/metrics"
 	"treelattice/internal/resilience"
-	"treelattice/internal/xmlparse"
 )
 
-// This file is the zero-downtime ingest pipeline: document adds land in
-// a small copy-on-write delta overlay, readers serve merged (immutable
-// base + delta) views through RCU epoch swaps, and a background
-// refreezer periodically folds the delta into a new durable snapshot.
+// This file is the corpus write path and its crash-safe protocol. A
+// change — a batch of added documents or one removal — lands in a small
+// copy-on-write delta under the write lock and is published at once as
+// a new RCU epoch serving (base + delta). A fold then cuts the delta,
+// folds it into a clone of the base lattice, and commits a new snapshot:
+// inline before the write returns, or from the background refreezer once
+// EnableIngest is on.
 //
 // On-disk protocol (all files written with fsx.WriteFileAtomic):
 //
-//	docs/<name>.tltr     every document, folded or not
+//	docs/<name>.tltr     every live document, folded or not
+//	docs/<name>.tomb     a removed document whose removal is not folded yet
 //	epoch-NNNNNN.tlat    numbered base snapshots (or .tlcz when compressed)
 //	epoch-NNNNNN.meta    numbered manifests: snapshot=<file> + doc=<name> lines
+//	summary.tlat         present only while it counts exactly the documents in docs/
 //
-// The manifest is the commit point. A refreeze writes the new snapshot
-// first, then the manifest naming it together with every folded
-// document; only after the manifest rename does it touch in-memory
-// state. Reopening scans manifests highest-first, loads the first one
-// whose snapshot is readable, and treats documents on disk that the
-// winning manifest does not list as "unfolded" — they are re-mined into
-// a fresh delta. A crash at any point therefore loses no documents and
-// never double-counts: either the old manifest wins (the new snapshot
-// is garbage, the cut documents are unfolded) or the new one does (the
-// cut is folded exactly once).
+// The manifest is the commit point. A fold writes the new snapshot
+// first, then the manifest naming it together with every document it
+// counts; only after the manifest rename does it touch in-memory state,
+// delete the folded removals' tombstones, and prune older epoch files.
+// Reopening loads the newest manifest whose snapshot is readable: live
+// documents it does not list are re-mined into the delta as adds, and
+// tombstones of documents it lists are re-mined as removals. A crash at
+// any point therefore loses no acknowledged change and never
+// double-counts.
+//
+// summary.tlat keeps its promise in both directions: a TLAT fold that
+// leaves nothing unfolded links it to the new snapshot, and a change
+// removes it before touching docs/. Without manifests — a pre-epoch
+// corpus, or one whose manifests were lost — it is therefore the base,
+// counting every live document in docs/ (and the first change re-homes
+// it as epoch 0 under manifest 0); with neither, the base is empty and
+// every document is unfolded. Either way tombstones are leftovers.
 
-// Sentinel errors of the ingest pipeline.
-var (
-	// ErrIngestBackpressure reports an add rejected because the delta hit
-	// its hard size limit before the refreezer caught up. The serving
-	// layer maps it to 429 with a Retry-After; the client should back off
-	// and resubmit.
-	ErrIngestBackpressure = errors.New("corpus: ingest backpressure, delta over hard limit")
-	// ErrIngestActive reports a mutation (document removal, summary
-	// rewrite) that the ingest pipeline does not support while enabled.
-	ErrIngestActive = errors.New("corpus: operation unsupported while ingest is enabled")
-)
+// ErrIngestBackpressure reports an add rejected because the delta hit
+// its hard size limit before the refreezer caught up. The serving layer
+// maps it to 429 with a Retry-After; the client should back off and
+// resubmit.
+var ErrIngestBackpressure = errors.New("corpus: ingest backpressure, delta over hard limit")
 
 // IngestOptions configures EnableIngest.
 type IngestOptions struct {
@@ -90,28 +96,10 @@ type IngestOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// ingestState is the mutable spine of an enabled ingest pipeline. The
-// mutex serializes writers (adds and the refreeze commit section);
-// readers never take it — they load the current epoch from handle.
+// ingestState is the background refreezer EnableIngest starts: its
+// configuration, lifecycle, and counters.
 type ingestState struct {
-	opts   IngestOptions
-	handle *core.EpochHandle
-
-	// freezeMu serializes whole refreeze attempts (the background loop
-	// and explicit Refreeze calls).
-	freezeMu sync.Mutex
-	// foldLat / base / foldedNames / nextN are owned by the refreeze path
-	// (written only under freezeMu, with the swap itself under mu).
-	foldLat     *lattice.Summary
-	base        *core.Summary
-	foldedNames []string
-	nextN       uint64
-
-	mu         sync.Mutex
-	delta      *lattice.Delta
-	deltaNames []string // unfolded doc names, in arrival order
-	deltaSince time.Time
-
+	opts IngestOptions
 	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -123,40 +111,24 @@ type ingestState struct {
 	backpressured    atomic.Uint64
 }
 
-// ingestRecovery carries the state a manifest-aware open reconstructed,
-// so a later EnableIngest resumes the pipeline (numbering, folded set,
-// unfolded delta) instead of restarting it.
-type ingestRecovery struct {
-	base        *core.Summary
-	delta       *lattice.Delta
-	deltaNames  []string
-	foldedNames []string
-	nextN       uint64
-	handle      *core.EpochHandle
-}
-
-// Ingesting reports whether the zero-downtime ingest pipeline is
-// enabled. Safe for concurrent use.
+// Ingesting reports whether the background refreezer is enabled. Safe
+// for concurrent use.
 func (c *Corpus) Ingesting() bool { return c.ing.Load() != nil }
 
-// IngestStats snapshots the pipeline's observability counters. All
-// zeros when ingest is not enabled.
+// IngestStats snapshots the ingest pipeline's observability counters.
+// All zeros when ingest is not enabled.
 func (c *Corpus) IngestStats() core.IngestStats {
 	st := c.ing.Load()
 	if st == nil {
 		return core.IngestStats{}
 	}
-	st.mu.Lock()
-	d := st.delta
-	st.mu.Unlock()
-	var epoch uint64
-	if cur := st.handle.Current(); cur != nil {
-		epoch = cur.ID
-	}
+	c.mu.Lock()
+	docs, size := len(c.pending), c.delta.SizeBytes()
+	c.mu.Unlock()
 	return core.IngestStats{
-		Epoch:            epoch,
-		DeltaDocs:        d.Docs(),
-		DeltaBytes:       d.SizeBytes(),
+		Epoch:            c.epochs.Current().ID,
+		DeltaDocs:        docs,
+		DeltaBytes:       size,
 		RefreezeAttempts: st.refreezeAttempts.Load(),
 		RefreezeFailures: st.refreezeFailures.Load(),
 		Refreezes:        st.refreezes.Load(),
@@ -165,16 +137,12 @@ func (c *Corpus) IngestStats() core.IngestStats {
 	}
 }
 
-// EnableIngest switches the corpus into zero-downtime ingest mode:
-// subsequent AddXML/AddXMLBatch calls land in the delta overlay,
-// readers serve merged epoch views, and a background refreezer folds
-// the delta into durable snapshots. Works on mutable and read-only
-// (frozen/compressed) corpora alike; pruned and shard-combined
-// summaries cannot host ingest (their counts cannot be materialized).
+// EnableIngest moves folds off the write path: subsequent writes return
+// once their change is durable in docs/ and published in a new epoch,
+// and a background refreezer folds the delta into snapshots on a timer
+// or when a watermark is crossed. It also opens a read-only corpus to
+// writes.
 func (c *Corpus) EnableIngest(opts IngestOptions) error {
-	if c.ing.Load() != nil {
-		return errors.New("corpus: ingest already enabled")
-	}
 	if opts.MaxDeltaBytes <= 0 {
 		opts.MaxDeltaBytes = 4 << 20
 	}
@@ -192,58 +160,20 @@ func (c *Corpus) EnableIngest(opts IngestOptions) error {
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	if rec := c.recovered; rec != nil {
-		st.base = rec.base
-		st.delta = rec.delta
-		st.deltaNames = append([]string(nil), rec.deltaNames...)
-		st.foldedNames = append([]string(nil), rec.foldedNames...)
-		st.nextN = rec.nextN
-		st.handle = rec.handle
-		if !st.delta.Empty() {
-			st.deltaSince = time.Now()
-		}
-		c.recovered = nil
-	} else {
-		st.base = c.summary
-		st.delta = lattice.NewDelta(c.opts.K, c.dict)
-		st.foldedNames = c.Docs()
-		st.nextN = 0
+	if !c.ing.CompareAndSwap(nil, st) {
+		return errors.New("corpus: ingest already enabled")
 	}
-	if st.handle == nil {
-		st.handle = &core.EpochHandle{}
-	}
-	st.handle.SetTwigIndexer(c.indexer)
-	foldLat, err := st.base.Materialize()
-	if err != nil {
-		return fmt.Errorf("corpus: enabling ingest: %w", err)
-	}
-	st.foldLat = foldLat
-	if st.nextN == 0 {
-		// First enable on a legacy layout: manifest 0 records that
-		// summary.tlat covers exactly the current document set.
-		if err := writeManifest(c.dir, 0, filepath.Base(summaryPath(c.dir)), st.foldedNames); err != nil {
-			return fmt.Errorf("corpus: enabling ingest: %w", err)
-		}
-		st.nextN = 1
-	}
-	names := c.Docs()
-	docs := make([]*labeltree.Tree, len(names))
-	for i, n := range names {
-		docs[i] = c.docs[n]
-	}
-	st.handle.Publish(st.base, st.delta, docs, names)
-	c.ing.Store(st)
 	st.wg.Add(1)
 	go c.refreezeLoop(st)
 	return nil
 }
 
-// DisableIngest stops the refreezer, folds any remaining delta, and
-// returns the corpus to its classic single-writer mode. Must not run
-// concurrently with readers or writers (it is a shutdown/teardown
+// DisableIngest stops the refreezer and folds any remaining delta;
+// later writes fold inline again (a read-only corpus turns read-only
+// again). Must not run concurrently with writers (it is a shutdown
 // operation). A failed final fold is returned but not fatal: the
-// unfolded documents are on disk and the manifest protocol recovers
-// them on the next open.
+// unfolded changes are on disk and the manifest protocol recovers them
+// on the next open.
 func (c *Corpus) DisableIngest() error {
 	st := c.ing.Load()
 	if st == nil {
@@ -251,54 +181,19 @@ func (c *Corpus) DisableIngest() error {
 	}
 	close(st.done)
 	st.wg.Wait()
-	err := c.refreezeOnce(context.Background(), st)
-	if err != nil {
-		st.refreezeFailures.Add(1)
-	}
-	cur := st.handle.Current()
-	docs := make(map[string]*labeltree.Tree, len(cur.Names))
-	for i, n := range cur.Names {
-		docs[n] = cur.Docs[i]
-	}
-	c.docs = docs
-	switch {
-	case err == nil && st.base.Mutable():
-		// Refreezes happened: consolidate back to the legacy layout so
-		// classic mutations (which rewrite summary.tlat) stay coherent.
-		// Ordering keeps every intermediate state recoverable: the new
-		// summary.tlat and the final manifest agree on the counts, so the
-		// manifests can go only after summary.tlat lands.
-		c.summary = st.base
-		c.summary.BindSource(c)
-		if werr := c.writeSummary(); werr != nil {
-			err = werr
-		} else {
-			pruneIngestFiles(c.dir, ^uint64(0))
-		}
-	case err == nil:
-		// Ingest enabled but never refroze: nothing changed on disk
-		// beyond manifest 0, which restates summary.tlat and is harmless.
-		c.summary = st.base
-		c.summary.BindSource(c)
-	default:
-		// Final fold failed: keep serving the merged view; reopen
-		// recovers the unfolded documents from docs/ + the manifest.
-		c.summary = cur.Summary
-	}
+	err := c.fold(context.Background(), st, nil)
 	c.ing.Store(nil)
 	return err
 }
 
-// Refreeze folds the current delta into a new durable snapshot
-// immediately, bypassing the timer. Primarily for tests and operational
-// tooling; concurrent with serving traffic like any background
-// refreeze.
+// Refreeze folds the current delta into a new durable snapshot now: the
+// background refreezer's work on demand, and the way to fold changes a
+// crash left unfolded on a corpus that is not ingesting.
 func (c *Corpus) Refreeze(ctx context.Context) error {
-	st := c.ing.Load()
-	if st == nil {
-		return errors.New("corpus: ingest not enabled")
+	if err := c.checkWritable(); err != nil {
+		return err
 	}
-	return c.refreezeOnce(ctx, st)
+	return c.fold(ctx, c.ing.Load(), nil)
 }
 
 // refreezeLoop is the background refreezer: it waits for a timer tick
@@ -321,12 +216,11 @@ func (c *Corpus) refreezeLoop(st *ingestState) {
 		case <-st.kick:
 		}
 		for {
-			err := c.refreezeOnce(context.Background(), st)
+			err := c.fold(context.Background(), st, nil)
 			if err == nil {
 				bo.Reset()
 				break
 			}
-			st.refreezeFailures.Add(1)
 			d := bo.Next()
 			if st.opts.Logf != nil {
 				st.opts.Logf("corpus: refreeze failed (attempt %d, retrying in %v): %v", bo.Attempts(), d, err)
@@ -340,177 +234,382 @@ func (c *Corpus) refreezeLoop(st *ingestState) {
 	}
 }
 
-// refreezeOnce runs one refreeze attempt: cut the delta, fold it into a
-// cloned base lattice, write snapshot then manifest (the commit point),
-// and only then swap the in-memory base, trim the delta, and publish
-// the new epoch. Failing before the manifest rename changes nothing,
-// in memory or on disk, that the next attempt cannot redo.
-func (c *Corpus) refreezeOnce(ctx context.Context, st *ingestState) error {
-	st.freezeMu.Lock()
-	defer st.freezeMu.Unlock()
+func kickNonBlocking(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
 
-	st.mu.Lock()
-	cut := st.delta
-	cutNames := append([]string(nil), st.deltaNames...)
-	st.mu.Unlock()
-	if cut.Empty() {
-		return nil
-	}
-	st.refreezeAttempts.Add(1)
-	start := time.Now()
+// ---- landing a change ----
 
-	newLat := st.foldLat.Clone()
-	if err := newLat.Merge(cut.Summary()); err != nil {
-		return err
+// checkWritable rejects writes on a read-only corpus that is not
+// ingesting.
+func (c *Corpus) checkWritable() error {
+	if c.readOnly && !c.Ingesting() {
+		return ErrReadOnly
 	}
-	newBase := core.FromLattice(newLat)
-	n := st.nextN
-	ext := "tlat"
-	if st.opts.Compress {
-		ext = "tlcz"
-	}
-	snapName := fmt.Sprintf("epoch-%06d.%s", n, ext)
-	err := fsx.WriteFileAtomic(filepath.Join(c.dir, snapName), func(w io.Writer) error {
-		if st.opts.Compress {
-			_, err := newBase.WriteCompressed(w)
-			return err
-		}
-		_, err := newBase.WriteTo(w)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if st.opts.RefreezeHook != nil {
-		if err := st.opts.RefreezeHook(ctx); err != nil {
-			return err
-		}
-	}
-	folded := append(append([]string(nil), st.foldedNames...), cutNames...)
-	sort.Strings(folded)
-	if err := writeManifest(c.dir, n, snapName, folded); err != nil {
-		return err
-	}
-
-	// Committed. Swap the serving state; from here failures must not
-	// leave the in-memory view disagreeing with the manifest.
-	newBase.Freeze()
-	st.mu.Lock()
-	rest, serr := st.delta.Subtract(cut)
-	if serr != nil {
-		// Structurally impossible (the cut is a prefix of the delta);
-		// keep serving the old, still-correct view and roll the
-		// manifest back so disk agrees with memory.
-		st.mu.Unlock()
-		os.Remove(filepath.Join(c.dir, manifestName(n)))
-		return serr
-	}
-	st.foldLat = newLat
-	st.base = newBase
-	st.delta = rest
-	st.deltaNames = append([]string(nil), st.deltaNames[len(cutNames):]...)
-	st.foldedNames = folded
-	st.nextN = n + 1
-	if rest.Empty() {
-		st.deltaSince = time.Time{}
-	} else {
-		st.deltaSince = time.Now()
-	}
-	cur := st.handle.Current()
-	st.handle.Publish(st.base, st.delta, cur.Docs, cur.Names)
-	st.mu.Unlock()
-
-	st.refreezes.Add(1)
-	st.lastRefreezeMS.Store(time.Since(start).Milliseconds())
-	pruneIngestFiles(c.dir, n)
 	return nil
 }
 
-// ingestAdd is the add path while ingest is enabled: parse and mine
-// outside the lock, then apply to the delta, persist the document, and
-// publish the next epoch under it. Readers pinned to earlier epochs are
-// untouched.
-func (c *Corpus) ingestAdd(ctx context.Context, st *ingestState, name string, r io.Reader) error {
-	if err := validName(name); err != nil {
-		return err
+// taken reports whether name is a live document or one whose removal is
+// not folded yet. Callers hold mu.
+func (c *Corpus) taken(name string) bool {
+	if _, ok := c.epochs.Current().HasDoc(name); ok {
+		return true
 	}
-	tree, err := xmlparse.Parse(r, c.dict, c.parseOptions())
-	if err != nil {
-		return err
+	for _, ch := range c.pending {
+		if ch.removed && ch.name == name {
+			return true
+		}
 	}
-	inc, err := c.mineTree(ctx, tree)
-	if err != nil {
-		return err
-	}
+	return false
+}
 
-	st.mu.Lock()
-	cur := st.handle.Current()
-	idx, exists := cur.HasDoc(name)
-	if exists {
-		st.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrDocExists, name)
+// admit applies ingest backpressure to adds: while the delta is over
+// the hard size limit, adds are rejected and the refreezer is kicked.
+// Removals are never held back. It gates on the delta as it stands, not
+// delta+change: an empty delta always accepts, so backpressure can never
+// wedge ingest shut. Callers hold mu.
+func (c *Corpus) admit(st *ingestState) error {
+	if st == nil || len(c.pending) == 0 {
+		return nil
 	}
-	// Gate on the delta as it stands, not delta+increment: an empty
-	// delta always accepts, so backpressure can never wedge ingest shut.
-	if sz := st.delta.SizeBytes(); st.delta.Docs() > 0 && sz >= st.opts.HardDeltaBytes {
+	if sz := c.delta.SizeBytes(); sz >= st.opts.HardDeltaBytes {
 		st.backpressured.Add(1)
-		st.mu.Unlock()
 		kickNonBlocking(st.kick)
-		return fmt.Errorf("%w (%d delta bytes, limit %d)",
-			ErrIngestBackpressure, sz, st.opts.HardDeltaBytes)
+		return fmt.Errorf("%w (%d delta bytes, limit %d)", ErrIngestBackpressure, sz, st.opts.HardDeltaBytes)
 	}
-	next, err := st.delta.Apply(inc)
-	if err != nil {
-		st.mu.Unlock()
-		return err
-	}
-	if err := c.writeDoc(name, tree); err != nil {
-		st.mu.Unlock()
-		return err
-	}
-	names := make([]string, 0, len(cur.Names)+1)
-	names = append(names, cur.Names[:idx]...)
-	names = append(names, name)
-	names = append(names, cur.Names[idx:]...)
-	docs := make([]*labeltree.Tree, 0, len(cur.Docs)+1)
-	docs = append(docs, cur.Docs[:idx]...)
-	docs = append(docs, tree)
-	docs = append(docs, cur.Docs[idx:]...)
-	st.delta = next
-	st.deltaNames = append(st.deltaNames, name)
-	if st.deltaSince.IsZero() {
-		st.deltaSince = time.Now()
-	}
-	over := next.SizeBytes() >= st.opts.MaxDeltaBytes ||
-		next.Docs() >= st.opts.MaxDeltaDocs ||
-		time.Since(st.deltaSince) >= st.opts.MaxDeltaAge
-	st.handle.Publish(st.base, st.delta, docs, names)
-	st.mu.Unlock()
+	return nil
+}
 
+// unlinkSummary takes summary.tlat away before a change touches docs/,
+// since the file must count exactly the documents there. A legacy
+// summary.tlat that no manifest names is the base itself: it is first
+// re-homed as epoch 0 under manifest 0. Callers hold mu.
+func (c *Corpus) unlinkSummary() error {
+	if !c.summaryLinked {
+		return nil
+	}
+	if c.legacy {
+		const snap = "epoch-000000.tlat"
+		if err := linkFile(c.dir, summaryFile, snap); err != nil {
+			return err
+		}
+		if err := writeManifest(c.dir, 0, snap, c.folded); err != nil {
+			return err
+		}
+		c.legacy = false
+	}
+	if err := fsx.RemoveDurable(summaryPath(c.dir)); err != nil {
+		return err
+	}
+	c.summaryLinked = false
+	return nil
+}
+
+// linkFile makes to a hard link of from, both in dir, replacing any
+// existing to through a rename.
+func linkFile(dir, from, to string) error {
+	tmp := filepath.Join(dir, ".tmp-link-"+to)
+	os.Remove(tmp)
+	if err := os.Link(filepath.Join(dir, from), tmp); err != nil {
+		return err
+	}
+	return fsx.RenameDurable(tmp, filepath.Join(dir, to))
+}
+
+// land installs the successor delta, logs the changes, and publishes
+// the next epoch over docs and names. It reports whether the delta
+// crossed a refreeze watermark. Callers hold mu.
+func (c *Corpus) land(st *ingestState, next *lattice.Delta, changes []change, docs []*labeltree.Tree, names []string) bool {
+	c.delta = next
+	c.pending = append(c.pending, changes...)
+	if c.deltaSince.IsZero() {
+		c.deltaSince = time.Now()
+	}
+	c.epochs.Publish(c.base, c.delta, docs, names)
+	return st != nil && (next.SizeBytes() >= st.opts.MaxDeltaBytes ||
+		len(c.pending) >= st.opts.MaxDeltaDocs ||
+		time.Since(c.deltaSince) >= st.opts.MaxDeltaAge)
+}
+
+// settle finishes a landed change. Without ingest it folds inline, so
+// the change is in a committed snapshot when the write returns (if that
+// fold fails, the change stays published and durable in docs/, and the
+// next write or Refreeze folds it). With ingest it kicks the refreezer
+// once a watermark is crossed.
+func (c *Corpus) settle(st *ingestState, over bool, timings *metrics.BuildTimings) error {
+	if st == nil {
+		return c.fold(context.Background(), nil, timings)
+	}
 	if over {
 		kickNonBlocking(st.kick)
 	}
 	return nil
 }
 
-// mineTree mines one document into a standalone lattice at the corpus
-// configuration — the increment the delta overlay applies.
-func (c *Corpus) mineTree(ctx context.Context, tree *labeltree.Tree) (*lattice.Summary, error) {
-	sum, err := core.BuildForestContext(ctx, []*labeltree.Tree{tree}, core.BuildOptions{
-		K:       c.opts.K,
-		Workers: c.workers,
-	})
-	if err != nil {
-		return nil, err
+// ---- folding ----
+
+// fold runs one refreeze attempt over the whole current delta. st, when
+// not nil, supplies the ingest configuration and counts the attempt.
+func (c *Corpus) fold(ctx context.Context, st *ingestState, timings *metrics.BuildTimings) error {
+	c.foldMu.Lock()
+	defer c.foldMu.Unlock()
+	c.mu.Lock()
+	cut := c.delta
+	ops := append([]change(nil), c.pending...)
+	c.mu.Unlock()
+	if len(ops) == 0 && cut.Empty() {
+		return nil
 	}
-	return sum.Lattice(), nil
+	if st == nil {
+		return c.commit(ctx, st, cut, ops, timings)
+	}
+	st.refreezeAttempts.Add(1)
+	start := time.Now()
+	if err := c.commit(ctx, st, cut, ops, timings); err != nil {
+		st.refreezeFailures.Add(1)
+		return err
+	}
+	st.refreezes.Add(1)
+	st.lastRefreezeMS.Store(time.Since(start).Milliseconds())
+	return nil
 }
 
-func kickNonBlocking(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
+// commit folds cut into a clone of the base lattice, writes the snapshot
+// and then the manifest (the commit point), and only then swaps the
+// base, trims the delta, and publishes the next epoch. Failing before
+// the manifest rename changes nothing, in memory or on disk, that the
+// next attempt cannot redo. Callers hold foldMu.
+func (c *Corpus) commit(ctx context.Context, st *ingestState, cut *lattice.Delta, ops []change, timings *metrics.BuildTimings) error {
+	stop := timings.Start("merge")
+	if c.foldLat == nil {
+		lat, err := c.base.Materialize()
+		if err != nil {
+			stop()
+			return fmt.Errorf("corpus: folding: %w", err)
+		}
+		c.foldLat = lat
 	}
+	next := c.foldLat.Clone()
+	err := cut.FoldInto(next)
+	stop()
+	if err != nil {
+		return fmt.Errorf("corpus: folding: %w", err)
+	}
+	stop = timings.Start("persist")
+	defer stop()
+	compress := st != nil && st.opts.Compress
+	n := c.nextN
+	snap := fmt.Sprintf("epoch-%06d.tlat", n)
+	if compress {
+		snap = fmt.Sprintf("epoch-%06d.tlcz", n)
+	}
+	err = fsx.WriteFileAtomic(filepath.Join(c.dir, snap), func(w io.Writer) error {
+		if compress {
+			_, err := lattice.WriteCompressed(w, next)
+			return err
+		}
+		_, err := next.WriteTo(w)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if st != nil && st.opts.RefreezeHook != nil {
+		if err := st.opts.RefreezeHook(ctx); err != nil {
+			return err
+		}
+	}
+	folded := foldNames(c.folded, ops)
+	if err := writeManifest(c.dir, n, snap, folded); err != nil {
+		return err
+	}
+
+	// Committed. Swap the serving state; from here failures must not
+	// leave the in-memory view disagreeing with the manifest.
+	base := core.FromLattice(next).Freeze()
+	c.mu.Lock()
+	rest, err := c.delta.Subtract(cut)
+	if err != nil {
+		// Structurally impossible (the cut is a prefix of the delta);
+		// keep serving the old, still-correct view and roll the
+		// manifest back so disk agrees with memory.
+		c.mu.Unlock()
+		os.Remove(filepath.Join(c.dir, manifestName(n)))
+		return err
+	}
+	c.base, c.folded, c.nextN, c.legacy = base, folded, n+1, false
+	c.delta = rest
+	c.pending = append([]change(nil), c.pending[len(ops):]...)
+	c.deltaSince = time.Time{}
+	if len(c.pending) > 0 {
+		c.deltaSince = time.Now()
+	} else if !compress && linkFile(c.dir, snap, summaryFile) == nil {
+		c.summaryLinked = true
+	}
+	cur := c.epochs.Current()
+	c.epochs.Publish(c.base, c.delta, cur.Docs, cur.Names)
+	c.mu.Unlock()
+	c.foldLat = next
+
+	for _, ch := range ops {
+		if ch.removed {
+			os.Remove(c.docPath(ch.name, tombExt))
+		}
+	}
+	pruneEpochFiles(c.dir, n)
+	return nil
+}
+
+// foldNames returns the sorted document set a snapshot counts once ops
+// are folded into one that counted folded.
+func foldNames(folded []string, ops []change) []string {
+	set := make(map[string]bool, len(folded)+len(ops))
+	for _, n := range folded {
+		set[n] = true
+	}
+	for _, ch := range ops {
+		if ch.removed {
+			delete(set, ch.name)
+		} else {
+			set[ch.name] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for n := range set {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// ---- recovery ----
+
+// recover loads the corpus from disk: the base snapshot (see the
+// protocol above), the live documents, and the changes the base does
+// not count yet, re-mined into the delta. Tombstones of documents the
+// base does not count are leftovers of changes that never need folding;
+// they stay pending so the next fold deletes them.
+func (c *Corpus) recover() error {
+	entries, err := os.ReadDir(filepath.Join(c.dir, "docs"))
+	if err != nil {
+		return err
+	}
+	var live, tombs []string // sorted: ReadDir returns entries by file name
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), docExt); ok {
+			live = append(live, name)
+		} else if name, ok := strings.CutSuffix(e.Name(), tombExt); ok {
+			tombs = append(tombs, name)
+		}
+	}
+	if err := c.loadBase(live); err != nil {
+		return err
+	}
+	counted := make(map[string]bool, len(c.folded))
+	for _, n := range c.folded {
+		counted[n] = true
+	}
+
+	trees := make([]*labeltree.Tree, len(live))
+	var addTrees []*labeltree.Tree
+	var adds, removals, stale []change
+	for i, name := range live {
+		if trees[i], err = c.readDoc(name + docExt); err != nil {
+			return err
+		}
+		if !counted[name] {
+			addTrees = append(addTrees, trees[i])
+			adds = append(adds, change{name: name})
+		}
+		delete(counted, name)
+	}
+	var removedTrees []*labeltree.Tree
+	for _, name := range tombs {
+		if !counted[name] {
+			stale = append(stale, change{name: name, removed: true})
+			continue
+		}
+		t, err := c.readDoc(name + tombExt)
+		if err != nil {
+			return err
+		}
+		removedTrees = append(removedTrees, t)
+		removals = append(removals, change{name: name, removed: true})
+		delete(counted, name)
+	}
+	if len(counted) > 0 {
+		return fmt.Errorf("corpus: the snapshot counts %d documents docs/ holds no copy of", len(counted))
+	}
+
+	ctx := context.Background()
+	if len(addTrees) > 0 {
+		inc, err := c.mine(ctx, addTrees, nil)
+		if err == nil {
+			c.delta, err = c.delta.Apply(inc)
+		}
+		if err != nil {
+			return fmt.Errorf("corpus: re-mining unfolded documents: %w", err)
+		}
+	}
+	if len(removedTrees) > 0 {
+		inc, err := c.mine(ctx, removedTrees, nil)
+		if err == nil {
+			c.delta, err = c.delta.Retract(inc)
+		}
+		if err != nil {
+			return fmt.Errorf("corpus: re-mining unfolded removals: %w", err)
+		}
+	}
+	// Stale tombstones first: a name may be live again after its folded
+	// removal, and the fold must leave it counted.
+	c.pending = append(append(stale, adds...), removals...)
+	if len(c.pending) > 0 {
+		c.deltaSince = time.Now()
+	}
+	c.epochs.Publish(c.base, c.delta, trees, live)
+	return nil
+}
+
+// loadBase loads the snapshot a reopened corpus starts from and the
+// document set it counts: the newest manifest whose snapshot loads, else
+// summary.tlat counting every live document, else an empty base.
+func (c *Corpus) loadBase(live []string) error {
+	mans, err := scanManifests(c.dir)
+	if err != nil {
+		return err
+	}
+	c.nextN = 1
+	_, err = os.Stat(summaryPath(c.dir))
+	c.summaryLinked = err == nil
+	if len(mans) > 0 {
+		// Number past the newest manifest even when it does not load, so
+		// the next commit supersedes it.
+		c.nextN = mans[0].n + 1
+		var lastErr error
+		for _, m := range mans {
+			base, err := core.OpenSnapshotFile(filepath.Join(c.dir, m.snapshot), c.dict)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			c.base, c.folded = base, m.docs
+			return nil
+		}
+		return fmt.Errorf("corpus: no loadable epoch snapshot: %w", lastErr)
+	}
+	if !c.summaryLinked {
+		c.base = c.emptyBase()
+		return nil
+	}
+	base, err := core.OpenSnapshotFile(summaryPath(c.dir), c.dict)
+	if err != nil {
+		return fmt.Errorf("corpus: loading summary: %w", err)
+	}
+	c.base, c.legacy, c.folded = base, true, live
+	return nil
 }
 
 // ---- manifest protocol ----
@@ -525,7 +624,7 @@ type ingestManifest struct {
 func manifestName(n uint64) string { return fmt.Sprintf("epoch-%06d.meta", n) }
 
 // writeManifest durably records that snapshot covers exactly docs. The
-// atomic rename is the refreeze commit point.
+// atomic rename is the fold's commit point.
 func writeManifest(dir string, n uint64, snapshot string, docs []string) error {
 	return fsx.WriteFileAtomic(filepath.Join(dir, manifestName(n)), func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
@@ -615,118 +714,19 @@ func readManifest(path string) (ingestManifest, error) {
 	return m, nil
 }
 
-// pruneIngestFiles removes epoch manifests and snapshots with index
-// strictly below keep, best-effort (summary.tlat is never an epoch file
-// and is never touched).
-func pruneIngestFiles(dir string, below uint64) {
+// pruneEpochFiles removes, best-effort, the epoch manifests and
+// snapshots numbered below keep: the manifest numbered keep supersedes
+// them all.
+func pruneEpochFiles(dir string, keep uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		for _, suffix := range []string{".meta", ".tlat", ".tlcz"} {
-			if n, ok := parseManifestIndex(e.Name(), suffix); ok && n < below {
+			if n, ok := parseManifestIndex(e.Name(), suffix); ok && n < keep {
 				os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
 	}
-}
-
-// openWithManifest finishes opening a corpus whose directory carries
-// epoch manifests. The winning manifest's snapshot becomes the base;
-// documents on disk that it does not list are re-mined — into the
-// in-memory summary for a mutable open (which then consolidates back to
-// the legacy layout), or into a delta overlay for a read-only open
-// (which serves the merged view and hands the state to a later
-// EnableIngest).
-func (c *Corpus) openWithManifest(mans []ingestManifest, readOnly bool) error {
-	var winner *ingestManifest
-	var base *core.Summary
-	var lastErr error
-	for i := range mans {
-		m := &mans[i]
-		sum, err := core.OpenSnapshotFile(filepath.Join(c.dir, m.snapshot), c.dict)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		winner, base = m, sum
-		break
-	}
-	if winner == nil {
-		return fmt.Errorf("corpus: no loadable ingest snapshot: %w", lastErr)
-	}
-	if err := c.loadDocs(); err != nil {
-		return err
-	}
-	folded := make(map[string]bool, len(winner.docs))
-	for _, n := range winner.docs {
-		folded[n] = true
-	}
-	var unfolded []string
-	for _, n := range c.Docs() {
-		if !folded[n] {
-			unfolded = append(unfolded, n)
-		}
-	}
-
-	if !readOnly {
-		// Mutable open: materialize the base, re-mine the unfolded
-		// documents, and consolidate to the legacy layout (summary.tlat
-		// covering everything) so classic mutations work from here.
-		lat, err := base.Materialize()
-		if err != nil {
-			return fmt.Errorf("corpus: recovering ingest state: %w", err)
-		}
-		base.CloseStore()
-		sum := core.FromLattice(lat)
-		for _, n := range unfolded {
-			if err := sum.AddTreeContext(context.Background(), c.docs[n], c.workers); err != nil {
-				return fmt.Errorf("corpus: re-mining unfolded %q: %w", n, err)
-			}
-		}
-		c.summary = sum
-		c.summary.BindSource(c)
-		if err := c.writeSummary(); err != nil {
-			return err
-		}
-		pruneIngestFiles(c.dir, ^uint64(0))
-		return nil
-	}
-
-	// Read-only open: serve (base + re-mined delta) without writing
-	// anything; stash the reconstructed state for EnableIngest.
-	rec := &ingestRecovery{
-		base:        base,
-		delta:       lattice.NewDelta(c.opts.K, c.dict),
-		deltaNames:  unfolded,
-		foldedNames: winner.docs,
-		nextN:       winner.n + 1,
-	}
-	for _, n := range unfolded {
-		inc, err := c.mineTree(context.Background(), c.docs[n])
-		if err != nil {
-			return fmt.Errorf("corpus: re-mining unfolded %q: %w", n, err)
-		}
-		if rec.delta, err = rec.delta.Apply(inc); err != nil {
-			return err
-		}
-	}
-	if len(unfolded) == 0 {
-		c.summary = base
-		c.summary.BindSource(c)
-		c.recovered = rec
-		return nil
-	}
-	names := c.Docs()
-	docs := make([]*labeltree.Tree, len(names))
-	for i, n := range names {
-		docs[i] = c.docs[n]
-	}
-	rec.handle = &core.EpochHandle{}
-	rec.handle.SetTwigIndexer(c.indexer)
-	ep := rec.handle.Publish(base, rec.delta, docs, names)
-	c.summary = ep.Summary
-	c.recovered = rec
-	return nil
 }

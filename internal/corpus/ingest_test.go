@@ -80,8 +80,8 @@ func buildReference(t *testing.T, n int) *Corpus {
 // TestIngestDifferential is the acceptance check at the corpus level: a
 // base of 3 documents plus 5 ingested into the delta answers every
 // registered estimator bit-identically to a from-scratch rebuild — both
-// before any refreeze (merged view) and after one (folded view), on
-// mutable and read-only (frozen) base backends.
+// before any refreeze (merged view) and after one (folded view, served
+// straight from the frozen base), on writable and read-only corpora.
 func TestIngestDifferential(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		t.Run(fmt.Sprintf("readonly=%v", readOnly), func(t *testing.T) {
@@ -123,8 +123,8 @@ func TestIngestDifferential(t *testing.T) {
 			if st.DeltaDocs != 0 || st.Refreezes != 1 {
 				t.Fatalf("stats after refreeze: %+v", st)
 			}
-			if got := c.Summary().StoreKind(); got != "delta" {
-				t.Fatalf("serving store kind = %q, want delta", got)
+			if got := c.Summary().StoreKind(); got != "frozen" {
+				t.Fatalf("serving store kind = %q, want frozen", got)
 			}
 		})
 	}
@@ -132,8 +132,9 @@ func TestIngestDifferential(t *testing.T) {
 
 // TestIngestCrashRecovery: documents ingested but never refrozen (the
 // "crash" is abandoning the corpus without DisableIngest) are recovered
-// on reopen — consolidated by a mutable open, served merged by a
-// read-only open — with estimates identical to a from-scratch rebuild.
+// on reopen — served merged by both a writable and a read-only open, and
+// folded by the writable one's Refreeze — with estimates identical to a
+// from-scratch rebuild.
 func TestIngestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Create(dir, Options{K: 3})
@@ -159,17 +160,31 @@ func TestIngestCrashRecovery(t *testing.T) {
 	if err := c.Refreeze(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 6; i < 8; i++ {
+	for i := 6; i < 9; i++ {
 		if err := c.AddXML(fmt.Sprintf("doc-%03d", i), strings.NewReader(ingestDoc(i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Unfolded removals too: doc-008 never reached a snapshot, doc-000
+	// did and leaves a tombstone behind.
+	for _, name := range []string{"doc-008", "doc-000"} {
+		if err := c.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.AddXML("doc-000", strings.NewReader(ingestDoc(0))); !errors.Is(err, ErrDocExists) {
+		t.Fatalf("re-add before the removal folds: %v, want ErrDocExists", err)
 	}
 	// Crash: drop the corpus without DisableIngest. Stop the refreezer
 	// goroutine only (its timer never fired — interval 0 means kick-only).
 	close(c.ing.Load().done)
 	c.ing.Load().wg.Wait()
 
+	// The survivors are doc-001..doc-007.
 	ref := buildReference(t, 8)
+	if err := ref.Remove("doc-000"); err != nil {
+		t.Fatal(err)
+	}
 
 	ro, err := OpenReadOnly(dir)
 	if err != nil {
@@ -179,28 +194,37 @@ func TestIngestCrashRecovery(t *testing.T) {
 	if got := ro.Summary().StoreKind(); got != "delta" {
 		t.Fatalf("read-only recovered store kind = %q, want delta", got)
 	}
-	if docs := ro.Docs(); len(docs) != 8 {
-		t.Fatalf("read-only recovery sees %d docs, want 8", len(docs))
+	if docs := ro.Docs(); len(docs) != 7 || docs[0] != "doc-001" {
+		t.Fatalf("read-only recovery sees docs %v, want doc-001..doc-007", docs)
 	}
 
 	rw, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameEstimates(t, rw, ref, "mutable recovery")
-	if got := rw.Summary().StoreKind(); got != "map" {
-		t.Fatalf("consolidated store kind = %q, want map", got)
+	assertSameEstimates(t, rw, ref, "writable recovery")
+	if err := rw.Refreeze(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	// Consolidation must have rewritten summary.tlat and removed every
-	// epoch file, so a plain reopen works too.
-	if m, _ := scanManifests(dir); len(m) != 0 {
-		t.Fatalf("manifests left after consolidation: %v", m)
+	if got := rw.Summary().StoreKind(); got != "frozen" {
+		t.Fatalf("store kind after folding the recovered delta = %q, want frozen", got)
+	}
+	// The fold committed a manifest counting every document, so a reopen
+	// re-mines nothing.
+	if m, _ := scanManifests(dir); len(m) != 1 || len(m[0].docs) != 7 {
+		t.Fatalf("manifests after the recovery fold: %+v", m)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "docs", "doc-000.tomb")); !os.IsNotExist(err) {
+		t.Fatalf("tombstone survived the fold of its removal: %v", err)
 	}
 	again, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameEstimates(t, again, ref, "reopen after consolidation")
+	assertSameEstimates(t, again, ref, "reopen after the recovery fold")
+	if got := again.Summary().StoreKind(); got != "frozen" {
+		t.Fatalf("reopened store kind = %q, want frozen", got)
+	}
 }
 
 // TestIngestManifestFallback: a newer manifest whose snapshot is
@@ -332,9 +356,11 @@ func TestIngestRefreezeRetriesWithBackoff(t *testing.T) {
 	assertSameEstimates(t, c, ref, "after faulty refreezes")
 }
 
-// TestIngestRejectsRemoveAndDuplicates documents the mutation surface
-// while ingest is enabled.
-func TestIngestRejectsRemoveAndDuplicates(t *testing.T) {
+// TestIngestRemoveAndDuplicates documents the write surface while
+// ingest is enabled: removal works as a negative delta, a removed name
+// stays taken until the refreeze that folds its removal, and duplicate
+// names are rejected whether they live in the base or the delta.
+func TestIngestRemoveAndDuplicates(t *testing.T) {
 	c := createCorpus(t)
 	if err := c.AddXML("a", strings.NewReader(docA)); err != nil {
 		t.Fatal(err)
@@ -343,9 +369,6 @@ func TestIngestRejectsRemoveAndDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.DisableIngest()
-	if err := c.Remove("a"); !errors.Is(err, ErrIngestActive) {
-		t.Fatalf("Remove during ingest: %v, want ErrIngestActive", err)
-	}
 	if err := c.AddXML("a", strings.NewReader(docA)); !errors.Is(err, ErrDocExists) {
 		t.Fatalf("duplicate base name: %v, want ErrDocExists", err)
 	}
@@ -354,6 +377,21 @@ func TestIngestRejectsRemoveAndDuplicates(t *testing.T) {
 	}
 	if err := c.AddXML("b", strings.NewReader(docB)); !errors.Is(err, ErrDocExists) {
 		t.Fatalf("duplicate delta name: %v, want ErrDocExists", err)
+	}
+	if err := c.Remove("a"); err != nil {
+		t.Fatalf("Remove during ingest: %v", err)
+	}
+	if got, err := c.EstimateQuery("laptop", core.MethodRecursive); err != nil || got != 2 {
+		t.Fatalf("estimate after removing a = %v, %v; want 2", got, err)
+	}
+	if err := c.AddXML("a", strings.NewReader(docA)); !errors.Is(err, ErrDocExists) {
+		t.Fatalf("re-add before the removal folds: %v, want ErrDocExists", err)
+	}
+	if err := c.Refreeze(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddXML("a", strings.NewReader(docA)); err != nil {
+		t.Fatalf("re-add after the removal folded: %v", err)
 	}
 	if err := c.EnableIngest(IngestOptions{}); err == nil {
 		t.Fatal("double EnableIngest succeeded")
@@ -394,44 +432,4 @@ func TestIngestCompressedSnapshots(t *testing.T) {
 	if got := ro.Summary().StoreKind(); got != "compressed" {
 		t.Fatalf("recovered store kind = %q, want compressed", got)
 	}
-}
-
-// TestIngestDisableConsolidates: a clean DisableIngest folds the delta
-// and returns the corpus to the legacy layout with classic mutations
-// working again.
-func TestIngestDisableConsolidates(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Create(dir, Options{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableIngest(IngestOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := c.AddXML(fmt.Sprintf("doc-%03d", i), strings.NewReader(ingestDoc(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.DisableIngest(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Ingesting() {
-		t.Fatal("still ingesting after disable")
-	}
-	if m, _ := scanManifests(dir); len(m) != 0 {
-		t.Fatalf("manifests left after disable: %v", m)
-	}
-	// Classic mutations work again.
-	if err := c.Remove("doc-001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddXML("extra", strings.NewReader(docC)); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameEstimates(t, re, c, "reopen after disable")
 }

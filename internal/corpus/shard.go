@@ -7,6 +7,7 @@ import (
 	"treelattice/internal/core"
 	"treelattice/internal/fleet"
 	"treelattice/internal/labeltree"
+	"treelattice/internal/lattice"
 )
 
 // BuildShardSummaries splits the corpus into n shard summaries by
@@ -24,18 +25,15 @@ func (c *Corpus) BuildShardSummaries(ctx context.Context, n, workers int) ([]*co
 		return nil, fmt.Errorf("corpus: shard count %d out of range [1,%d]", n, fleet.MaxShards)
 	}
 	groups := make([][]*labeltree.Tree, n)
-	for _, name := range c.Docs() {
+	ep := c.epochs.Current()
+	for i, name := range ep.Names {
 		s := fleet.AssignShard(name, n)
-		groups[s] = append(groups[s], c.docs[name])
+		groups[s] = append(groups[s], ep.Docs[i])
 	}
 	out := make([]*core.Summary, n)
 	for i, g := range groups {
 		if len(g) == 0 {
-			empty, err := buildEmptySummary(c.opts.K, c.dict)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = empty
+			out[i] = core.FromLattice(lattice.New(c.opts.K, c.dict))
 			continue
 		}
 		sum, err := core.BuildForestContext(ctx, g, core.BuildOptions{K: c.opts.K, Workers: workers})

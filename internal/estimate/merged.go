@@ -3,8 +3,9 @@ package estimate
 import "treelattice/internal/labeltree"
 
 // Merged overlays a small delta store on an immutable base store: the
-// count of a pattern is the sum of its base and delta counts, and a
-// pattern present in either is present in the merge. Documents are
+// count of a pattern is the sum of its base and delta counts (the delta
+// may be negative for removed documents), and a pattern is present in
+// the merge when that sum is not zero. Documents are
 // independent trees, so counts are additive across them — the merged
 // store answers exactly what a store rebuilt over (base docs ∪ delta
 // docs) would answer, which is what keeps every estimator bit-identical
@@ -23,11 +24,13 @@ func (m *Merged) Count(p labeltree.Pattern) (int64, bool) {
 	return m.CountKey(p.Key())
 }
 
-// CountKey implements Store.
+// CountKey implements Store. A merged count of zero — a document
+// removed through a negative delta took the last occurrences — reads as
+// absent, exactly as the pattern reads in a store rebuilt without it.
 func (m *Merged) CountKey(key labeltree.Key) (int64, bool) {
 	b, okB := m.Base.CountKey(key)
 	d, okD := m.Delta.CountKey(key)
-	return b + d, okB || okD
+	return b + d, (okB || okD) && b+d != 0
 }
 
 // K is the base's lattice level (delta is mined at the same level).

@@ -166,7 +166,6 @@ type CorpusBackend interface {
 	ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error)
 	AddXMLContext(ctx context.Context, name string, r io.Reader) error
 	Remove(name string) error
-	Ingesting() bool
 	IngestStats() core.IngestStats
 }
 
@@ -224,9 +223,6 @@ func (c *Corpus) Remove(name string) error {
 	}
 	return c.inner.Remove(name)
 }
-
-// Ingesting passes through.
-func (c *Corpus) Ingesting() bool { return c.inner.Ingesting() }
 
 // IngestStats passes through.
 func (c *Corpus) IngestStats() core.IngestStats { return c.inner.IngestStats() }

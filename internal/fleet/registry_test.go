@@ -68,8 +68,8 @@ func TestLoadTenantSharded(t *testing.T) {
 	if res.ShardsAnswered != tn.Shards || res.Partial {
 		t.Fatalf("healthy sharded tenant answered %+v", res)
 	}
-	if tn.Summary.Mutable() {
-		t.Fatal("loaded tenant should be frozen read-only")
+	if tn.Summary.Lattice() != nil {
+		t.Fatal("loaded tenant should hold no map-backed lattice")
 	}
 }
 
@@ -190,8 +190,8 @@ func TestLoadTenantCompressed(t *testing.T) {
 				t.Fatalf("frozen tenant StoreKind() = %q", got)
 			}
 		}
-		if comp.Summary.Mutable() {
-			t.Fatal("compressed tenant must be read-only")
+		if comp.Summary.Lattice() != nil {
+			t.Fatal("compressed tenant must hold no map-backed lattice")
 		}
 		if cb, fb := comp.ResidentBytes(), froz.ResidentBytes(); cb <= 0 || cb >= fb {
 			t.Fatalf("shards=%d: compressed resident %d vs frozen %d", shards, cb, fb)

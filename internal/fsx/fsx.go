@@ -53,3 +53,21 @@ func syncDir(dir string) error {
 	_ = d.Sync()
 	return nil
 }
+
+// RenameDurable renames oldpath to newpath and fsyncs the directory of
+// newpath, so the rename survives a crash once it returns.
+func RenameDurable(oldpath, newpath string) error {
+	if err := os.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(newpath))
+}
+
+// RemoveDurable removes path, if present, and fsyncs its directory, so
+// the removal survives a crash once it returns.
+func RemoveDurable(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}

@@ -117,71 +117,35 @@ func TestSummaryClone(t *testing.T) {
 	}
 }
 
-// FuzzDeltaMerge drives a random op sequence through the copy-on-write
-// Delta chain and a plain reference map in lockstep: every byte pair of
-// the input is one document add (or, on the refreeze cadence, a cut +
-// subtract), and after the sequence the delta's counts must equal the
-// reference exactly.
-func FuzzDeltaMerge(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3})
-	f.Add([]byte{7, 7, 7, 7, 7, 7})
-	f.Add([]byte{0xff, 0x00, 0x10, 0x80, 0x3c})
-	f.Add([]byte("refreeze"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dict := labeltree.NewDict()
-		pats := []labeltree.Pattern{
-			labeltree.MustParsePattern("a", dict),
-			labeltree.MustParsePattern("b", dict),
-			labeltree.MustParsePattern("a(b)", dict),
-			labeltree.MustParsePattern("a(b,c)", dict),
-			labeltree.MustParsePattern("b(c(d))", dict),
-			labeltree.MustParsePattern("a(b(c),d)", dict),
+// TestDeltaFoldInto: a fold adds the delta's additions and takes its
+// retractions away; retracting counts the base never held fails.
+func TestDeltaFoldInto(t *testing.T) {
+	d := labeltree.NewDict()
+	base := incOf(t, d, 4, map[string]int64{"a": 3, "a(b)": 2})
+	cur, err := NewDelta(4, d).Apply(incOf(t, d, 4, map[string]int64{"a": 1, "c": 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur, err = cur.Retract(incOf(t, d, 4, map[string]int64{"a(b)": 2})); err != nil {
+		t.Fatal(err)
+	}
+	folded := base.Clone()
+	if err := cur.FoldInto(folded); err != nil {
+		t.Fatal(err)
+	}
+	for src, want := range map[string]int64{"a": 4, "c": 5} {
+		if got, ok := folded.Count(labeltree.MustParsePattern(src, d)); !ok || got != want {
+			t.Fatalf("folded count(%s) = %d,%v want %d", src, got, ok, want)
 		}
-		ref := make(map[labeltree.Key]int64)
-		cur := NewDelta(4, dict)
-		refDocs := 0
-		for i := 0; i+1 < len(data); i += 2 {
-			if data[i]%5 == 4 && !cur.Empty() {
-				// Refreeze: fold everything seen so far, subtract the cut.
-				rest, err := cur.Subtract(cur) // cut == cur: everything folds
-				if err != nil {
-					t.Fatalf("op %d: subtract: %v", i, err)
-				}
-				if !rest.Empty() {
-					t.Fatalf("op %d: full cut left %d entries, %d docs", i, rest.Len(), rest.Docs())
-				}
-				cur = rest
-				ref = make(map[labeltree.Key]int64)
-				refDocs = 0
-				continue
-			}
-			// One document: up to three pattern bumps derived from the pair.
-			inc := New(4, dict)
-			for j := 0; j < 3; j++ {
-				p := pats[int(data[i]+byte(j)*7)%len(pats)]
-				n := int64(data[i+1]%13) + 1
-				if err := inc.AddCount(p, n); err != nil {
-					t.Fatal(err)
-				}
-				ref[p.Key()] += n
-			}
-			next, err := cur.Apply(inc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur = next
-			refDocs++
-		}
-		if cur.Docs() != refDocs {
-			t.Fatalf("docs = %d, want %d", cur.Docs(), refDocs)
-		}
-		if cur.Len() != len(ref) {
-			t.Fatalf("len = %d, want %d", cur.Len(), len(ref))
-		}
-		for key, want := range ref {
-			if got, ok := cur.CountKey(key); !ok || got != want {
-				t.Fatalf("count(%q) = %d,%v want %d", key, got, ok, want)
-			}
-		}
-	})
+	}
+	if _, ok := folded.Count(labeltree.MustParsePattern("a(b)", d)); ok {
+		t.Fatal("a fully retracted pattern survived the fold")
+	}
+	over, err := NewDelta(4, d).Retract(incOf(t, d, 4, map[string]int64{"a": 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := over.FoldInto(base.Clone()); err == nil {
+		t.Fatal("folding an over-removal accepted")
+	}
 }

@@ -110,8 +110,6 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 		method = core.Method(req.Method)
 	}
 
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	sum := h.c.Summary()
 	scope := scopeFor("", sum)
 	if _, err := sum.LookupMethod(method); err != nil {

@@ -153,8 +153,8 @@ func TestServeReadOnlyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Summary().Mutable() || !ro.Summary().FrozenStore() {
-		t.Fatal("OpenReadOnly did not produce a frozen summary")
+	if got := ro.Summary().StoreKind(); got != "frozen" {
+		t.Fatalf("OpenReadOnly store kind = %q, want frozen", got)
 	}
 	srv := httptest.NewServer(NewHandler(ro))
 	defer srv.Close()

@@ -176,8 +176,6 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	sum := h.c.Summary()
 	// Validate a requested planning method up front, like /v1/estimate:
 	// a bogus method should 400 even when the query would not parse.
@@ -237,8 +235,6 @@ func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
 	defer h.quota.Release(name)
 	tm.requests.Inc()
 
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	resp, err := h.runQuery(r, tn.Summary, p)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		writeJSON(w, queryResponse{Tenant: name, Query: p.qs, Plan: []int32{}})

@@ -30,7 +30,7 @@
 // shards_total) when one misses its deadline. Tenant routes sit behind
 // per-tenant admission quotas (Resilience.TenantQuota); the whole-query
 // cache is scoped by (tenant, epoch), so tenants never share entries
-// and POST /v1/t/{tenant}/reload (or an ingest epoch swap) invalidates
+// and POST /v1/t/{tenant}/reload (or a corpus epoch swap) invalidates
 // only the affected scope.
 //
 // Queries use the twig syntax ("a(b,c(d))"). Estimation methods resolve
@@ -46,10 +46,9 @@
 //
 // with codes: bad_query, unknown_method, method_unavailable,
 // budget_exhausted, bad_document, too_large, batch_too_large, exists,
-// not_found, frozen, ingest_backpressure, ingest_active,
-// method_not_allowed, canceled, shed, deadline_exceeded, internal,
-// bad_tenant, unknown_tenant, no_shards, not_ready, reload_failed,
-// no_documents.
+// not_found, frozen, ingest_backpressure, method_not_allowed, canceled,
+// shed, deadline_exceeded, internal, bad_tenant, unknown_tenant,
+// no_shards, not_ready, reload_failed, no_documents.
 //
 // GET/POST /v1/query executes a twig query (extended axis syntax, so
 // descendant steps like "//a(b,//c)" work) against the corpus documents
@@ -73,10 +72,13 @@
 // pool sharing the summary's sub-estimate cache, so structurally
 // overlapping queries decompose shared sub-twigs once.
 //
-// Document uploads are mined into a private shard lattice and merged
-// into the live summary incrementally — a POST never triggers a full
-// rebuild — and the mine is bounded by the request context, so a client
-// disconnect abandons the work without mutating the corpus.
+// Document uploads are mined into a private lattice bounded by the
+// request context, so a client disconnect abandons the work without
+// touching the corpus; a finished mine lands in the corpus delta and is
+// published as a new epoch. Removals land the same way, as a negative
+// increment. The handler takes no lock: every request loads the corpus's
+// current epoch once and finishes against it, and the whole-query cache
+// is keyed by epoch, so publishing is the invalidation.
 //
 // Resilience (see Options.Resilience and internal/resilience): the
 // work-bearing endpoints sit behind admission control (shed requests get
@@ -122,13 +124,8 @@ type Backend interface {
 	ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error)
 	AddXMLContext(ctx context.Context, name string, r io.Reader) error
 	Remove(name string) error
-	// Ingesting reports whether the zero-downtime ingest pipeline is
-	// active; IngestStats snapshots its counters (all zeros when it is
-	// not). With ingest active, document adds publish new epochs instead
-	// of mutating the serving summary, so the handler takes only the read
-	// lock and skips cache invalidation — epoch-scoped cache keys make
-	// stale entries unreachable.
-	Ingesting() bool
+	// IngestStats snapshots the background ingest counters (all zeros
+	// when ingest is not enabled).
 	IngestStats() core.IngestStats
 }
 
@@ -211,10 +208,9 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Handler serves a corpus. Reads take the read lock; document mutations
-// serialize on the write lock and invalidate the estimate cache.
+// Handler serves a corpus. It holds no lock of its own: the backend
+// publishes immutable epochs and serializes its writers.
 type Handler struct {
-	mu       sync.RWMutex
 	c        Backend
 	cache    *qcache.Cache
 	mux      *http.ServeMux
@@ -381,11 +377,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // scopeFor derives the cache scope for an estimate computed against sum.
-// When the summary belongs to a published RCU epoch, the epoch ID joins
-// the key, so an estimate cached against one epoch can never answer a
-// lookup against another — publishing IS the invalidation. Summaries
-// outside the ingest pipeline (classic corpora, fleet snapshots) carry
-// epoch 0 and rely on DropScope on mutation or reload.
+// When the summary belongs to a published RCU epoch (every corpus
+// summary does), the epoch ID joins the key, so an estimate cached
+// against one epoch can never answer a lookup against another —
+// publishing IS the invalidation. Fleet snapshots carry epoch 0 and rely
+// on their registry generation (see tenantScope).
 func scopeFor(tenant string, sum *core.Summary) qcache.Scope {
 	sc := qcache.Scope{Tenant: tenant}
 	if ep, ok := sum.Source().(*core.Epoch); ok {
@@ -409,8 +405,6 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	method := h.method(r)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	sum := h.c.Summary()
 	// Validate the method before the query: with an empty corpus every
 	// label is unknown, and a bogus method should still 400. LookupMethod
@@ -469,8 +463,6 @@ type methodCapabilities struct {
 // methods serves GET /v1/methods: the estimator discovery endpoint,
 // driven entirely by the summary's backend registry.
 func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	sum := h.c.Summary()
 	list := sum.Registry().Methods()
 	out := make([]methodCapabilities, 0, len(list))
@@ -527,8 +519,6 @@ func (h *Handler) exact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	q, err := h.c.Summary().ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		writeJSON(w, map[string]any{"query": qs, "count": int64(0)})
@@ -552,8 +542,6 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	sum := h.c.Summary()
 	q, err := sum.ParseQuery(qs)
 	if err != nil {
@@ -584,8 +572,6 @@ type explainResponse struct {
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	s := h.c.Summary()
 	hits, misses, evictions, size := h.cache.Stats()
 	ing := h.syncIngest()
@@ -701,31 +687,13 @@ func (h *Handler) syncIngest() core.IngestStats {
 	return ing
 }
 
+// addDoc serves POST /v1/docs/{name}. The add publishes a new epoch;
+// in-flight reads finish against the epoch they pinned, and cached
+// entries of older epochs simply become unreachable.
 func (h *Handler) addDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body := http.MaxBytesReader(w, r.Body, h.maxBytes)
-	var err error
-	if h.c.Ingesting() {
-		// Zero-downtime path: the add lands in the delta and publishes a
-		// new epoch; in-flight reads finish against the epoch they pinned.
-		// Only the read lock is needed (the corpus serializes writers
-		// internally), and no cache invalidation: entries are keyed by
-		// epoch, so the old epoch's entries simply become unreachable.
-		h.mu.RLock()
-		err = h.c.AddXMLContext(r.Context(), name, body)
-		h.mu.RUnlock()
-	} else {
-		h.mu.Lock()
-		err = h.c.AddXMLContext(r.Context(), name, body)
-		if err == nil {
-			// Classic path mutates the serving summary in place, so the
-			// default tenant's cached estimates (epoch 0) are stale. Other
-			// tenants' entries stay warm.
-			h.cache.DropScope("")
-		}
-		h.mu.Unlock()
-	}
-	if err != nil {
+	if err := h.c.AddXMLContext(r.Context(), name, body); err != nil {
 		writeCorpusError(w, err)
 		return
 	}
@@ -736,13 +704,7 @@ func (h *Handler) addDoc(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) removeDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	h.mu.Lock()
-	err := h.c.Remove(name)
-	if err == nil {
-		h.cache.DropScope("")
-	}
-	h.mu.Unlock()
-	if err != nil {
+	if err := h.c.Remove(name); err != nil {
 		writeCorpusError(w, err)
 		return
 	}
@@ -823,13 +785,9 @@ func writeCorpusError(w http.ResponseWriter, err error) {
 		// contract as admission shedding.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "ingest_backpressure", err.Error())
-	case errors.Is(err, corpus.ErrIngestActive):
-		// Removal (and other non-additive mutations) conflict with the
-		// append-only ingest pipeline; disable ingest first.
-		writeError(w, http.StatusConflict, "ingest_active", err.Error())
-	case errors.Is(err, core.ErrFrozenSummary):
-		// A read-only replica (loaded via corpus.OpenReadOnly) cannot
-		// accept document mutations.
+	case errors.Is(err, corpus.ErrReadOnly):
+		// A read-only replica (loaded via corpus.OpenReadOnly without
+		// ingest) accepts no document writes.
 		writeError(w, http.StatusConflict, "frozen", err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// 499 in nginx's vocabulary; stdlib has no constant for it.

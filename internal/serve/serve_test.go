@@ -154,6 +154,7 @@ func TestErrorCodes(t *testing.T) {
 		{"PUT", "/v1/docs/x", "<a/>", "method_not_allowed"},
 		{"POST", "/v1/docs/sample", doc, "exists"},
 		{"POST", "/v1/docs/bad", "<a><b>", "bad_document"},
+		{"POST", "/v1/docs/a%0Ab", "<a/>", "bad_document"},
 		{"DELETE", "/v1/docs/missing", "", "not_found"},
 	} {
 		_, out := do(t, tc.method, srv.URL+tc.path, tc.body)

@@ -154,9 +154,9 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 // tenantScope derives the cache scope for an estimate against a named
-// tenant. Ingesting backends discriminate by RCU epoch; fleet tenants
-// loaded from static snapshots carry no epoch, so their registry
-// generation fills the slot — a reload bumps it and the previous
+// tenant. The corpus discriminates by RCU epoch; fleet tenants loaded
+// from static snapshots carry no epoch, so their registry generation
+// fills the slot — a reload bumps it and the previous
 // generation's entries become unreachable.
 func (h *Handler) tenantScope(name string, sum *core.Summary) qcache.Scope {
 	sc := scopeFor(name, sum)

@@ -209,7 +209,7 @@ func TestTenantRoutes(t *testing.T) {
 		t.Fatalf("acme shape: %v", shapes)
 	}
 	defShape, ok := shapes[DefaultTenant].(map[string]any)
-	if !ok || defShape["backend"] != "map" {
+	if !ok || defShape["backend"] != "frozen" {
 		t.Fatalf("default tenant shape: %v", shapes)
 	}
 
@@ -235,7 +235,7 @@ func TestTenantRoutes(t *testing.T) {
 	if acme["backend"] != "shards" || acme["resident_bytes"].(float64) <= 0 {
 		t.Fatalf("tenants section backend accounting: %v", acme)
 	}
-	if out["backend"] != "map" || out["resident_bytes"].(float64) <= 0 {
+	if out["backend"] != "frozen" || out["resident_bytes"].(float64) <= 0 {
 		t.Fatalf("stats backend accounting: backend=%v resident_bytes=%v",
 			out["backend"], out["resident_bytes"])
 	}
