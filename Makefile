@@ -21,6 +21,7 @@ FUZZ_TARGETS = \
 	./internal/lattice:FuzzCompressedLoad \
 	./internal/lattice:FuzzDeltaMerge \
 	./internal/fleet:FuzzTenantName \
+	./internal/twigjoin:FuzzCount \
 	./internal/serve:FuzzQueryEndpoint
 
 .PHONY: check vet build test race fuzz fuzz-short perfbench bench benchcore microbench
@@ -38,7 +39,7 @@ fuzz:
 # generation): fast enough for the check gate, still catches regressions
 # on every previously interesting input checked into testdata.
 fuzz-short:
-	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/serve
+	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/twigjoin ./internal/serve
 
 vet:
 	$(GO) vet ./...

@@ -26,7 +26,6 @@ import (
 	"treelattice/internal/experiments"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
-	"treelattice/internal/match"
 	"treelattice/internal/mine"
 	"treelattice/internal/online"
 	"treelattice/internal/planner"
@@ -548,24 +547,36 @@ func BenchmarkAblationStore(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMatcher compares the sparse-DP match counter against
-// brute-force enumeration on a small tree, validating the need for the
-// DP engine during mining.
+// BenchmarkAblationMatcher compares the product counter with counting
+// by enumeration on one random child-axis pattern over a small tree:
+// mining counts every candidate pattern, so the counter is the build hot
+// path.
 func BenchmarkAblationMatcher(b *testing.B) {
 	dict, alphabet := treetest.Alphabet(4)
-	_ = dict
 	rng := rand.New(rand.NewSource(9))
 	tr := treetest.RandomTree(rng, 400, alphabet, dict)
-	counter := match.NewCounter(tr)
-	q := treetest.RandomPattern(rng, 4, alphabet)
-	b.Run("sparse-dp", func(b *testing.B) {
+	q := twigjoin.MustQuery(treetest.RandomPattern(rng, 4, alphabet), nil)
+	benchCountVsEnumerate(b, twigjoin.NewIndex(tr), q)
+}
+
+// benchCountVsEnumerate checks that the counter and enumeration agree on
+// q, then times each.
+func benchCountVsEnumerate(b *testing.B, x *twigjoin.Index, q twigjoin.Query) {
+	all := func(twigjoin.Match) bool { return true }
+	want := twigjoin.Count(x, q)
+	if got := twigjoin.Enumerate(x, q, nil, all).Matches; got != want {
+		b.Fatalf("enumeration counts %d, counter %d", got, want)
+	}
+	b.Run("counter", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			counter.Count(q)
+			twigjoin.Count(x, q)
 		}
 	})
-	b.Run("brute-force", func(b *testing.B) {
+	b.Run("enumerate", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			match.BruteCount(tr, q, 0)
+			twigjoin.Enumerate(x, q, nil, all)
 		}
 	})
 }
@@ -660,35 +671,19 @@ func BenchmarkAblationCST(b *testing.B) {
 	b.Run("cst", func(b *testing.B) { run(b, c.Estimate) })
 }
 
-// BenchmarkTwigJoinExecution measures the execution engine against the
-// XMark document, per axis flavor.
+// BenchmarkTwigJoinExecution counts matches on the XMark document with
+// the counter and by enumeration, per axis flavor.
 func BenchmarkTwigJoinExecution(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
 	x := twigjoin.NewIndex(e.Tree)
-	queries := map[string]string{
-		"child":      "//open_auction(bidder(date),itemref)",
-		"descendant": "//item(//keyword,//mail)",
-		"path":       "//site(open_auctions(open_auction(bidder(increase))))",
+	for _, tc := range []struct{ name, q string }{
+		{"child", "//open_auction(bidder(date),itemref)"},
+		{"descendant", "//item(//keyword,//mail)"},
+		{"path", "//site(open_auctions(open_auction(bidder(increase))))"},
+	} {
+		q := twigjoin.MustParseQuery(tc.q, e.Dict)
+		b.Run(tc.name, func(b *testing.B) { benchCountVsEnumerate(b, x, q) })
 	}
-	for name, qs := range queries {
-		q := twigjoin.MustParseQuery(qs, e.Dict)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				twigjoin.Count(x, q)
-			}
-		})
-	}
-	labels := []labeltree.LabelID{}
-	for _, n := range []string{"site", "open_auctions", "open_auction", "bidder"} {
-		if id, ok := e.Dict.Lookup(n); ok {
-			labels = append(labels, id)
-		}
-	}
-	b.Run("pathstack", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			twigjoin.CountPath(x, labels, twigjoin.Child)
-		}
-	})
 }
 
 // BenchmarkPlannerVsNaive measures scanned candidates for planned versus

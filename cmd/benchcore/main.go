@@ -51,7 +51,7 @@ type Report struct {
 func main() {
 	out := flag.String("out", "BENCH_core.json", "output report path")
 	benchRe := flag.String("bench",
-		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkFrozenLookup$|BenchmarkFigure9ResponseTimeFrozen$|BenchmarkCompressedLookup$|BenchmarkFigure9ResponseTimeCompressed$|BenchmarkTwigExecIndexed$|BenchmarkPlanVsNaive$",
+		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkFrozenLookup$|BenchmarkFigure9ResponseTimeFrozen$|BenchmarkCompressedLookup$|BenchmarkFigure9ResponseTimeCompressed$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkPlanVsNaive$",
 		"go test -bench regexp")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (empty = go default)")
 	scale := flag.String("scale", "", "TWIG_BENCH_SCALE for the macro benchmarks (empty = package default)")

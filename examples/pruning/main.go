@@ -11,7 +11,6 @@ import (
 
 	"treelattice"
 	"treelattice/internal/datagen"
-	"treelattice/internal/match"
 	"treelattice/internal/metrics"
 	"treelattice/internal/workload"
 )
@@ -37,7 +36,6 @@ func main() {
 		truths = append(truths, q.TrueCount)
 	}
 	sanity := metrics.SanityBound(truths)
-	_ = match.NewCounter(tree) // counts already recorded in the workload
 
 	fmt.Printf("document: %d elements; full 4-lattice: %d patterns, %.1f KB\n\n",
 		tree.Size(), sum.Patterns(), float64(sum.SizeBytes())/1024)

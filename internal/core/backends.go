@@ -274,7 +274,7 @@ func (samplingBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	se, err := sampling.New(trees, DefaultSamplingOptions)
+	se, err := sampling.New(s.twigIndexer().ForAll(trees), DefaultSamplingOptions)
 	if err != nil {
 		return nil, err
 	}

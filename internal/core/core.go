@@ -110,8 +110,8 @@ type Summary struct {
 	source   TreeSource
 	prepared map[Method]Prepared
 	// indexer is the fallback per-document region-index cache for query
-	// execution, created lazily when the bound source does not share one
-	// (see exec.go). Guarded by prepMu.
+	// execution and sampling, created lazily when the bound source does
+	// not share one (see exec.go). Guarded by prepMu.
 	indexer *twigjoin.Indexer
 }
 

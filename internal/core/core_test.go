@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -196,10 +196,10 @@ func TestPruneKeepsEstimates(t *testing.T) {
 	if pruned.SizeBytes() > sum.SizeBytes() {
 		t.Fatal("pruning grew the summary")
 	}
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, qs := range []string{"laptop(brand,price)", "computer(laptops(laptop))", "laptops(laptop,laptop)"} {
 		q := labeltree.MustParsePattern(qs, dict)
-		want := float64(counter.Count(q))
+		want := float64(twigjoin.CountPattern(idx, q))
 		got, err := pruned.Estimate(q, MethodRecursive)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestEstimateIntervalFacade(t *testing.T) {
 	sum, tr, dict := buildSample(t, 3)
 	q := labeltree.MustParsePattern("computer(laptops(laptop(brand,price)))", dict)
 	iv := sum.EstimateInterval(q)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	est, _ := sum.Estimate(q, MethodRecursiveVoting)
 	if !iv.Contains(est) {
 		t.Fatalf("interval %+v does not contain estimate %v", iv, est)

@@ -274,9 +274,9 @@ func (s *Summary) LookupMethod(m Method) (Capabilities, error) {
 
 // preparedFor returns the cached Prepared for method, preparing on first
 // use. Preparation runs outside the lock (it may be expensive — sampling
-// builds per-document indexes), so two racing first uses may both
-// prepare; the extra instance is dropped. The cache empties whenever the
-// summary rebinds its source.
+// may index documents the shared cache has not seen), so two racing
+// first uses may both prepare; the extra instance is dropped. The cache
+// empties whenever the summary rebinds its source.
 func (s *Summary) preparedFor(ctx context.Context, m Method) (Prepared, error) {
 	s.prepMu.Lock()
 	p, ok := s.prepared[m]

@@ -15,6 +15,7 @@ import (
 	"treelattice/internal/markov"
 	"treelattice/internal/sampling"
 	"treelattice/internal/treesketch"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -77,7 +78,7 @@ func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q 
 	case MethodTreeSketch:
 		return treesketch.Build(tr, treesketchOptions).Estimate(q)
 	case MethodSampling:
-		se, err := sampling.New([]*labeltree.Tree{tr}, DefaultSamplingOptions)
+		se, err := sampling.New([]*twigjoin.Index{twigjoin.NewIndex(tr)}, DefaultSamplingOptions)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -39,7 +40,6 @@ import (
 	"treelattice/internal/fsx"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
-	"treelattice/internal/match"
 	"treelattice/internal/metrics"
 	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
@@ -84,8 +84,9 @@ type Corpus struct {
 	// lastBuild holds the per-stage timings of the most recent add.
 	lastBuild atomic.Pointer[metrics.BuildTimings]
 	// indexer caches one twigjoin region index per document tree for
-	// query execution; built at load, shared across epochs (epochs reuse
-	// unchanged tree pointers, so their indexes carry over).
+	// query execution and exact counts; built at load, shared across
+	// epochs (epochs reuse unchanged tree pointers, so their indexes carry
+	// over), and trimmed to the live documents at every fold.
 	indexer *twigjoin.Indexer
 	// epochs is the publication point every reader loads from.
 	epochs core.EpochHandle
@@ -348,17 +349,24 @@ func (c *Corpus) ExactCount(q labeltree.Pattern) int64 {
 }
 
 // ExactCountContext is ExactCount with cooperative cancellation: the
-// per-document counting DP polls ctx at bounded intervals, so a deadline
-// interrupts a Definition-1 ground-truth scan mid-document instead of
-// after it.
+// counter polls ctx at bounded intervals, so a deadline interrupts a
+// Definition-1 ground-truth scan mid-document instead of after it. A
+// query node with more than twigjoin.MaxSiblingGroup same-label children
+// wraps twigjoin.ErrSiblingGroup. Counts saturate at math.MaxInt64.
 func (c *Corpus) ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error) {
+	counter, err := twigjoin.NewCounter(twigjoin.MustQuery(q, nil), nil)
+	if err != nil {
+		return 0, err
+	}
 	var total int64
 	for _, tree := range c.Trees() {
-		n, err := match.NewCounter(tree).CountContext(ctx, q)
+		st, err := counter.CountContext(ctx, c.indexer.For(tree), nil)
 		if err != nil {
 			return 0, err
 		}
-		total += n
+		if total += st.Matches; total < 0 {
+			total = math.MaxInt64
+		}
 	}
 	return total, nil
 }

@@ -451,6 +451,9 @@ func (c *Corpus) commit(ctx context.Context, st *ingestState, cut *lattice.Delta
 	}
 	cur := c.epochs.Current()
 	c.epochs.Publish(c.base, c.delta, cur.Docs, cur.Names)
+	// Drop the indexes of documents the epoch no longer lists. A request
+	// pinned to an older epoch may rebuild one; the next fold drops it.
+	c.indexer.Retain(cur.Docs)
 	c.mu.Unlock()
 	c.foldLat = next
 

@@ -9,9 +9,9 @@ import (
 	"treelattice/internal/datagen"
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/mine"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/workload"
 	"treelattice/internal/xmlparse"
 )
@@ -84,7 +84,7 @@ func TestTwigEstimateOnUncorrelatedDoc(t *testing.T) {
 	tr, dict := parseDoc(t, sb.String())
 	c := Build(tr, Options{})
 	q := labeltree.MustParsePattern("a(b,c)", dict)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	got := c.Estimate(q)
 	if math.Abs(got-truth) > 0.05*truth {
 		t.Fatalf("Estimate = %v, want ~%v", got, truth)
@@ -211,14 +211,14 @@ func TestEstimateRandomizedSanity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := treetest.RandomTree(rng, 200, alphabet, dict)
 	c := Build(tr, Options{})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for trial := 0; trial < 100; trial++ {
 		q := treetest.RandomPattern(rng, 1+rng.Intn(4), alphabet)
 		got := c.Estimate(q)
 		if got < 0 || math.IsNaN(got) || math.IsInf(got, 0) {
 			t.Fatalf("Estimate = %v for %s", got, q.String(dict))
 		}
-		if counter.Count(q) == 0 && q.IsPath() && q.Size() <= 4 {
+		if twigjoin.CountPattern(idx, q) == 0 && q.IsPath() && q.Size() <= 4 {
 			if got != 0 {
 				t.Fatalf("nonzero estimate %v for absent stored path %s", got, q.String(dict))
 			}

@@ -84,7 +84,7 @@ func fanoutVariance(tr *labeltree.Tree, dict *labeltree.Dict, label string) floa
 		return 0
 	}
 	var n, sum, sumsq float64
-	for _, v := range tr.NodesByLabel(id) {
+	for _, v := range nodesLabeled(tr, id) {
 		c := float64(len(tr.Children(v)))
 		n++
 		sum += c
@@ -134,7 +134,7 @@ func TestIMDBSiblingCorrelation(t *testing.T) {
 	actor, _ := dict.Lookup("actor")
 	keyword, _ := dict.Lookup("keyword")
 	var xs, ys []float64
-	for _, m := range tr.NodesByLabel(movie) {
+	for _, m := range nodesLabeled(tr, movie) {
 		var nc, nk float64
 		for _, c := range tr.Children(m) {
 			switch tr.Label(c) {
@@ -167,7 +167,7 @@ func TestNASASiblingIndependence(t *testing.T) {
 	authors, _ := dict.Lookup("authors")
 	refs, _ := dict.Lookup("references")
 	var xs, ys []float64
-	for _, m := range tr.NodesByLabel(ds) {
+	for _, m := range nodesLabeled(tr, ds) {
 		var na, nr float64
 		for _, c := range tr.Children(m) {
 			switch tr.Label(c) {
@@ -202,4 +202,15 @@ func correlation(xs, ys []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(vx*vy)
+}
+
+// nodesLabeled lists the nodes of tr carrying label, in node order.
+func nodesLabeled(tr *labeltree.Tree, label labeltree.LabelID) []int32 {
+	var out []int32
+	for v := int32(0); int(v) < tr.Size(); v++ {
+		if tr.Label(v) == label {
+			out = append(out, v)
+		}
+	}
+	return out
 }

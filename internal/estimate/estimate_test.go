@@ -9,9 +9,9 @@ import (
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
 	"treelattice/internal/markov"
-	"treelattice/internal/match"
 	"treelattice/internal/mine"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -47,7 +47,7 @@ func TestExactRecallWithinLattice(t *testing.T) {
 	// Queries no larger than K must be answered exactly from the summary.
 	tr, dict := parseDoc(t, `<computer><laptops><laptop><brand/><price/></laptop><laptop><brand/><price/></laptop></laptops><desktops/></computer>`)
 	sum := mineK(t, tr, 3)
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, est := range []Estimator{
 		NewRecursive(sum, false),
 		NewRecursive(sum, true),
@@ -55,7 +55,7 @@ func TestExactRecallWithinLattice(t *testing.T) {
 	} {
 		for _, qs := range []string{"laptop", "laptop(brand)", "laptop(brand,price)", "computer(laptops(laptop))"} {
 			q := labeltree.MustParsePattern(qs, dict)
-			want := float64(counter.Count(q))
+			want := float64(twigjoin.CountPattern(idx, q))
 			if got := est.Estimate(q); got != want {
 				t.Errorf("%s: Estimate(%s) = %v, want %v", est.Name(), qs, got, want)
 			}
@@ -91,7 +91,7 @@ func uniformDoc(t *testing.T, n int) (*labeltree.Tree, *labeltree.Dict) {
 func TestDecompositionExactUnderIndependence(t *testing.T) {
 	tr, dict := uniformDoc(t, 7)
 	sum := mineK(t, tr, 3)
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	queries := []string{
 		"a(b,c,d)",       // size 4
 		"root(a(b,c))",   // size 4
@@ -100,7 +100,7 @@ func TestDecompositionExactUnderIndependence(t *testing.T) {
 	for _, est := range []Estimator{NewRecursive(sum, false), NewRecursive(sum, true), NewFixSized(sum)} {
 		for _, qs := range queries {
 			q := labeltree.MustParsePattern(qs, dict)
-			want := float64(counter.Count(q))
+			want := float64(twigjoin.CountPattern(idx, q))
 			got := est.Estimate(q)
 			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
 				t.Errorf("%s: Estimate(%s) = %v, want %v", est.Name(), qs, got, want)
@@ -286,7 +286,7 @@ func TestPruneDerivableLemma5(t *testing.T) {
 	prunedVote := NewRecursive(pruned, true)
 	fullFix := NewFixSized(sum)
 	prunedFix := NewFixSized(pruned)
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	checked := 0
 	for trial := 0; trial < 400; trial++ {
 		q := treetest.RandomPattern(rng, 1+rng.Intn(6), alphabet)
@@ -296,7 +296,7 @@ func TestPruneDerivableLemma5(t *testing.T) {
 		// true selectivity may estimate nonzero against a pruned summary
 		// (the summary cannot distinguish "pruned as derivable" from
 		// "never occurred") — the paper's negative-query caveat.
-		if counter.Count(q) == 0 {
+		if twigjoin.CountPattern(idx, q) == 0 {
 			continue
 		}
 		checked++

@@ -9,9 +9,9 @@ import (
 	"treelattice/internal/datagen"
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/metrics"
 	"treelattice/internal/treesketch"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -302,7 +302,7 @@ func Figure11() (Figure11Result, error) {
 	}
 	return Figure11Result{
 		Query:       "b(c,c)",
-		TrueCount:   match.NewCounter(tree).Count(q),
+		TrueCount:   twigjoin.CountPattern(twigjoin.NewIndex(tree), q),
 		TreeLattice: latEst,
 		Sketch:      sketch.Estimate(q),
 	}, nil

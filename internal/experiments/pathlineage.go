@@ -10,6 +10,7 @@ import (
 	"treelattice/internal/markov"
 	"treelattice/internal/metrics"
 	"treelattice/internal/pathtree"
+	"treelattice/internal/twigjoin"
 )
 
 // PathLineageRow is one point of the path-selectivity lineage comparison
@@ -105,7 +106,7 @@ func samplePaths(e *Env, length, perLength int, seed int64) ([][]labeltree.Label
 			continue
 		}
 		seen[key] = true
-		count := e.Counter.Count(labeltree.PathPattern(chain...))
+		count := twigjoin.CountPattern(e.Index, labeltree.PathPattern(chain...))
 		if count == 0 {
 			continue
 		}

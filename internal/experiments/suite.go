@@ -8,8 +8,8 @@ import (
 	"treelattice/internal/core"
 	"treelattice/internal/datagen"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treesketch"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/workload"
 	"treelattice/internal/xmlparse"
 )
@@ -21,7 +21,8 @@ type Env struct {
 	Profile datagen.Profile
 	Dict    *labeltree.Dict
 	Tree    *labeltree.Tree
-	Counter *match.Counter
+	// Index region-encodes Tree for exact counts.
+	Index *twigjoin.Index
 
 	Summary      *core.Summary // K-lattice
 	SummaryBuild time.Duration
@@ -55,7 +56,7 @@ func (s *Suite) Env(profile datagen.Profile) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{Profile: profile, Dict: dict, Tree: tree, Counter: match.NewCounter(tree)}
+	e := &Env{Profile: profile, Dict: dict, Tree: tree, Index: twigjoin.NewIndex(tree)}
 
 	start := time.Now()
 	e.Summary, err = core.Build(tree, core.BuildOptions{K: s.Cfg.K})

@@ -13,8 +13,6 @@ type Tree struct {
 	labels   []LabelID
 	parent   []int32 // parent[i] < i; parent[0] == -1
 	children [][]int32
-
-	byLabel map[LabelID][]int32 // lazily built node index
 }
 
 // Builder incrementally constructs a Tree. Nodes must be added parents
@@ -100,20 +98,16 @@ func (t *Tree) Parent(i int32) int32 { return t.parent[i] }
 // the tree and must not be modified.
 func (t *Tree) Children(i int32) []int32 { return t.children[i] }
 
-// NodesByLabel returns all node indices carrying label, building the label
-// index on first use. The slice is shared and must not be modified.
-func (t *Tree) NodesByLabel(label LabelID) []int32 {
-	if t.byLabel == nil {
-		t.byLabel = make(map[LabelID][]int32)
-		for i, l := range t.labels {
-			t.byLabel[l] = append(t.byLabel[l], int32(i))
+// LabelCount reports how many nodes carry label, by a scan of the tree.
+func (t *Tree) LabelCount(label LabelID) int {
+	n := 0
+	for _, l := range t.labels {
+		if l == label {
+			n++
 		}
 	}
-	return t.byLabel[label]
+	return n
 }
-
-// LabelCount reports how many nodes carry label.
-func (t *Tree) LabelCount(label LabelID) int { return len(t.NodesByLabel(label)) }
 
 // DistinctLabels returns the set of labels that occur in the tree.
 func (t *Tree) DistinctLabels() []LabelID {

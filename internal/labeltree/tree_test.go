@@ -40,11 +40,11 @@ func TestBuilderShape(t *testing.T) {
 	}
 }
 
-func TestNodesByLabel(t *testing.T) {
+func TestLabelCount(t *testing.T) {
 	tr, d := buildSample(t)
 	laptop, _ := d.Lookup("laptop")
-	if got := tr.NodesByLabel(laptop); len(got) != 2 {
-		t.Fatalf("laptop nodes = %v, want 2 entries", got)
+	if got := tr.LabelCount(laptop); got != 2 {
+		t.Fatalf("laptop count = %d, want 2", got)
 	}
 	brand, _ := d.Lookup("brand")
 	if tr.LabelCount(brand) != 2 {

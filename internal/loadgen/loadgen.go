@@ -50,8 +50,8 @@ import (
 	"treelattice/internal/core"
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/obs"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/workload"
 )
 
@@ -196,9 +196,9 @@ func MeasureAccuracy(ctx context.Context, sum *core.Summary, trees []*labeltree.
 	if maxQueries > 0 && maxQueries < n {
 		n = maxQueries
 	}
-	counters := make([]*match.Counter, len(trees))
+	idx := make([]*twigjoin.Index, len(trees))
 	for i, t := range trees {
-		counters[i] = match.NewCounter(t)
+		idx[i] = twigjoin.NewIndex(t)
 	}
 	acc := &Accuracy{}
 	qerrs := make([]float64, 0, n)
@@ -212,13 +212,17 @@ func MeasureAccuracy(ctx context.Context, sum *core.Summary, trees []*labeltree.
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: estimating %q: %w", it.Text, err)
 		}
+		counter, err := twigjoin.NewCounter(twigjoin.MustQuery(it.Pattern, nil), nil)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: counting %q: %w", it.Text, err)
+		}
 		var exact int64
-		for _, c := range counters {
-			cnt, err := c.CountContext(ctx, it.Pattern)
+		for _, x := range idx {
+			st, err := counter.CountContext(ctx, x, nil)
 			if err != nil {
 				return nil, err
 			}
-			exact += cnt
+			exact += st.Matches
 		}
 		qe := qError(de.Estimate, float64(exact))
 		qerrs = append(qerrs, qe)

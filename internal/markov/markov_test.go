@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -88,7 +88,7 @@ func TestEstimateMarkovFormula(t *testing.T) {
 	}
 	// The true count is also 3 here (independence holds trivially).
 	q := labeltree.MustParsePattern("a(b(c(d)))", dict)
-	if truth := match.NewCounter(tr).Count(q); truth != 3 {
+	if truth := twigjoin.CountPattern(twigjoin.NewIndex(tr), q); truth != 3 {
 		t.Fatalf("true count = %d, want 3", truth)
 	}
 }
@@ -129,14 +129,14 @@ func TestPathCountsAgreeWithMatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := treetest.RandomTree(rng, 80, alphabet, dict)
 	tb := Build(tr, 4)
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(4)
 		path := make([]labeltree.LabelID, n)
 		for i := range path {
 			path[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		want := counter.Count(labeltree.PathPattern(path...))
+		want := twigjoin.CountPattern(idx, labeltree.PathPattern(path...))
 		if got := tb.Count(path); got != want {
 			t.Fatalf("path %v: table=%d matcher=%d", path, got, want)
 		}

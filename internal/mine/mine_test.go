@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -68,11 +68,13 @@ func TestMineCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := match.NewCounter(tr)
+	// The miner counts with twigjoin's counter; enumeration is the
+	// independent reference.
+	x := twigjoin.NewIndex(tr)
 	checked := 0
 	for trial := 0; trial < 400; trial++ {
 		p := treetest.RandomPattern(rng, 1+rng.Intn(k), alphabet)
-		want := counter.Count(p)
+		want := twigjoin.Enumerate(x, twigjoin.MustQuery(p, nil), nil, func(twigjoin.Match) bool { return true }).Matches
 		got, ok := sum.Count(p)
 		if want == 0 {
 			if ok {
@@ -82,7 +84,7 @@ func TestMineCompleteness(t *testing.T) {
 		}
 		checked++
 		if !ok || got != want {
-			t.Fatalf("pattern %s: lattice=%d,%v matcher=%d", p.String(dict), got, ok, want)
+			t.Fatalf("pattern %s: lattice=%d,%v enumeration=%d", p.String(dict), got, ok, want)
 		}
 	}
 	if checked < 20 {

@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/mine"
 	"treelattice/internal/online"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -32,7 +32,7 @@ func ExampleTuner() {
 	}
 	tuner := online.NewTuner(sum, 1024)
 	q := labeltree.MustParsePattern("a(b,c)", dict)
-	truth := match.NewCounter(tree).Count(q)
+	truth := twigjoin.CountPattern(twigjoin.NewIndex(tree), q)
 
 	before := tuner.Estimate(q)
 	tuner.Feedback(q, truth)

@@ -6,8 +6,8 @@ import (
 
 	"treelattice/internal/datagen"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/mine"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/workload"
 )
 
@@ -28,7 +28,7 @@ func setup(t *testing.T) (*Tuner, *labeltree.Tree, *labeltree.Dict) {
 func TestFeedbackCorrectsExactQuery(t *testing.T) {
 	tuner, tree, dict := setup(t)
 	q := labeltree.MustParsePattern("movie(actor(name),keyword,genre)", dict)
-	truth := match.NewCounter(tree).Count(q)
+	truth := twigjoin.CountPattern(twigjoin.NewIndex(tree), q)
 	if truth == 0 {
 		t.Skip("query has zero selectivity in this document")
 	}
@@ -47,11 +47,11 @@ func TestFeedbackHelpsSupersetQueries(t *testing.T) {
 	// A correction for a size-5 pattern must improve a size-6 query that
 	// decomposes through it.
 	tuner, tree, dict := setup(t)
-	counter := match.NewCounter(tree)
+	idx := twigjoin.NewIndex(tree)
 	sub := labeltree.MustParsePattern("movie(actor,keyword,genre,release)", dict)
 	big := labeltree.MustParsePattern("movie(actor(name),keyword,genre,release)", dict)
-	subTruth := counter.Count(sub)
-	bigTruth := counter.Count(big)
+	subTruth := twigjoin.CountPattern(idx, sub)
+	bigTruth := twigjoin.CountPattern(idx, big)
 	if subTruth == 0 || bigTruth == 0 {
 		t.Skip("workload patterns do not occur")
 	}
@@ -141,7 +141,7 @@ func TestFeedbackIgnoresExactEstimates(t *testing.T) {
 	tuner, tree, dict := setup(t)
 	// In-lattice pattern: estimate is already exact, feedback is a no-op.
 	q := labeltree.MustParsePattern("movie(actor)", dict)
-	truth := match.NewCounter(tree).Count(q)
+	truth := twigjoin.CountPattern(twigjoin.NewIndex(tree), q)
 	tuner.Feedback(q, truth)
 	if tuner.Corrections() != 0 {
 		t.Fatal("stored a correction for an exact estimate")
@@ -151,7 +151,7 @@ func TestFeedbackIgnoresExactEstimates(t *testing.T) {
 func TestFeedbackRefreshesExistingCorrection(t *testing.T) {
 	tuner, tree, dict := setup(t)
 	q := labeltree.MustParsePattern("movie(actor(name),keyword,genre)", dict)
-	truth := match.NewCounter(tree).Count(q)
+	truth := twigjoin.CountPattern(twigjoin.NewIndex(tree), q)
 	if truth == 0 || tuner.Estimate(q) == float64(truth) {
 		t.Skip("query unusable for refresh test")
 	}

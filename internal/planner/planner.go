@@ -173,10 +173,15 @@ func anchorPath(p labeltree.Pattern, i int32) labeltree.Pattern {
 	return labeltree.PathPattern(labels...)
 }
 
-// Execute runs q under the plan and reports the matches with the work
-// performed.
+// Execute counts q's matches with the plan's bind order and reports the
+// work performed. A query the counter refuses (more than
+// twigjoin.MaxSiblingGroup same-label siblings) is counted by
+// enumeration.
 func Execute(x *twigjoin.Index, q twigjoin.Query, plan Plan) (int64, twigjoin.Stats) {
-	st := twigjoin.Enumerate(x, q, plan.Order, func(twigjoin.Match) bool { return true })
+	st, err := twigjoin.CountContext(nil, x, q, plan.Order, nil)
+	if err != nil {
+		st = twigjoin.Enumerate(x, q, plan.Order, func(twigjoin.Match) bool { return true })
+	}
 	return st.Matches, st
 }
 

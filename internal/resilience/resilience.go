@@ -9,7 +9,7 @@
 //   - Deadline: middleware attaching a per-endpoint context budget, so a
 //     single expensive query (the paper's Definition-1 exact count, a full
 //     document scan) cannot hold a connection forever. The kernels check
-//     their context cooperatively; see internal/match and
+//     their context cooperatively; see internal/twigjoin and
 //     internal/estimate.
 //   - Recover: middleware converting a handler panic into a 500 JSON
 //     envelope plus a counter, isolating the fault to the one request

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -30,10 +30,18 @@ func sampleDocs(t *testing.T) ([]*labeltree.Tree, *labeltree.Dict) {
 	return trees, dict
 }
 
+func indexes(trees []*labeltree.Tree) []*twigjoin.Index {
+	out := make([]*twigjoin.Index, len(trees))
+	for i, tr := range trees {
+		out[i] = twigjoin.NewIndex(tr)
+	}
+	return out
+}
+
 func exactCount(trees []*labeltree.Tree, q labeltree.Pattern) int64 {
 	var total int64
 	for _, tr := range trees {
-		total += match.NewCounter(tr).Count(q)
+		total += enumCount(twigjoin.NewIndex(tr), q)
 	}
 	return total
 }
@@ -43,7 +51,7 @@ func exactCount(trees []*labeltree.Tree, q labeltree.Pattern) int64 {
 // count.
 func TestExactWhenFullyProbed(t *testing.T) {
 	trees, dict := sampleDocs(t)
-	e, err := New(trees, Options{Probes: 1 << 20, Seed: 7})
+	e, err := New(indexes(trees), Options{Probes: 1 << 20, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +80,8 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := New(trees, Options{Probes: 5, Seed: 42})
-	b, _ := New(trees, Options{Probes: 5, Seed: 42})
+	a, _ := New(indexes(trees), Options{Probes: 5, Seed: 42})
+	b, _ := New(indexes(trees), Options{Probes: 5, Seed: 42})
 	va, err := a.EstimateContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +106,7 @@ func TestUnknownRootLabelZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := New(trees, Options{})
+	e, _ := New(indexes(trees), Options{})
 	got, err := e.EstimateContext(context.Background(), q)
 	if err != nil || got != 0 {
 		t.Fatalf("got (%v, %v), want (0, nil)", got, err)
@@ -116,13 +124,13 @@ func TestBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := New(trees, Options{Probes: 64, MaxNodes: 1, Seed: 1})
+	e, _ := New(indexes(trees), Options{Probes: 64, MaxNodes: 1, Seed: 1})
 	if _, err := e.EstimateContext(context.Background(), q); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("budget 1: got %v, want ErrBudgetExhausted", err)
 	}
 	// 25 nodes finish whichever lib comes first (≤20 visits) and die in the
 	// second: one completed probe still yields a scaled partial estimate.
-	partial, _ := New(trees, Options{Probes: 64, MaxNodes: 25, Seed: 1})
+	partial, _ := New(indexes(trees), Options{Probes: 64, MaxNodes: 25, Seed: 1})
 	got, err := partial.EstimateContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("partial budget: %v", err)
@@ -139,7 +147,7 @@ func TestCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := New(trees, Options{})
+	e, _ := New(indexes(trees), Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.EstimateContext(ctx, q); !errors.Is(err, context.Canceled) {
@@ -152,4 +160,10 @@ func TestEmptyCorpusRejected(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
 		t.Fatal("New(nil) must fail")
 	}
+}
+
+// enumCount counts p's matches by enumeration, independently of the
+// counter the code under test uses.
+func enumCount(x *twigjoin.Index, p labeltree.Pattern) int64 {
+	return twigjoin.Enumerate(x, twigjoin.MustQuery(p, nil), nil, func(twigjoin.Match) bool { return true }).Matches
 }

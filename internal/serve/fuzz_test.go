@@ -34,6 +34,7 @@ func FuzzQueryEndpoint(f *testing.F) {
 	f.Add("a((", uint8(3), true, false)
 	f.Add(strings.Repeat("a(", 64), uint8(0), false, false)
 	f.Add(`{"q":"//laptop","limit":5}`, uint8(0), false, false)
+	f.Add("//"+bigGroup, uint8(0), false, true)
 
 	f.Fuzz(func(t *testing.T, q string, limit uint8, naive, count bool) {
 		v := url.Values{"q": {q}}

@@ -146,6 +146,9 @@ func (h *Handler) runQuery(r *http.Request, sum *core.Summary, p queryParams) (*
 	if res.Degraded {
 		h.queryDegradedC.Inc()
 	}
+	if res.Fallback {
+		h.queryFallback.Inc()
+	}
 	if res.Calibration > 0 {
 		h.queryCalibration.Observe(res.Calibration)
 	}
@@ -249,7 +252,9 @@ func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // querySummary condenses the query-execution counters and the
-// calibration histogram for /v1/stats. A well-calibrated planner keeps
+// calibration histogram for /v1/stats; "fallback" counts the queries
+// counted by enumeration because the product counter is not exact for
+// them. A well-calibrated planner keeps
 // p50 near 1.0; drift in either direction says the lattice statistics
 // have diverged from the executor's real workload.
 func (h *Handler) querySummary() map[string]any {
@@ -257,6 +262,7 @@ func (h *Handler) querySummary() map[string]any {
 	return map[string]any{
 		"executed":            h.queries.Value(),
 		"degraded":            h.queryDegradedC.Value(),
+		"fallback":            h.queryFallback.Value(),
 		"candidates":          h.queryCandidates.Value(),
 		"calibrated":          snap.Count,
 		"calibration_p50":     snap.P50,

@@ -11,6 +11,7 @@ import (
 
 	"treelattice/internal/corpus"
 	"treelattice/internal/obs"
+	"treelattice/internal/twigjoin"
 )
 
 const doc = `<computer><laptops><laptop><brand/><price/></laptop><laptop><brand/><price/></laptop></laptops></computer>`
@@ -141,6 +142,10 @@ func TestErrors(t *testing.T) {
 }
 
 // TestErrorCodes pins the machine-readable code per failure class.
+// bigGroup is laptop with one more brand child than
+// twigjoin.MaxSiblingGroup allows.
+var bigGroup = "laptop(" + strings.TrimSuffix(strings.Repeat("brand,", twigjoin.MaxSiblingGroup+1), ",") + ")"
+
 func TestErrorCodes(t *testing.T) {
 	srv, _ := newServer(t)
 	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
@@ -156,6 +161,11 @@ func TestErrorCodes(t *testing.T) {
 		{"POST", "/v1/docs/bad", "<a><b>", "bad_document"},
 		{"POST", "/v1/docs/a%0Ab", "<a/>", "bad_document"},
 		{"DELETE", "/v1/docs/missing", "", "not_found"},
+		// More same-label siblings than the counter's subset DP allows.
+		{"GET", "/v1/exact?q=" + bigGroup, "", "bad_query"},
+		{"GET", "/v1/query?count=1&q=//" + bigGroup, "", "bad_query"},
+		{"GET", "/v1/query?q=//" + bigGroup, "", "bad_query"},
+		{"GET", "/v1/estimate?method=sampling&q=" + bigGroup, "", "bad_query"},
 	} {
 		_, out := do(t, tc.method, srv.URL+tc.path, tc.body)
 		if got, _ := out["code"].(string); got != tc.wantCode {

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -40,7 +40,7 @@ func TestHistogramsBeatAveragesOnFigure11(t *testing.T) {
 	tr, dict := figure11Doc(t)
 	s := Build(tr, Options{})
 	q := labeltree.MustParsePattern("b(c,c)", dict)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	got := s.Estimate(q)
 	if math.Abs(got-truth) > 1e-9 {
 		t.Fatalf("Estimate = %v, want exact %v (histogram second moment)", got, truth)
@@ -52,14 +52,14 @@ func TestSingleEdgeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := treetest.RandomTree(rng, 300, alphabet, dict)
 	s := Build(tr, Options{})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, a := range alphabet {
 		if got := s.Estimate(labeltree.SingleNode(a)); got != float64(tr.LabelCount(a)) {
 			t.Fatalf("label count mismatch: %v", got)
 		}
 		for _, b := range alphabet {
 			q := labeltree.PathPattern(a, b)
-			want := float64(counter.Count(q))
+			want := float64(twigjoin.CountPattern(idx, q))
 			if got := s.Estimate(q); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("edge %v/%v: %v != %v", a, b, got, want)
 			}
@@ -74,7 +74,7 @@ func TestDuplicateSiblingsExactPerLabel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := treetest.RandomTree(rng, 200, alphabet, dict)
 	s := Build(tr, Options{})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	a, b := alphabet[0], alphabet[1]
 	for m := 1; m <= 4; m++ {
 		labels := []labeltree.LabelID{a}
@@ -84,7 +84,7 @@ func TestDuplicateSiblingsExactPerLabel(t *testing.T) {
 			parents = append(parents, 0)
 		}
 		q := labeltree.MustPattern(labels, parents)
-		want := float64(counter.Count(q))
+		want := float64(twigjoin.CountPattern(idx, q))
 		got := s.Estimate(q)
 		if math.Abs(got-want) > 1e-6*math.Max(1, want) {
 			t.Fatalf("m=%d: %v != %v", m, got, want)
@@ -127,7 +127,7 @@ func TestBucketCap(t *testing.T) {
 		t.Fatalf("capped estimate = %v", got)
 	}
 	// Totals drift under capping but stay the right order of magnitude.
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	if got < truth/3 || got > truth*3 {
 		t.Fatalf("capped estimate %v too far from %v", got, truth)
 	}
@@ -137,7 +137,7 @@ func TestDeepQuerySanity(t *testing.T) {
 	tr, dict := figure11Doc(t)
 	s := Build(tr, Options{})
 	q := labeltree.MustParsePattern("r(b(c,c),b(c))", dict)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	got := s.Estimate(q)
 	if got <= 0 || math.IsNaN(got) {
 		t.Fatalf("estimate = %v (true %v)", got, truth)

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -43,10 +43,10 @@ func TestExactWhenBudgetGenerous(t *testing.T) {
 	// count-stable partition and simple label/edge counts are exact.
 	tr, dict := figure11Doc(t)
 	syn := Build(tr, Options{BudgetBytes: 1 << 20})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, qs := range []string{"b", "c", "r(b)", "b(c)", "r(b(c))"} {
 		q := labeltree.MustParsePattern(qs, dict)
-		want := float64(counter.Count(q))
+		want := float64(twigjoin.CountPattern(idx, q))
 		if got := syn.Estimate(q); math.Abs(got-want) > 1e-9 {
 			t.Errorf("Estimate(%s) = %v, want %v", qs, got, want)
 		}
@@ -64,7 +64,7 @@ func TestAverageMultiplicationError(t *testing.T) {
 		t.Fatalf("budget did not force merging: %d nodes", syn.Nodes())
 	}
 	q := labeltree.MustParsePattern("b(c,c)", dict)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	if truth != 38 {
 		t.Fatalf("true count = %v, want 38", truth)
 	}
@@ -126,11 +126,11 @@ func TestEdgeTotalsPreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := treetest.RandomTree(rng, 500, alphabet, dict)
 	syn := Build(tr, Options{BudgetBytes: 400})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, a := range tr.DistinctLabels() {
 		for _, b := range tr.DistinctLabels() {
 			q := labeltree.PathPattern(a, b)
-			want := float64(counter.Count(q))
+			want := float64(twigjoin.CountPattern(idx, q))
 			if got := syn.Estimate(q); math.Abs(got-want) > 1e-6*math.Max(1, want) {
 				t.Fatalf("pair %s/%s: %v != %v", dict.Name(a), dict.Name(b), got, want)
 			}
@@ -144,7 +144,7 @@ func TestRecursiveSchema(t *testing.T) {
 	tr, dict := parseDoc(t, `<a><a><a><b/></a><b/></a><b/></a>`)
 	syn := Build(tr, Options{})
 	q := labeltree.MustParsePattern("a(a(b))", dict)
-	want := float64(match.NewCounter(tr).Count(q))
+	want := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	if got := syn.Estimate(q); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Estimate = %v, want %v", got, want)
 	}

@@ -30,35 +30,16 @@ func ExampleEnumerate() {
 	// Output: 2 matches
 }
 
-// ExampleCountPath counts a descendant-axis path in O(n·k) without
-// enumerating the (possibly huge) set of path solutions.
-func ExampleCountPath() {
+// ExampleCount counts matches without enumerating them: six b children
+// give 6·5·4 = 120 injective matches of a(b,b,b).
+func ExampleCount() {
 	dict := labeltree.NewDict()
 	tree, err := xmlparse.Parse(strings.NewReader(
-		`<a><x><b><b><c/></b></b></x></a>`), dict, xmlparse.Options{})
+		`<a><b/><b/><b/><b/><b/><b/></a>`), dict, xmlparse.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	x := twigjoin.NewIndex(tree)
-	a, _ := dict.Lookup("a")
-	b, _ := dict.Lookup("b")
-	c, _ := dict.Lookup("c")
-	// a//b//c: the c leaf pairs with either of the two nested b's.
-	fmt.Println(twigjoin.CountPath(x, []labeltree.LabelID{a, b, c}, twigjoin.Descendant))
-	// Output: 2
-}
-
-// ExampleAnswers selects the answer nodes of a query under XPath's
-// existential semantics, in document order.
-func ExampleAnswers() {
-	dict := labeltree.NewDict()
-	tree, err := xmlparse.Parse(strings.NewReader(
-		`<r><a><b/></a><a/><a><b/></a></r>`), dict, xmlparse.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	x := twigjoin.NewIndex(tree)
-	q := twigjoin.MustParseQuery("//a(b)", dict)
-	fmt.Println(len(twigjoin.Answers(x, q)), "answer nodes")
-	// Output: 2 answer nodes
+	fmt.Println(twigjoin.Count(x, twigjoin.MustParseQuery("//a(b,b,b)", dict)))
+	// Output: 120
 }

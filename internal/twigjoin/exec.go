@@ -23,7 +23,7 @@ type Match []int32
 type Stats struct {
 	// Candidates is the number of data nodes considered for binding.
 	Candidates int64
-	// Matches is the number of tuples produced.
+	// Matches is the number of matches produced or counted.
 	Matches int64
 }
 
@@ -106,40 +106,15 @@ func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32,
 	return e.stats, e.err
 }
 
-// Count counts all matches of q.
-func Count(x *Index, q Query) int64 {
-	st := Enumerate(x, q, nil, func(Match) bool { return true })
-	return st.Matches
-}
-
-// CountContext counts all matches of q under cooperative cancellation and
-// an optional shared node budget, returning the partial count with the
-// stop reason when truncated.
-func CountContext(ctx context.Context, x *Index, q Query, bindOrder []int32, nodeBudget *int64) (Stats, error) {
-	return EnumerateContext(ctx, x, q, bindOrder, nodeBudget, func(Match) bool { return true })
-}
-
 // budgetPollInterval is how many candidate visits pass between context
 // polls in budgeted executions. Each visit does at worst a bitmap probe
 // and a recursion step, so 256 visits bound the post-cancellation overrun
 // to well under a millisecond.
 const budgetPollInterval = 256
 
-// CountAnchoredContext counts the matches of q whose root binds exactly
-// to the data node root, under a cooperative budget: the execution polls
-// ctx every budgetPollInterval candidate visits, and when nodeBudget is
-// non-nil it is decremented per candidate visit and the execution stops
-// with ErrNodeBudget once it reaches zero. The budget is shared across
-// calls through the pointer, so a sampler can spread one budget over many
-// probes. A root whose label does not match q's root counts zero matches
-// without consuming budget.
-func CountAnchoredContext(ctx context.Context, x *Index, q Query, root int32, nodeBudget *int64) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if x.tree.Label(root) != q.Pattern.Label(0) {
-		return 0, nil
-	}
+// enumerateAnchored counts by enumeration the matches of q whose root
+// binds to root: the fallback of Counter.CountAnchoredContext.
+func enumerateAnchored(ctx context.Context, x *Index, q Query, root int32, nodeBudget *int64) (int64, error) {
 	scratch := acquireScratch(q.Pattern.Size(), x.tree.Size())
 	defer releaseScratch(scratch)
 	for i := range scratch.order {
@@ -148,7 +123,7 @@ func CountAnchoredContext(ctx context.Context, x *Index, q Query, root int32, no
 	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget}
 	scratch.assigned[0] = root
 	e.mark(root)
-	e.run(1, func(Match) bool { return true })
+	e.run(1, keepGoing)
 	return e.stats.Matches, e.err
 }
 
@@ -212,26 +187,11 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 		return
 	}
 	qn := e.order[depth]
-	label := e.q.Pattern.Label(qn)
 	var candidates []int32
 	if par := e.q.Pattern.Parent(qn); par < 0 {
-		if e.q.Axes[qn] == Child {
-			// Anchored at the document root.
-			if e.x.tree.Label(0) == label {
-				candidates = e.x.rootSelf(label)
-			}
-		} else {
-			candidates = e.x.Stream(label)
-		}
+		candidates = e.x.roots(e.q)
 	} else {
-		pv := e.scratch.assigned[par]
-		if e.q.Axes[qn] == Child {
-			candidates = e.x.ChildrenByLabel(pv, label)
-		} else {
-			// Descendant step: region-containment range probe within
-			// (start(pv), end(pv)).
-			candidates = e.x.DescendantsByLabel(pv, label)
-		}
+		candidates = e.x.probe(e.x.regions[e.q.Pattern.Label(qn)], e.scratch.assigned[par], e.q.Axes[qn])
 	}
 	for _, v := range candidates {
 		e.stats.Candidates++
@@ -261,26 +221,4 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 			return
 		}
 	}
-}
-
-// rootSelf returns the one-element candidate list holding the document
-// root, without allocating: the root is always the first entry of its
-// label's region list.
-func (x *Index) rootSelf(label labeltree.LabelID) []int32 {
-	r := x.regions[label]
-	if r == nil || len(r.nodes) == 0 || r.nodes[0] != 0 {
-		return nil
-	}
-	return r.nodes[:1]
-}
-
-// EstimatedFirstMatch returns the first match in the deterministic order,
-// or nil if the query has none; a convenience for EXISTS-style checks.
-func EstimatedFirstMatch(x *Index, q Query) Match {
-	var got Match
-	Enumerate(x, q, nil, func(m Match) bool {
-		got = append(Match(nil), m...)
-		return false
-	})
-	return got
 }

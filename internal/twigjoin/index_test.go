@@ -76,8 +76,10 @@ func TestDescendantsByLabelAgainstWalk(t *testing.T) {
 	}
 }
 
-// TestExecZeroAlloc gates the executor fast path: index probes and whole
-// enumerations over a warmed scratch pool must not allocate.
+// TestExecZeroAlloc gates the executor fast paths: index probes and a
+// prepared Counter, on child and descendant queries without same-label
+// siblings, allocate nothing; neither does enumeration over a warmed
+// scratch pool, which is checked only without -race (see raceEnabled).
 func TestExecZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dict, labels := treetest.Alphabet(3)
@@ -93,6 +95,25 @@ func TestExecZeroAlloc(t *testing.T) {
 	}
 
 	var sink int64
+	ctx := context.Background()
+	for _, src := range []string{"//l0(l1,l2(l0))", "/l0(//l1,//l2)"} {
+		c, err := NewCounter(MustParseQuery(src, dict), nil)
+		if err != nil || c.Fallback() {
+			t.Fatalf("%s: counter %v, fallback %v", src, err, c != nil && c.Fallback())
+		}
+		budget := int64(1 << 40)
+		if n := testing.AllocsPerRun(50, func() {
+			st, _ := c.CountContext(ctx, x, &budget)
+			n, _ := c.CountAnchoredContext(ctx, x, 0, &budget)
+			sink += st.Matches + n
+		}); n != 0 {
+			t.Fatalf("Counter on %s allocates: %v allocs/op", src, n)
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
 	emit := func(Match) bool { return true }
 	Enumerate(x, q, nil, emit) // warm the scratch pool
 	if n := testing.AllocsPerRun(50, func() {
@@ -104,7 +125,7 @@ func TestExecZeroAlloc(t *testing.T) {
 
 	order := []int32{0, 2, 1}
 	if n := testing.AllocsPerRun(50, func() {
-		st, _ := EnumerateContext(context.Background(), x, q, order, nil, emit)
+		st, _ := EnumerateContext(ctx, x, q, order, nil, emit)
 		sink += st.Matches
 	}); n != 0 {
 		t.Fatalf("EnumerateContext allocates: %v allocs/op", n)

@@ -1,6 +1,7 @@
 package twigjoin
 
 import (
+	"maps"
 	"sync"
 
 	"treelattice/internal/labeltree"
@@ -48,6 +49,17 @@ func (ix *Indexer) ForAll(trees []*labeltree.Tree) []*Index {
 		out[i] = ix.For(t)
 	}
 	return out
+}
+
+// Retain drops the index of every tree not in live.
+func (ix *Indexer) Retain(live []*labeltree.Tree) {
+	keep := make(map[*labeltree.Tree]bool, len(live))
+	for _, t := range live {
+		keep[t] = true
+	}
+	ix.mu.Lock()
+	maps.DeleteFunc(ix.m, func(t *labeltree.Tree, _ *Index) bool { return !keep[t] })
+	ix.mu.Unlock()
 }
 
 // Len reports how many documents are indexed.

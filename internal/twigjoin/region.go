@@ -1,9 +1,11 @@
-// Package twigjoin executes twig queries against data trees: where
-// internal/match only counts, this engine produces the actual match
-// tuples — the output whose cardinality TreeLattice estimates. It is the
-// substrate the paper's motivation presumes ("determining an optimal
-// query plan, based on said estimates"): internal/planner chooses
-// evaluation orders over this engine using TreeLattice estimates.
+// Package twigjoin executes and counts twig queries against data trees.
+// It enumerates the actual match tuples, and it counts them without
+// enumeration — the selectivity TreeLattice estimates, and the ground
+// truth the miner, the exact-count endpoint and the experiments rely on.
+// It is the substrate the paper's motivation presumes ("determining an
+// optimal query plan, based on said estimates"): internal/planner
+// chooses evaluation orders over this engine using TreeLattice
+// estimates.
 //
 // The engine supports both structural axes of twig queries:
 //
@@ -207,7 +209,10 @@ func searchAtOrAbove(starts []int32, v int32) int {
 // binary-searched range probe for starts in (start(i), end(i)). The
 // result must not be modified; iteration allocates nothing.
 func (x *Index) DescendantsByLabel(i int32, label labeltree.LabelID) []int32 {
-	r := x.regions[label]
+	return x.descendants(x.regions[label], i)
+}
+
+func (x *Index) descendants(r *labelRegions, i int32) []int32 {
 	if r == nil {
 		return nil
 	}
@@ -224,7 +229,10 @@ func (x *Index) DescendantsByLabel(i int32, label labeltree.LabelID) []int32 {
 // of walking i's child list. The result must not be modified; iteration
 // allocates nothing.
 func (x *Index) ChildrenByLabel(i int32, label labeltree.LabelID) []int32 {
-	r := x.regions[label]
+	return x.children(x.regions[label], i)
+}
+
+func (x *Index) children(r *labelRegions, i int32) []int32 {
 	if r == nil {
 		return nil
 	}
@@ -237,4 +245,27 @@ func (x *Index) ChildrenByLabel(i int32, label labeltree.LabelID) []int32 {
 	lo := searchAbove(starts, x.start[i])
 	hi := searchAtOrAbove(starts[lo:], x.end[i]) + lo
 	return r.levNodes[int(r.levOff[k])+lo : int(r.levOff[k])+hi]
+}
+
+// probe returns the nodes of r's label in the given axis relation below
+// v: its children or its descendants.
+func (x *Index) probe(r *labelRegions, v int32, axis Axis) []int32 {
+	if axis == Child {
+		return x.children(r, v)
+	}
+	return x.descendants(r, v)
+}
+
+// roots returns the candidates for q's root: the document root alone when
+// q is anchored there, else the root label's whole stream.
+func (x *Index) roots(q Query) []int32 {
+	label := q.Pattern.Label(0)
+	if q.Axes[0] == Descendant {
+		return x.Stream(label)
+	}
+	// The document root is always the first entry of its label's list.
+	if r := x.regions[label]; r != nil && r.nodes[0] == 0 {
+		return r.nodes[:1]
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
 	"treelattice/internal/xmlparse"
 )
@@ -100,7 +99,7 @@ func TestIndexStreamsInDocumentOrder(t *testing.T) {
 }
 
 func TestChildOnlyMatchesMatchCounter(t *testing.T) {
-	// The execution engine and the DP counter must agree exactly on
+	// The counter, enumeration and the reference DP must agree exactly on
 	// child-axis queries (Definition 1).
 	dict, alphabet := treetest.Alphabet(3)
 	rng := rand.New(rand.NewSource(21))
@@ -108,12 +107,14 @@ func TestChildOnlyMatchesMatchCounter(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		tr := treetest.RandomTree(rng, 2+rng.Intn(60), alphabet, dict)
 		x := NewIndex(tr)
-		counter := match.NewCounter(tr)
 		p := treetest.RandomPattern(rng, 1+rng.Intn(5), alphabet)
 		q := MustQuery(p, nil)
-		want := counter.Count(p)
+		want := refCount(tr, p)
 		if got := Count(x, q); got != want {
-			t.Fatalf("trial %d: twigjoin=%d matcher=%d for %s", trial, got, want, p.String(dict))
+			t.Fatalf("trial %d: counter=%d reference=%d for %s", trial, got, want, p.String(dict))
+		}
+		if got := Enumerate(x, q, nil, keepGoing).Matches; got != want {
+			t.Fatalf("trial %d: enumeration=%d reference=%d for %s", trial, got, want, p.String(dict))
 		}
 		if want > 0 {
 			positives++
@@ -142,7 +143,10 @@ func TestDescendantAxisAgainstBrute(t *testing.T) {
 		q := MustQuery(p, axes)
 		want := bruteDescendant(x, q)
 		if got := Count(x, q); got != want {
-			t.Fatalf("trial %d: engine=%d brute=%d for %s", trial, got, want, q.String(dict))
+			t.Fatalf("trial %d: counter=%d brute=%d for %s", trial, got, want, q.String(dict))
+		}
+		if got := Enumerate(x, q, nil, keepGoing).Matches; got != want {
+			t.Fatalf("trial %d: enumeration=%d brute=%d for %s", trial, got, want, q.String(dict))
 		}
 		if want > 0 {
 			positives++
@@ -215,12 +219,6 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	if calls != 2 || st.Matches != 2 {
 		t.Fatalf("calls=%d matches=%d, want 2", calls, st.Matches)
 	}
-	if m := EstimatedFirstMatch(x, q); m == nil {
-		t.Fatal("no first match")
-	}
-	if m := EstimatedFirstMatch(x, MustParseQuery("//zzz", dict)); m != nil {
-		t.Fatal("first match for impossible query")
-	}
 }
 
 func TestBindOrderValidation(t *testing.T) {
@@ -272,40 +270,6 @@ func TestNewQueryValidation(t *testing.T) {
 	p := labeltree.MustParsePattern("a(b)", dict)
 	if _, err := NewQuery(p, []Axis{Descendant}); err == nil {
 		t.Fatal("wrong axes length accepted")
-	}
-}
-
-func TestCountPathAgainstEnumerate(t *testing.T) {
-	dict, alphabet := treetest.Alphabet(3)
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 150; trial++ {
-		tr := treetest.RandomTree(rng, 2+rng.Intn(80), alphabet, dict)
-		x := NewIndex(tr)
-		k := 1 + rng.Intn(4)
-		labels := make([]labeltree.LabelID, k)
-		for i := range labels {
-			labels[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		for _, axis := range []Axis{Child, Descendant} {
-			p := labeltree.PathPattern(labels...)
-			axes := make([]Axis, k)
-			axes[0] = Descendant
-			for i := 1; i < k; i++ {
-				axes[i] = axis
-			}
-			want := Count(x, MustQuery(p, axes))
-			if got := CountPath(x, labels, axis); got != want {
-				t.Fatalf("trial %d axis %v: CountPath=%d enumerate=%d", trial, axis, got, want)
-			}
-		}
-	}
-}
-
-func TestCountPathEmpty(t *testing.T) {
-	tr, _ := parseDoc(t, `<a/>`)
-	x := NewIndex(tr)
-	if got := CountPath(x, nil, Descendant); got != 0 {
-		t.Fatalf("empty path count = %d", got)
 	}
 }
 

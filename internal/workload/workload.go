@@ -14,12 +14,13 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
+	"treelattice/internal/twigjoin"
 )
 
 // Query is a workload entry with its ground-truth selectivity.
@@ -53,7 +54,7 @@ func Positive(t *labeltree.Tree, opts Options) (map[int][]Query, error) {
 		maxAttempts = 200 * opts.PerSize
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	counter := match.NewCounter(t)
+	x := twigjoin.NewIndex(t)
 	out := make(map[int][]Query, len(opts.Sizes))
 	for _, size := range opts.Sizes {
 		if size < 1 {
@@ -74,7 +75,10 @@ func Positive(t *labeltree.Tree, opts Options) (map[int][]Query, error) {
 			seen[key] = true
 			patterns = append(patterns, p)
 		}
-		counts := counter.CountAll(patterns)
+		counts, err := twigjoin.CountAllContext(context.Background(), x, patterns, 0)
+		if err != nil {
+			return nil, err
+		}
 		for i, p := range patterns {
 			if counts[i] == 0 {
 				// Cannot happen for grown patterns; defensive.
@@ -190,14 +194,14 @@ func FromLattice(t *labeltree.Tree, miner func(level int) ([]labeltree.Pattern, 
 // frequency-weighted label perturbation.
 func Negative(t *labeltree.Tree, positive map[int][]Query, opts Options) (map[int][]Query, error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	counter := match.NewCounter(t)
+	x := twigjoin.NewIndex(t)
 	// Frequency-weighted label sampler.
 	labels := t.DistinctLabels()
 	sort.Slice(labels, func(a, b int) bool { return labels[a] < labels[b] })
 	cum := make([]int, len(labels))
 	total := 0
 	for i, l := range labels {
-		total += t.LabelCount(l)
+		total += len(x.Stream(l))
 		cum[i] = total
 	}
 	pickLabel := func() labeltree.LabelID {
@@ -234,7 +238,7 @@ func Negative(t *labeltree.Tree, positive map[int][]Query, opts Options) (map[in
 				continue
 			}
 			seen[key] = true
-			if counter.Count(mutated) != 0 {
+			if twigjoin.CountPattern(x, mutated) != 0 {
 				continue
 			}
 			negs = append(negs, Query{Pattern: mutated, TrueCount: 0})

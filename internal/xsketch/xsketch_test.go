@@ -8,8 +8,8 @@ import (
 
 	"treelattice/internal/datagen"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/treetest"
+	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -37,10 +37,10 @@ func TestExactWhenFullyStable(t *testing.T) {
 	if syn.StableFraction() != 1 {
 		t.Fatalf("stable fraction = %v, want 1", syn.StableFraction())
 	}
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	for _, qs := range []string{"a", "a(b)", "a(b(c))", "r(a(b(c)))"} {
 		q := labeltree.MustParsePattern(qs, dict)
-		want := float64(counter.Count(q))
+		want := float64(twigjoin.CountPattern(idx, q))
 		if got := syn.Estimate(q); math.Abs(got-want) > 1e-9 {
 			t.Errorf("Estimate(%s) = %v, want %v", qs, got, want)
 		}
@@ -100,7 +100,7 @@ func TestInstabilityDegradesBranchingQueries(t *testing.T) {
 	tr, dict := parseDoc(t, sb.String())
 	syn := Build(tr, Options{BudgetBytes: 60})
 	q := labeltree.MustParsePattern("b(c,c)", dict)
-	truth := float64(match.NewCounter(tr).Count(q))
+	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	got := syn.Estimate(q)
 	if got == truth {
 		t.Fatalf("tight-budget estimate unexpectedly exact (%v)", got)
@@ -124,9 +124,9 @@ func TestOnXMarkSanity(t *testing.T) {
 		t.Fatal(err)
 	}
 	syn := Build(tr, Options{BudgetBytes: 8 << 10})
-	counter := match.NewCounter(tr)
+	idx := twigjoin.NewIndex(tr)
 	q := labeltree.MustParsePattern("open_auction(bidder(date))", dict)
-	truth := float64(counter.Count(q))
+	truth := float64(twigjoin.CountPattern(idx, q))
 	got := syn.Estimate(q)
 	if truth > 0 && (got <= 0 || math.IsNaN(got) || math.IsInf(got, 0)) {
 		t.Fatalf("estimate = %v for true %v", got, truth)

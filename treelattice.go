@@ -23,7 +23,8 @@
 //
 //   - internal/labeltree: tree and twig-pattern model
 //   - internal/xmlparse: XML ↔ tree conversion
-//   - internal/match: exact match counting (ground truth)
+//   - internal/twigjoin: region index, twig execution and exact match
+//     counting (ground truth)
 //   - internal/mine: frequent subtree mining (summary construction)
 //   - internal/lattice: the lattice summary store
 //   - internal/estimate: the decomposition estimators and δ-pruning
@@ -39,7 +40,6 @@ import (
 
 	"treelattice/internal/core"
 	"treelattice/internal/labeltree"
-	"treelattice/internal/match"
 	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 	"treelattice/internal/xpath"
@@ -129,8 +129,10 @@ func BuildForestContext(ctx context.Context, trees []*Tree, opts BuildOptions) (
 func ReadSummary(r io.Reader, dict *Dict) (*Summary, error) { return core.Read(r, dict) }
 
 // ExactCount returns the true selectivity of q in t (Definition 1 of the
-// paper), by exact counting rather than estimation.
-func ExactCount(t *Tree, q Pattern) int64 { return match.NewCounter(t).Count(q) }
+// paper), by exact counting rather than estimation. It builds a region
+// index of t per call; index once with NewIndex and count with
+// CountMatches to count many queries.
+func ExactCount(t *Tree, q Pattern) int64 { return twigjoin.CountPattern(twigjoin.NewIndex(t), q) }
 
 // Execution-side types, re-exported: compile XPath to twig queries, index
 // a document, and enumerate actual matches (see internal/twigjoin and
@@ -154,6 +156,6 @@ func CompileXPath(expr string, dict *Dict, valueBuckets int) (TwigQuery, error) 
 	return xpath.Compile(expr, dict, xpath.Options{ValueBuckets: valueBuckets})
 }
 
-// CountMatches executes q against an indexed document and returns the
-// exact number of matches.
+// CountMatches counts the matches of q in an indexed document, without
+// enumerating them where the product counter is exact.
 func CountMatches(x *Index, q TwigQuery) int64 { return twigjoin.Count(x, q) }
