@@ -248,7 +248,7 @@ func registerResilienceFlags(fs *flag.FlagSet, r *serve.ResilienceOptions) {
 	fs.DurationVar(&r.ExactBudget, "exact-budget", 0, "deadline for /v1/exact (0 = none)")
 	fs.DurationVar(&r.BuildBudget, "build-budget", 0, "deadline for document uploads (0 = none)")
 	fs.DurationVar(&r.QueryBudget, "query-budget", 0, "deadline for /v1/query twig executions (0 = none)")
-	fs.Int64Var(&r.QueryNodeBudget, "query-node-budget", 0, "max candidate nodes one /v1/query execution may visit; exhaustion returns a partial count marked degraded (0 = unlimited)")
+	fs.Int64Var(&r.QueryNodeBudget, "query-node-budget", 0, "max candidate nodes (plus same-label sibling DP steps) one /v1/query execution may visit; exhaustion returns a partial count marked degraded (0 = unlimited)")
 	fs.BoolVar(&r.DisableFallback, "no-degrade", false, "return 504 instead of degrading estimates to a cheaper method on blown budgets")
 	fs.IntVar(&r.TenantQuota, "tenant-quota", 0, "max concurrent estimates per tenant on the /v1/t routes; excess sheds with 429 (0 = unlimited)")
 	fs.DurationVar(&r.ShardTimeout, "shard-timeout", 0, "per-shard responsiveness deadline on sharded tenants; a shard missing it is excluded and the answer degrades (0 = request deadline only)")
