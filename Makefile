@@ -1,12 +1,14 @@
 # Stdlib-only Go module; no codegen. `make check` is the full gate the
-# test suite is expected to pass, including the race detector (the
-# concurrent build pipeline and the HTTP server are exercised under -race),
-# a short pass over each fuzz target's seed corpus, and the benchmark
-# module in perfbench/ (its own go.mod), so an API change that breaks the
-# benchmark's build fails here rather than in a benchmark run. `make bench` is
-# the serving-path load benchmark — deliberately outside the check gate:
-# it measures, it does not pass/fail. `make fuzz` runs the coverage-guided
-# fuzzers for FUZZTIME each (longer runs: make fuzz FUZZTIME=5m).
+# test suite is expected to pass: gofmt over every tracked Go file, vet,
+# build, the race detector (the concurrent build pipeline and the HTTP
+# server are exercised under -race), a short pass over each fuzz target's
+# seed corpus, and the benchmark module in perfbench/ (its own go.mod),
+# so an API change that breaks the benchmark's build fails here rather
+# than in a benchmark run. `make bench` records the serving benchmark
+# (perfbench) and `make benchcore` the layer benchmarks — deliberately
+# outside the check gate: they measure. `make fuzz` runs the
+# coverage-guided fuzzers for FUZZTIME each (longer runs: make fuzz
+# FUZZTIME=5m).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -24,9 +26,9 @@ FUZZ_TARGETS = \
 	./internal/twigjoin:FuzzCount \
 	./internal/serve:FuzzQueryEndpoint
 
-.PHONY: check vet build test race fuzz fuzz-short perfbench bench benchcore microbench
+.PHONY: check fmt vet build test race fuzz fuzz-short perfbench bench benchcore microbench
 
-check: vet build race fuzz-short perfbench
+check: fmt vet build race fuzz-short perfbench
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
@@ -40,6 +42,12 @@ fuzz:
 # on every previously interesting input checked into testdata.
 fuzz-short:
 	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/twigjoin ./internal/serve
+
+# fmt fails when gofmt would rewrite any tracked Go file.
+fmt:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	bad=$$(gofmt -l $$files); \
+	if [ -n "$$bad" ]; then echo "gofmt -l lists:"; echo "$$bad"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,37 +64,25 @@ race:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench seeds the serving perf trajectory: generate a synthetic corpus,
-# start an in-process server, drive a short closed-loop load run —
-# single-query, then the same workload batched 32 queries per POST
-# /v1/estimate/batch request — and write BENCH_serve.json (achieved
-# QPS, p50/p95/p99, server-side metrics, batched vs single throughput).
-# -methods all additionally sweeps every registered estimator in-process,
-# adding the accuracy×latency matrix (q-error vs exact counts, per-method
-# throughput, ensemble divergence counts) to the report. -tenants drives
-# the workload through the multi-tenant /v1/t routes. -backends reloads the summary through both snapshot
-# forms (frozen TLAT, compressed TLCZ) and adds the size×throughput
-# comparison. -ingest runs a mixed read/write pass — readers estimating
-# while a writer streams documents through the zero-downtime ingest
-# pipeline with sub-second refreezes — and adds its read latency and
-# write/backpressure counts. -query adds the plan-vs-naive twig
-# execution matrix over the four Table 3 profiles (candidate reduction,
-# p50 latency both ways, calibration) plus a served /v1/query count-only
-# mix over the full HTTP path. The report schema is regression-tested in
-# cmd/treelattice/loadbench_test.go.
+# bench records the serving benchmark of record: perfbench's estimate,
+# query and ingest workloads over seeds 1-5, one JSON line per run, in
+# BENCH_serve.jsonl (perfbench/README.md defines the workloads and
+# metrics). record appends, so the old record goes first. The spread
+# step prints each metric's median and quartile spread and fails when a
+# spread is over its BENCHMARK.json bound or a run was incorrect.
 bench:
-	$(GO) run ./cmd/treelattice loadbench -gen xmark -scale 20000 \
-		-duration 3s -warmup 500ms -seed 1 -batch 32 -methods all \
-		-tenants 2 -backends -ingest -query \
-		-out BENCH_serve.json
+	rm -f BENCH_serve.jsonl
+	python3 perfbench/benchcmp.py record --checkout . --out BENCH_serve.jsonl --seeds 1-5
+	python3 perfbench/benchcmp.py spread BENCH_serve.jsonl
 
-# benchcore is the build/estimate-path counterpart of `make bench`: it
-# runs the canonical-keying microbenchmarks (BenchmarkKey and the
-# pre-optimization string-encoder reference) plus the paper macro
-# benchmarks (Table 3 lattice construction, Figure 9 response time) and
+# benchcore is the layer-by-layer counterpart of `make bench`: it runs
+# the canonical-keying microbenchmarks (BenchmarkKey and the
+# pre-optimization string-encoder reference), the store probes, the
+# paper macro benchmarks (Table 3 lattice construction, Figure 9
+# response time per backend, cold and warm) and twig execution, and
 # writes BENCH_core.json with ns/op, B/op, and allocs/op per result.
 benchcore:
-	TWIG_BENCH_SCALE=2000 $(GO) run ./cmd/benchcore -benchtime 1s -out BENCH_core.json
+	$(GO) run ./cmd/benchcore -benchtime 1s -scale 2000 -out BENCH_core.json
 
 microbench:
 	$(GO) test -bench . -benchtime 1x ./...

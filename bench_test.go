@@ -11,6 +11,7 @@ package treelattice_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -231,69 +232,122 @@ func BenchmarkFigure8ErrorCDF(b *testing.B) {
 
 // ---- Figure 9: estimation response time ----
 
+// BenchmarkFigure9ResponseTime times one estimate per iteration over
+// the XMark positive workload of each size, cycling its queries.
+//
+// The lattice methods run on each store backend in two states, one row
+// per backend/state/method/size: cold rows share no cache across
+// estimates (each starts from an empty per-query memo), and warm rows
+// give the row its own SubCache, filled by one pass over the row's
+// queries before the timer starts. The document-backed methods run once
+// per size: treesketches on the suite's synopsis; markov, sampling and
+// ensemble through Summary.EstimateStrict with Prepare paid before the
+// timer, so the ensemble's recursive+voting half uses the summary's
+// shared cache as it does when serving. An estimate that exhausts its
+// budget is counted in exhausted/op instead of failing the benchmark.
 func BenchmarkFigure9ResponseTime(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
 	lat := e.Summary.Lattice()
-	ests := map[string]func(labeltree.Pattern) float64{
-		"recursive":        estimate.NewRecursive(lat, false).Estimate,
-		"recursive-voting": estimate.NewRecursive(lat, true).Estimate,
-		"fix-sized":        estimate.NewFixSized(lat).Estimate,
-		"treesketches":     e.Sketch.Estimate,
+	sizes := []int{4, 6, 8}
+	stores := []struct {
+		name string
+		st   estimate.Store
+	}{
+		{"map", lat},
+		{"frozen", lattice.Freeze(lat)},
+		{"compressed", lattice.Compress(lat)},
 	}
-	for _, name := range []string{"recursive", "recursive-voting", "fix-sized", "treesketches"} {
-		fn := ests[name]
-		for _, size := range []int{4, 6, 8} {
+	newEstimator := func(method core.Method, st estimate.Store, c *estimate.SubCache) estimate.Estimator {
+		if method == core.MethodFixSized {
+			return &estimate.FixSized{Sum: st, Cache: c}
+		}
+		return &estimate.Recursive{Sum: st, Voting: method == core.MethodRecursiveVoting, Cache: c}
+	}
+	for _, store := range stores {
+		for _, warm := range []bool{false, true} {
+			state := "cold"
+			if warm {
+				state = "warm"
+			}
+			for _, m := range core.Methods() {
+				for _, size := range sizes {
+					qs := e.Positive[size]
+					if len(qs) == 0 {
+						continue
+					}
+					b.Run(fmt.Sprintf("%s/%s/%s/size%d", store.name, state, m, size), func(b *testing.B) {
+						var cache *estimate.SubCache
+						if warm {
+							cache = estimate.NewSubCache(0)
+						}
+						est := newEstimator(m, store.st, cache)
+						if warm {
+							for _, q := range qs {
+								est.Estimate(q.Pattern)
+							}
+						}
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							est.Estimate(qs[i%len(qs)].Pattern)
+						}
+					})
+				}
+			}
+		}
+	}
+
+	for _, size := range sizes {
+		qs := e.Positive[size]
+		if len(qs) == 0 {
+			continue
+		}
+		b.Run(fmt.Sprintf("treesketches/size%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Sketch.Estimate(qs[i%len(qs)].Pattern)
+			}
+		})
+	}
+	ctx := context.Background()
+	for _, m := range []core.Method{core.MethodMarkov, core.MethodSampling, core.MethodEnsemble} {
+		for _, size := range sizes {
 			qs := e.Positive[size]
 			if len(qs) == 0 {
 				continue
 			}
-			b.Run(fmt.Sprintf("%s/size%d", name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					fn(qs[i%len(qs)].Pattern)
+			b.Run(fmt.Sprintf("%s/size%d", m, size), func(b *testing.B) {
+				// exhausts estimates q and reports whether it ran out of budget.
+				exhausts := func(q labeltree.Pattern) bool {
+					_, err := e.Summary.EstimateStrict(ctx, q, m)
+					if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
+						b.Fatal(err)
+					}
+					return err != nil
 				}
+				exhausts(qs[0].Pattern) // pays Prepare
+				exhausted := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if exhausts(qs[i%len(qs)].Pattern) {
+						exhausted++
+					}
+				}
+				b.ReportMetric(float64(exhausted)/float64(b.N), "exhausted/op")
 			})
 		}
 	}
 }
 
-// BenchmarkFrozenLookup compares point lookups on the map-backed summary
-// against the frozen read-optimized store over the same entries. The
-// frozen store's open-addressing probe over a flat arena should match or
-// beat the map on time and do zero allocations per lookup.
-func BenchmarkFrozenLookup(b *testing.B) {
-	e := benchEnv(b, datagen.NASA)
-	lat := e.Summary.Lattice()
-	frozen := lattice.Freeze(lat)
-	keys := make([]labeltree.Key, 0, lat.Len())
-	for _, entry := range lat.Entries(0) {
-		keys = append(keys, entry.Pattern.Key())
-	}
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := lat.CountKey(keys[i%len(keys)]); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("frozen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := frozen.CountKey(keys[i%len(keys)]); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-}
-
-// BenchmarkCompressedLookup compares point lookups across all three
-// store backends per dataset: the map-backed summary, the frozen
-// open-addressing store, and the compressed front-coded store. The
-// compressed rows also report the resident footprint and the
-// frozen/compressed compression ratio — the space×time trade the
-// compressed backend exists for. Both immutable stores must do zero
+// BenchmarkStoreLookup compares point lookups across the three store
+// backends per dataset over the same keys: the map-backed summary, the
+// frozen open-addressing store, and the compressed front-coded store.
+// The immutable stores also report their resident footprint, and the
+// compressed rows the frozen/compressed ratio — the space×time trade
+// the compressed backend exists for. Both immutable stores must do zero
 // allocations per lookup.
-func BenchmarkCompressedLookup(b *testing.B) {
+func BenchmarkStoreLookup(b *testing.B) {
 	for _, p := range datagen.AllProfiles() {
 		b.Run(string(p), func(b *testing.B) {
 			e := benchEnv(b, p)
@@ -304,94 +358,25 @@ func BenchmarkCompressedLookup(b *testing.B) {
 			for _, entry := range lat.Entries(0) {
 				keys = append(keys, entry.Pattern.Key())
 			}
-			b.Run("frozen", func(b *testing.B) {
+			lookup := func(b *testing.B, st estimate.Store) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, ok := frozen.CountKey(keys[i%len(keys)]); !ok {
+					if _, ok := st.CountKey(keys[i%len(keys)]); !ok {
 						b.Fatal("miss")
 					}
 				}
+			}
+			b.Run("map", func(b *testing.B) { lookup(b, lat) })
+			b.Run("frozen", func(b *testing.B) {
+				lookup(b, frozen)
 				b.ReportMetric(float64(frozen.ResidentBytes()), "resident-bytes")
 			})
 			b.Run("compressed", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, ok := comp.CountKey(keys[i%len(keys)]); !ok {
-						b.Fatal("miss")
-					}
-				}
+				lookup(b, comp)
 				b.ReportMetric(float64(comp.ResidentBytes()), "resident-bytes")
 				b.ReportMetric(float64(frozen.ResidentBytes())/float64(comp.ResidentBytes()), "compression-ratio")
 			})
 		})
-	}
-}
-
-// BenchmarkFigure9ResponseTimeFrozen is Figure 9 over the frozen store
-// with a warm shared sub-estimate cache per method — the serving-replica
-// configuration. Estimates are bit-identical to the map-backed rows (see
-// the differential tests); only the response time should move.
-func BenchmarkFigure9ResponseTimeFrozen(b *testing.B) {
-	e := benchEnv(b, datagen.XMark)
-	frozen := lattice.Freeze(e.Summary.Lattice())
-	ests := map[string]func(labeltree.Pattern) float64{
-		"recursive":        (&estimate.Recursive{Sum: frozen, Cache: estimate.NewSubCache(0)}).Estimate,
-		"recursive-voting": (&estimate.Recursive{Sum: frozen, Voting: true, Cache: estimate.NewSubCache(0)}).Estimate,
-		"fix-sized":        (&estimate.FixSized{Sum: frozen, Cache: estimate.NewSubCache(0)}).Estimate,
-	}
-	for _, name := range []string{"recursive", "recursive-voting", "fix-sized"} {
-		fn := ests[name]
-		for _, size := range []int{4, 6, 8} {
-			qs := e.Positive[size]
-			if len(qs) == 0 {
-				continue
-			}
-			// Warm the shared cache the way sustained serving traffic would.
-			for _, q := range qs {
-				fn(q.Pattern)
-			}
-			b.Run(fmt.Sprintf("%s/size%d", name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fn(qs[i%len(qs)].Pattern)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigure9ResponseTimeCompressed is Figure 9 over the compressed
-// store with a warm shared sub-estimate cache per method — the
-// byte-budgeted serving-replica configuration. Estimates stay
-// bit-identical to the map-backed and frozen rows (see the differential
-// tests); the compressed rows trade some lookup time for a 3×+ smaller
-// resident summary.
-func BenchmarkFigure9ResponseTimeCompressed(b *testing.B) {
-	e := benchEnv(b, datagen.XMark)
-	comp := lattice.Compress(e.Summary.Lattice())
-	ests := map[string]func(labeltree.Pattern) float64{
-		"recursive":        (&estimate.Recursive{Sum: comp, Cache: estimate.NewSubCache(0)}).Estimate,
-		"recursive-voting": (&estimate.Recursive{Sum: comp, Voting: true, Cache: estimate.NewSubCache(0)}).Estimate,
-		"fix-sized":        (&estimate.FixSized{Sum: comp, Cache: estimate.NewSubCache(0)}).Estimate,
-	}
-	for _, name := range []string{"recursive", "recursive-voting", "fix-sized"} {
-		fn := ests[name]
-		for _, size := range []int{4, 6, 8} {
-			qs := e.Positive[size]
-			if len(qs) == 0 {
-				continue
-			}
-			// Warm the shared cache the way sustained serving traffic would.
-			for _, q := range qs {
-				fn(q.Pattern)
-			}
-			b.Run(fmt.Sprintf("%s/size%d", name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fn(qs[i%len(qs)].Pattern)
-				}
-			})
-		}
 	}
 }
 

@@ -1,13 +1,16 @@
 // Command benchcore runs the core micro- and macro-benchmarks of the
 // build/estimate hot path — canonical keying (BenchmarkKey and its
-// pre-optimization reference), summary construction (Table 3), and
-// estimation response time (Figure 9) — and writes the parsed results to
-// a JSON report (BENCH_core.json). It starts the BENCH trajectory for
-// build/estimate costs alongside the serving-path BENCH_serve.json.
+// pre-optimization reference), summary construction (Table 3), store
+// probes, estimation response time (Figure 9) and twig execution — and
+// writes the parsed results to a JSON report (BENCH_core.json). It is
+// the layer-by-layer counterpart of the serving benchmark in perfbench/,
+// whose runs `make bench` records in BENCH_serve.jsonl.
 //
 // The tool shells out to `go test -bench` and parses the standard
 // benchmark output, so the numbers are exactly what a developer sees
-// running the benchmarks by hand.
+// running the benchmarks by hand. It fails when an alternative of the
+// -bench regexp matched no benchmark, so a renamed benchmark cannot
+// silently drop its rows from the report.
 package main
 
 import (
@@ -51,7 +54,7 @@ type Report struct {
 func main() {
 	out := flag.String("out", "BENCH_core.json", "output report path")
 	benchRe := flag.String("bench",
-		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkFrozenLookup$|BenchmarkFigure9ResponseTimeFrozen$|BenchmarkCompressedLookup$|BenchmarkFigure9ResponseTimeCompressed$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkPlanVsNaive$",
+		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkStoreLookup$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkPlanVsNaive$",
 		"go test -bench regexp")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (empty = go default)")
 	scale := flag.String("scale", "", "TWIG_BENCH_SCALE for the macro benchmarks (empty = package default)")
@@ -79,6 +82,15 @@ func main() {
 	results := parseBenchOutput(&stdout)
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchcore: no benchmark results parsed")
+		os.Exit(1)
+	}
+	missing, err := unmatched(*benchRe, results)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchcore: %v\n", err)
+		os.Exit(1)
+	}
+	if len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "benchcore: -bench alternatives matched no benchmark: %s\n", strings.Join(missing, ", "))
 		os.Exit(1)
 	}
 	report := Report{
@@ -157,4 +169,58 @@ func parseBenchLine(line string) (Result, bool) {
 		}
 	}
 	return res, seen
+}
+
+// unmatched returns the top-level alternatives of the -bench regexp
+// that match no result's top-level benchmark name. Like go test, it
+// splits the regexp at unbracketed slashes into per-level expressions;
+// the first level's unbracketed '|' separates the alternatives.
+func unmatched(benchRe string, results []Result) ([]string, error) {
+	var missing []string
+	for _, alt := range alternatives(benchRe) {
+		re, err := regexp.Compile(alt)
+		if err != nil {
+			return nil, fmt.Errorf("-bench alternative %q: %w", alt, err)
+		}
+		found := false
+		for _, r := range results {
+			top, _, _ := strings.Cut(r.Name, "/")
+			if re.MatchString(top) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			missing = append(missing, alt)
+		}
+	}
+	return missing, nil
+}
+
+// alternatives splits the first level of a -bench regexp at its
+// top-level '|' characters, skipping escaped characters and anything
+// inside parentheses or a character class.
+func alternatives(benchRe string) []string {
+	var out []string
+	depth, inClass, start := 0, false, 0
+	for i := 0; i < len(benchRe); i++ {
+		switch c := benchRe[i]; {
+		case c == '\\':
+			i++
+		case inClass:
+			inClass = c != ']'
+		case c == '[':
+			inClass = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case depth == 0 && c == '/':
+			return append(out, benchRe[start:i])
+		case depth == 0 && c == '|':
+			out = append(out, benchRe[start:i])
+			start = i + 1
+		}
+	}
+	return append(out, benchRe[start:])
 }

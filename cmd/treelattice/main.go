@@ -44,8 +44,6 @@ func main() {
 		err = runServe(os.Args[2:], os.Stdout)
 	case "shard":
 		err = runShard(os.Args[2:], os.Stdout)
-	case "loadbench":
-		err = runLoadbench(os.Args[2:], os.Stdout)
 	default:
 		usage()
 	}
@@ -56,7 +54,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: treelattice <build|estimate|exact|stats|explain|corpus|serve|shard|loadbench> [flags]
+	fmt.Fprintln(os.Stderr, `usage: treelattice <build|estimate|exact|stats|explain|corpus|serve|shard> [flags]
 
   build     mine a K-lattice summary from an XML document
   estimate  estimate a twig query's selectivity from a summary
@@ -65,8 +63,7 @@ func usage() {
   explain   estimate with trace and decomposition-spread interval
   corpus    manage a document corpus (init | add | addall | rm | stats)
   serve     expose a corpus over HTTP (graceful shutdown on SIGINT/SIGTERM)
-  shard     split a corpus into N shard snapshots for fleet serving
-  loadbench drive estimation load against a corpus and report QPS/latency`)
+  shard     split a corpus into N shard snapshots for fleet serving`)
 	os.Exit(2)
 }
 

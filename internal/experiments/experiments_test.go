@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -234,7 +235,8 @@ func TestRunAllSmoke(t *testing.T) {
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Figure 7", "Figure 8",
 		"Figure 9", "Figure 10a", "Figure 11", "Negative",
-		"Extended baselines", "Path lineage", "Online adaptation",
+		"Extended baselines", "Path lineage", "Estimation methods",
+		"Online adaptation",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q", want)
@@ -302,5 +304,44 @@ func TestAdaptation(t *testing.T) {
 	}
 	if rows[1].Corrections == 0 && rows[0].AvgErrPct > 1 {
 		t.Fatal("no corrections stored despite error")
+	}
+}
+
+// TestMethodQErrorTable checks that the per-method table scores every
+// registered method on every profile with a well-formed q-error.
+func TestMethodQErrorTable(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Scale = 1500
+	cfg.PerSize = 6
+	s := NewSuite(cfg)
+	rows, err := s.Methods()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range datagen.AllProfiles() {
+		e, err := s.Env(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range e.Summary.Registry().Methods() {
+			var row *MethodRow
+			for i := range rows {
+				if rows[i].Dataset == p && rows[i].Method == m {
+					row = &rows[i]
+				}
+			}
+			if row == nil {
+				t.Errorf("%s: no row for method %s", p, m)
+				continue
+			}
+			for name, q := range map[string]float64{
+				"mean": row.MeanQError, "median": row.MedianQError,
+				"p95": row.P95QError, "max": row.MaxQError,
+			} {
+				if math.IsNaN(q) || q < 1 {
+					t.Errorf("%s %s: %s q-error = %v, want >= 1", p, m, name, q)
+				}
+			}
+		}
 	}
 }

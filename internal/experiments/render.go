@@ -46,7 +46,32 @@ func (s *Suite) RunAll(w io.Writer) error {
 	if err := s.renderPathLineage(w); err != nil {
 		return err
 	}
+	if err := s.renderMethods(w); err != nil {
+		return err
+	}
 	return s.renderAdaptation(w)
+}
+
+func (s *Suite) renderMethods(w io.Writer) error {
+	rows, err := s.Methods()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "== Estimation methods (beyond the paper): q-error on the positive workload ==")
+	t := tw(w)
+	fmt.Fprintln(t, "dataset\tmethod\tqueries\tmean\tmedian\tp95\tmax\texhausted\tdivergent")
+	for _, r := range rows {
+		divergent := "-"
+		if r.Checked > 0 {
+			divergent = fmt.Sprintf("%d/%d", r.Divergent, r.Checked)
+		}
+		fmt.Fprintf(t, "%s\t%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%d\t%s\n",
+			r.Dataset, r.Method, r.Queries, r.MeanQError, r.MedianQError,
+			r.P95QError, r.MaxQError, r.Exhausted, divergent)
+	}
+	t.Flush()
+	fmt.Fprintln(w)
+	return nil
 }
 
 func (s *Suite) renderAdaptation(w io.Writer) error {

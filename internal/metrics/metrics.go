@@ -2,7 +2,8 @@
 // absolute error |s − ŝ| / max(sanity, s), where the sanity bound keeps
 // low-count queries from producing artificially high percentages. The
 // paper sets the bound to the 10th percentile of true query counts, and at
-// least 10.
+// least 10. QError adds the multiplicative error the per-method table
+// reports.
 package metrics
 
 import (
@@ -34,6 +35,17 @@ func AbsError(truth, est, sanity float64) float64 {
 		den = 1
 	}
 	return math.Abs(truth-est) / den
+}
+
+// QError is the multiplicative error max(a/b, b/a) between an estimate
+// and the true count, with both smoothed by +1 so zero-selectivity
+// queries still score; 1 is a perfect estimate.
+func QError(est, truth float64) float64 {
+	a, b := est+1, truth+1
+	if a < b {
+		a, b = b, a
+	}
+	return a / b
 }
 
 // Mean averages xs; it returns 0 for an empty slice.

@@ -107,3 +107,17 @@ func TestLogThresholds(t *testing.T) {
 	}()
 	LogThresholds(0, 1, 3)
 }
+
+func TestQError(t *testing.T) {
+	for _, tc := range []struct{ est, truth, want float64 }{
+		{9, 9, 1},
+		{19, 9, 2}, // over by 2× after smoothing
+		{9, 19, 2}, // under scores the same
+		{0, 0, 1},  // zero selectivity answered zero
+		{3, 0, 4},
+	} {
+		if got := QError(tc.est, tc.truth); got != tc.want {
+			t.Errorf("QError(%v, %v) = %v, want %v", tc.est, tc.truth, got, tc.want)
+		}
+	}
+}

@@ -1,15 +1,17 @@
 package serve
 
 import (
+	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"treelattice/internal/corpus"
 	"treelattice/internal/faultinject"
-	"treelattice/internal/loadgen"
 )
 
 // newResilientServer builds a corpus-backed server with the given
@@ -225,8 +227,8 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestOverloadAcceptance is the issue's acceptance scenario: admission
-// limit N, loadgen driving >= 4N concurrent clients against a
+// TestOverloadAcceptance is the overload acceptance scenario: admission
+// limit N, a closed loop of >= 4N concurrent clients against a
 // fault-injected slow corpus with scheduled panics. The server must shed
 // with 429s, keep admitted p99 under the deadline envelope, absorb the
 // panics, and stay up.
@@ -254,19 +256,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		ExactBudget:    budget,
 	}, inj)
 
-	w := &loadgen.Workload{Items: []loadgen.Item{{Text: "laptop(brand,price)"}}}
-	target := loadgen.NewHTTPTarget(srv.URL, "", nil).
-		WithPath("/v1/exact").
-		// Shed, panic-500, and deadline-504 responses are the behaviors
-		// under test, not driver errors.
-		WithAcceptStatus(429, 500, 504)
-	res, err := loadgen.Run(t.Context(), target, w, loadgen.Options{
-		Concurrency: clients,
-		Duration:    time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := exactLoop(t, srv.URL, clients, time.Second)
 	if res.Errors > 0 {
 		t.Fatalf("driver saw %d unexpected responses", res.Errors)
 	}
@@ -300,4 +290,51 @@ func TestOverloadAcceptance(t *testing.T) {
 	if resSec["panics"].(float64) < 1 || resSec["shed"].(float64) < 1 {
 		t.Fatalf("stats resilience section inconsistent: %v", resSec)
 	}
+}
+
+// loopResult tallies a closed-loop run.
+type loopResult struct {
+	Issued, Errors int64
+}
+
+// exactLoop runs a closed loop for d: each of clients goroutines GETs
+// /v1/exact back to back. Shed (429), panic (500) and deadline (504)
+// answers are the behaviours under overload, not errors; any other
+// status, or a transport failure, is.
+func exactLoop(t *testing.T, base string, clients int, d time.Duration) loopResult {
+	t.Helper()
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	// The default per-host idle cap (2) would open a connection per
+	// request and measure TCP setup, not the server.
+	transport.MaxIdleConnsPerHost = clients
+	client := &http.Client{Transport: transport}
+	defer transport.CloseIdleConnections()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	var issued, errs atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				resp, err := client.Get(base + "/v1/exact?q=laptop(brand,price)")
+				issued.Add(1)
+				if err != nil {
+					errs.Add(1)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK, http.StatusTooManyRequests,
+					http.StatusInternalServerError, http.StatusGatewayTimeout:
+				default:
+					errs.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return loopResult{Issued: issued.Load(), Errors: errs.Load()}
 }

@@ -194,8 +194,9 @@ type Options struct {
 	// MaxDocumentBytes constant).
 	MaxDocumentBytes int64
 	// Registry receives the handler's metrics; nil creates a private one.
-	// Sharing a registry lets an embedding process (the loadbench driver,
-	// a debug listener) read the same counters the handler writes.
+	// Sharing a registry lets an embedding process (a debug listener, a
+	// benchmark's per-layer trace) read the same counters the handler
+	// writes.
 	Registry *obs.Registry
 	// Resilience configures admission control, deadlines, and
 	// degradation. Zero value: all off.

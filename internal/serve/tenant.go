@@ -19,9 +19,9 @@ const DefaultTenant = "default"
 
 // tenantMetrics is one tenant's slice of the obs registry. The metric
 // names are namespaced under tenant.<name>.* so the existing flat names
-// (http.*, resilience.*, subcache.*) keep their meaning — loadbench and
-// dashboards scraping them see fleet-wide totals, and the per-tenant
-// split is additive.
+// (http.*, resilience.*, subcache.*) keep their meaning — dashboards
+// scraping them see fleet-wide totals, and the per-tenant split is
+// additive.
 type tenantMetrics struct {
 	requests *obs.Counter
 	shed     *obs.Counter

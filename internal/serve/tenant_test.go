@@ -214,7 +214,7 @@ func TestTenantRoutes(t *testing.T) {
 	}
 
 	// /v1/stats gains the per-tenant section without touching the flat
-	// fields loadbench scrapes.
+	// fields dashboards scrape.
 	code, out = do(t, "GET", srv.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
