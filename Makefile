@@ -8,7 +8,7 @@
 # (perfbench) and `make benchcore` the layer benchmarks — deliberately
 # outside the check gate: they measure. `make fuzz` runs the
 # coverage-guided fuzzers for FUZZTIME each (longer runs: make fuzz
-# FUZZTIME=5m).
+# FUZZTIME=5m). `make loc` counts non-test Go lines per package.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -26,7 +26,10 @@ FUZZ_TARGETS = \
 	./internal/twigjoin:FuzzCount \
 	./internal/serve:FuzzQueryEndpoint
 
-.PHONY: check fmt vet build test race fuzz fuzz-short perfbench bench benchcore microbench
+# The packages FUZZ_TARGETS names, each once.
+FUZZ_PKGS = $(sort $(foreach t,$(FUZZ_TARGETS),$(firstword $(subst :, ,$(t)))))
+
+.PHONY: check fmt vet build test race fuzz fuzz-short perfbench bench benchcore microbench loc
 
 check: fmt vet build race fuzz-short perfbench
 
@@ -41,7 +44,7 @@ fuzz:
 # generation): fast enough for the check gate, still catches regressions
 # on every previously interesting input checked into testdata.
 fuzz-short:
-	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/twigjoin ./internal/serve
+	$(GO) test -run='^Fuzz' $(FUZZ_PKGS)
 
 # fmt fails when gofmt would rewrite any tracked Go file.
 fmt:
@@ -86,3 +89,12 @@ benchcore:
 
 microbench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# loc prints the non-test Go lines of every package directory, then
+# their total, over tracked files outside perfbench/ (its own module).
+# Run it at two commits and subtract to get a change's net line count.
+loc:
+	@git ls-files -z -- '*.go' ':!:*_test.go' ':!:perfbench/' | xargs -0 awk ' \
+		FNR == 1 { d = FILENAME; if (!sub("/[^/]*$$", "", d)) d = "." } \
+		{ n[d]++; total++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'

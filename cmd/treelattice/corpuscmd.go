@@ -251,7 +251,6 @@ func registerResilienceFlags(fs *flag.FlagSet, r *serve.ResilienceOptions) {
 	fs.Int64Var(&r.QueryNodeBudget, "query-node-budget", 0, "max candidate nodes (plus same-label sibling DP steps) one /v1/query execution may visit; exhaustion returns a partial count marked degraded (0 = unlimited)")
 	fs.BoolVar(&r.DisableFallback, "no-degrade", false, "return 504 instead of degrading estimates to a cheaper method on blown budgets")
 	fs.IntVar(&r.TenantQuota, "tenant-quota", 0, "max concurrent estimates per tenant on the /v1/t routes; excess sheds with 429 (0 = unlimited)")
-	fs.DurationVar(&r.ShardTimeout, "shard-timeout", 0, "per-shard responsiveness deadline on sharded tenants; a shard missing it is excluded and the answer degrades (0 = request deadline only)")
 }
 
 // runServe serves a corpus over HTTP until the process receives SIGINT or
@@ -263,7 +262,7 @@ func runServe(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "upload mining parallelism (0 = all CPUs)")
 	frozen := fs.Bool("frozen", false, "serve a read-only replica: opening never writes, and document writes answer 409 unless -ingest is on")
 	debugAddr := fs.String("debug-addr", "", "separate listen address for pprof/expvar/metrics (off when empty)")
-	fleetRoot := fs.String("fleet", "", "fleet root directory holding tenant snapshot subdirectories; enables /v1/t/{tenant} routes beyond the default tenant")
+	fleetRoot := fs.String("fleet", "", "fleet root directory holding one <tenant>/summary.tlat per tenant; enables /v1/t/{tenant} routes beyond the default tenant")
 	maxResident := fs.Int("max-resident", 0, "max lazily-loaded tenants resident at once (0 = default)")
 	maxResidentBytes := fs.Int64("max-resident-bytes", 0, "byte budget for lazily-loaded tenants; least-recently-used tenants are evicted past it (0 = unlimited)")
 	ingest := fs.Bool("ingest", false, "fold in the background: document writes return once they land in the delta overlay served via RCU epochs, and a refreezer folds them into crash-safe snapshots (also opens -frozen replicas to writes)")

@@ -42,8 +42,6 @@ func main() {
 		err = runCorpus(os.Args[2:], os.Stdout)
 	case "serve":
 		err = runServe(os.Args[2:], os.Stdout)
-	case "shard":
-		err = runShard(os.Args[2:], os.Stdout)
 	default:
 		usage()
 	}
@@ -54,7 +52,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: treelattice <build|estimate|exact|stats|explain|corpus|serve|shard> [flags]
+	fmt.Fprintln(os.Stderr, `usage: treelattice <build|estimate|exact|stats|explain|corpus|serve> [flags]
 
   build     mine a K-lattice summary from an XML document
   estimate  estimate a twig query's selectivity from a summary
@@ -62,8 +60,7 @@ func usage() {
   stats     describe a summary file
   explain   estimate with trace and decomposition-spread interval
   corpus    manage a document corpus (init | add | addall | rm | stats)
-  serve     expose a corpus over HTTP (graceful shutdown on SIGINT/SIGTERM)
-  shard     split a corpus into N shard snapshots for fleet serving`)
+  serve     expose a corpus over HTTP (graceful shutdown on SIGINT/SIGTERM)`)
 	os.Exit(2)
 }
 

@@ -2,16 +2,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"treelattice/internal/core"
-	"treelattice/internal/fleet"
-	"treelattice/internal/lattice"
 )
 
 const testDoc = `<computer><laptops><laptop><brand/><price/></laptop><laptop><brand/><price/></laptop></laptops><desktops/></computer>`
@@ -188,75 +183,6 @@ func TestCorpusAddall(t *testing.T) {
 	}
 	if err := runCorpus([]string{"addall", "-dir", dir}, &out); err == nil {
 		t.Fatal("addall without files accepted")
-	}
-}
-
-// TestShardCompress: `shard -compress` must write TLCZ snapshots under
-// the usual .tlat names, and the fleet loader must detect them by magic
-// and answer identically to the frozen-form shards of the same corpus.
-func TestShardCompress(t *testing.T) {
-	xmlPath, _ := writeDoc(t)
-	dir := filepath.Join(t.TempDir(), "corpus")
-	var out bytes.Buffer
-	if err := runCorpus([]string{"init", "-dir", dir, "-k", "3"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := runCorpus([]string{"add", "-dir", dir, "-name", "doc1", "-in", xmlPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	tenantRoot := t.TempDir()
-	frozenDir := filepath.Join(tenantRoot, "plain")
-	compDir := filepath.Join(tenantRoot, "packed")
-	if err := runShard([]string{"-corpus", dir, "-out", frozenDir, "-n", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := runShard([]string{"-corpus", dir, "-out", compDir, "-n", "2", "-compress"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	head := make([]byte, 4)
-	f, err := os.Open(filepath.Join(compDir, fleet.ShardFile(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if string(head) != lattice.CompressedMagic {
-		t.Fatalf("compressed shard magic = %q, want %q", head, lattice.CompressedMagic)
-	}
-	froz, err := fleet.LoadTenant(frozenDir, "plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := fleet.LoadTenant(compDir, "packed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.ResidentBytes() >= froz.ResidentBytes() {
-		t.Fatalf("compressed tenant resident %d >= frozen %d",
-			comp.ResidentBytes(), froz.ResidentBytes())
-	}
-	for _, qs := range []string{"laptop(brand)", "laptops(laptop(price))"} {
-		fq, err := froz.Summary.ParseQuery(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cq, err := comp.Summary.ParseQuery(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := froz.Estimate(context.Background(), fq, core.MethodRecursiveVoting, fleet.EstimateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := comp.Estimate(context.Background(), cq, core.MethodRecursiveVoting, fleet.EstimateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cr.Estimate != fr.Estimate {
-			t.Errorf("query %q: compressed shards %v != frozen shards %v", qs, cr.Estimate, fr.Estimate)
-		}
 	}
 }
 

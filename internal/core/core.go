@@ -78,10 +78,10 @@ type EstimateObserver func(method Method, d time.Duration)
 // a read view over exactly one estimate.Store. The store is the
 // map-backed lattice a build mines, a frozen snapshot (flat arena + open
 // addressing; see lattice.Frozen), a compressed snapshot (front-coded
-// sorted blocks; see lattice.Compressed), an epoch's base + delta merge,
-// or a shard-summing view. Freeze and Compress return new summaries over
-// the snapshot forms. All backends answer identically, so switching is
-// purely a space/speed decision.
+// sorted blocks; see lattice.Compressed), or an epoch's base + delta
+// merge. Freeze and Compress return new summaries over the snapshot
+// forms. All backends answer identically, so switching is purely a
+// space/speed decision.
 type Summary struct {
 	st   estimate.Store
 	dict *labeltree.Dict
@@ -363,7 +363,7 @@ func (s *Summary) K() int { return s.st.K() }
 func (s *Summary) Dict() *labeltree.Dict { return s.dict }
 
 // Lattice exposes the underlying map-backed lattice summary. It is nil
-// for summaries over any other store (snapshots, epochs, shards).
+// for summaries over any other store (snapshots, epochs).
 func (s *Summary) Lattice() *lattice.Summary {
 	lat, _ := s.st.(*lattice.Summary)
 	return lat
@@ -377,9 +377,7 @@ func (s *Summary) SizeBytes() int {
 	return 0
 }
 
-// Patterns reports the number of stored pattern entries. For a
-// shard-combined summary this sums per-shard entries, so a pattern held
-// by several shards counts once per shard.
+// Patterns reports the number of stored pattern entries.
 func (s *Summary) Patterns() int {
 	if sz, ok := s.st.(sized); ok {
 		return sz.Len()
@@ -540,22 +538,25 @@ func (s *Summary) EstimateQueryContext(ctx context.Context, query string, method
 
 // ParseQuery parses a twig query against the summary's dictionary,
 // classifying failures: syntax errors wrap ErrBadQuery, and labels the
-// dictionary has never seen wrap ErrUnknownLabel.
+// dictionary has never seen wrap ErrUnknownLabel. It interns nothing,
+// so queries — however many unseen labels they name — never grow the
+// dictionary the summary shares with its corpus.
 func (s *Summary) ParseQuery(query string) (labeltree.Pattern, error) {
-	// Labels interned by this parse get IDs at or past the current
-	// dictionary length — exactly the ones no document or summary has
-	// ever mentioned.
-	known := labeltree.LabelID(s.dict.Len())
-	q, err := labeltree.ParsePattern(query, s.dict)
+	q, err := labeltree.ParseKnownPattern(query, s.dict)
 	if err != nil {
-		return labeltree.Pattern{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	for i := int32(0); int(i) < q.Size(); i++ {
-		if l := q.Label(i); l >= known {
-			return labeltree.Pattern{}, fmt.Errorf("%w: %q", ErrUnknownLabel, s.dict.Name(l))
-		}
+		return labeltree.Pattern{}, parseError(err)
 	}
 	return q, nil
+}
+
+// parseError classifies a lookup-only parse failure: a label missing
+// from the dictionary wraps ErrUnknownLabel, anything else ErrBadQuery.
+func parseError(err error) error {
+	var unknown *labeltree.UnknownLabelError
+	if errors.As(err, &unknown) {
+		return fmt.Errorf("%w: %q", ErrUnknownLabel, unknown.Label)
+	}
+	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
 // EstimateWithTrace estimates q and returns the work record: lattice

@@ -147,8 +147,8 @@ type IngestStats struct {
 
 // Materialize returns a mutable map-backed copy of the summary's
 // counts — the refreeze path's way back from a frozen or compressed
-// base to a lattice it can fold a delta into. Combining views (epochs,
-// shards) cannot materialize, and pruned summaries must not (missing
+// base to a lattice it can fold a delta into. An epoch's merged view
+// cannot materialize, and pruned summaries must not (missing
 // patterns are derivable, not absent; a fold would corrupt them).
 func (s *Summary) Materialize() (*lattice.Summary, error) {
 	if s.st.Pruned() {

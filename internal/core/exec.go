@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"math"
 
-	"treelattice/internal/labeltree"
 	"treelattice/internal/planner"
 	"treelattice/internal/twigjoin"
 )
 
 // ErrNoDocuments reports a query execution against a summary with no
-// bound documents — snapshot-only summaries (frozen fleet tenants,
-// scatter-gather shards) can estimate but cannot answer queries.
+// bound documents — snapshot-only summaries (fleet tenants) can
+// estimate but cannot answer queries.
 var ErrNoDocuments = errors.New("treelattice: no documents bound to summary")
 
 // DocNamer is an optional TreeSource capability: document names
@@ -32,20 +31,15 @@ type TwigIndexerSource interface {
 
 // ParseTwigQuery parses a twig query in the extended axis syntax
 // ("a(b,//c)", with optional leading "/" or "//") against the summary's
-// dictionary, classifying failures exactly like ParseQuery: syntax
-// errors wrap ErrBadQuery, labels the dictionary has never seen wrap
-// ErrUnknownLabel. This is the query-execution counterpart of
-// ParseQuery, which accepts only the child-axis estimator syntax.
+// dictionary, classifying failures and interning nothing exactly like
+// ParseQuery: syntax errors wrap ErrBadQuery, labels the dictionary has
+// never seen wrap ErrUnknownLabel. This is the query-execution
+// counterpart of ParseQuery, which accepts only the child-axis
+// estimator syntax.
 func (s *Summary) ParseTwigQuery(query string) (twigjoin.Query, error) {
-	known := labeltree.LabelID(s.dict.Len())
-	q, err := twigjoin.ParseQuery(query, s.dict)
+	q, err := twigjoin.ParseKnownQuery(query, s.dict)
 	if err != nil {
-		return twigjoin.Query{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	for i := int32(0); int(i) < q.Pattern.Size(); i++ {
-		if l := q.Pattern.Label(i); l >= known {
-			return twigjoin.Query{}, fmt.Errorf("%w: %q", ErrUnknownLabel, s.dict.Name(l))
-		}
+		return twigjoin.Query{}, parseError(err)
 	}
 	return q, nil
 }

@@ -46,8 +46,8 @@ type entriesStore interface {
 
 // asLattice returns the summary's counts as a map-backed lattice: the
 // store itself when it is one, else a copy rebuilt from the snapshot's
-// entries. Callers must not mutate the result. Combining views (epochs,
-// shards) hold no single entry list and cannot serialize.
+// entries. Callers must not mutate the result. An epoch's merged view
+// holds no single entry list and cannot serialize.
 func (s *Summary) asLattice() (*lattice.Summary, error) {
 	if lat := s.Lattice(); lat != nil {
 		return lat, nil
@@ -98,13 +98,10 @@ func OpenSnapshotFile(path string, dict *labeltree.Dict) (*Summary, error) {
 	return ReadFrozen(f, dict)
 }
 
-// StoreKind names the backend estimates read from: "shards", "delta"
-// (epoch view: immutable base + unfolded changes), "compressed",
-// "frozen", or "map".
+// StoreKind names the backend estimates read from: "delta" (epoch view:
+// immutable base + unfolded changes), "compressed", "frozen", or "map".
 func (s *Summary) StoreKind() string {
 	switch st := s.st.(type) {
-	case *shardStore:
-		return "shards"
 	case *estimate.Merged:
 		return st.StoreKind()
 	case *lattice.Compressed:

@@ -63,7 +63,7 @@ func (m *Merged) SizeBytes() int {
 }
 
 // Len sums stored entries across both halves (a pattern in both counts
-// twice; the figure reports stored entries, like the shard store).
+// twice; the figure reports stored entries, not distinct patterns).
 func (m *Merged) Len() int {
 	total := 0
 	for _, st := range []Store{m.Base, m.Delta} {

@@ -1,12 +1,7 @@
-// Package fleet turns a single-summary estimator into a multi-tenant,
-// sharded serving tier: a registry of named tenant summaries loaded
-// lazily from frozen snapshots with an LRU of resident tenants, a
-// deterministic document→shard assignment for splitting one large corpus
-// into independently-servable shard summaries, and a scatter-gather
-// front end that combines per-shard counts exactly as forest estimation
-// combines per-document counts — so a fleet of shards answers
-// bit-identically to one merged summary, and degrades to a partial
-// answer when a shard misses its deadline.
+// Package fleet serves many corpora from one process: a registry of
+// named tenants, each one read-only snapshot (<root>/<tenant>/summary.tlat)
+// loaded lazily, kept in an LRU bounded by tenant count and resident
+// bytes, and hot-swapped in place by Reload.
 package fleet
 
 import (
@@ -15,21 +10,20 @@ import (
 	"strings"
 )
 
-// MaxNameLen bounds tenant and shard names. Names become directory
-// components on disk and label values in metrics; 64 bytes is generous
-// for both.
+// MaxNameLen bounds tenant names. Names become directory components on
+// disk and label values in metrics; 64 bytes is generous for both.
 const MaxNameLen = 64
 
-// ErrBadName reports a tenant or shard name that fails validation.
+// ErrBadName reports a tenant name that fails validation.
 var ErrBadName = errors.New("fleet: invalid name")
 
-// ValidateName enforces the strict tenant/shard name grammar: 1 to
-// MaxNameLen bytes of lowercase ASCII letters, digits, '.', '_' and '-',
-// beginning and ending with a letter or digit, and never containing
-// "..". Names are used as path components under the fleet root and as
-// metric label values, so the grammar rejects anything that could
-// traverse directories ("..", "/", "\"), hide in logs (controls,
-// non-ASCII), or collide case-insensitively (uppercase).
+// ValidateName enforces the strict tenant name grammar: 1 to MaxNameLen
+// bytes of lowercase ASCII letters, digits, '.', '_' and '-', beginning
+// and ending with a letter or digit, and never containing "..". Names
+// are used as path components under the fleet root and as metric label
+// values, so the grammar rejects anything that could traverse
+// directories ("..", "/", "\"), hide in logs (controls, non-ASCII), or
+// collide case-insensitively (uppercase).
 func ValidateName(name string) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty", ErrBadName)

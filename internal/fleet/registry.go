@@ -8,25 +8,26 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"treelattice/internal/core"
 )
 
-// ErrUnknownTenant reports a tenant name with no directory (or no
-// snapshots) under the fleet root.
+// ErrUnknownTenant reports a tenant name with no snapshot under the
+// fleet root.
 var ErrUnknownTenant = errors.New("fleet: unknown tenant")
 
 // RegistryOptions configures a tenant registry.
 type RegistryOptions struct {
 	// Root is the directory holding one subdirectory per tenant (see
-	// LoadTenant for the layout). Empty means no disk-backed tenants:
-	// only Install'ed ones resolve.
+	// LoadTenant for the layout). Empty means no tenant resolves.
 	Root string
-	// MaxResident bounds how many disk-loaded tenants stay resident at
-	// once (default 8). Install'ed tenants are pinned and do not count.
-	// Evicting a tenant drops the registry's reference; summaries are
-	// immutable, so estimates already holding one are unaffected.
+	// MaxResident bounds how many tenants stay resident at once
+	// (default 8). Evicting a tenant drops the registry's reference;
+	// summaries are immutable, so estimates already holding one are
+	// unaffected.
 	MaxResident int
 	// MaxResidentBytes additionally bounds the summed ResidentBytes of
-	// disk-loaded tenants (0 = no byte budget). When a load pushes the
+	// resident tenants (0 = no byte budget). When a load pushes the
 	// total past the budget, least-recently-used tenants are evicted
 	// until it fits — except the newest load itself, which always stays:
 	// a single tenant larger than the budget still serves, it just
@@ -36,36 +37,34 @@ type RegistryOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Registry resolves tenant names to resident tenants, loading frozen
-// snapshots lazily and keeping an LRU of resident disk-loaded tenants.
-// Loads are single-flight: concurrent Acquires of a cold tenant share
-// one load.
+// Registry resolves tenant names to resident tenant summaries, loading
+// snapshots lazily and keeping an LRU of resident tenants. Loads are
+// single-flight: concurrent Acquires of a cold tenant share one load.
 type Registry struct {
 	opts RegistryOptions
 
 	mu       sync.Mutex
 	resident map[string]*slot
-	lru      *list.List // unpinned loaded slots, front = most recent
+	lru      *list.List // loaded slots, front = most recent
 	gens     map[string]uint64
 
 	loads      int64
 	evictions  int64
 	reloads    int64
-	totalBytes int64 // summed bytes of lru-listed (unpinned, loaded) slots
+	totalBytes int64 // summed bytes of lru-listed (loaded) slots
 }
 
 // slot tracks one tenant through loading and residence. ready closes
 // when the load completes; elem is the slot's LRU position (nil while
-// loading or pinned); bytes is the tenant's resident footprint,
-// recorded at load so eviction accounting needs no re-measuring.
+// loading); bytes is the tenant's resident footprint, recorded at load
+// so eviction accounting needs no re-measuring.
 type slot struct {
-	name   string
-	pinned bool
-	ready  chan struct{}
-	tenant *Tenant
-	err    error
-	elem   *list.Element
-	bytes  int64
+	name  string
+	ready chan struct{}
+	sum   *core.Summary
+	err   error
+	elem  *list.Element
+	bytes int64
 }
 
 // NewRegistry returns an empty registry over opts.Root.
@@ -81,36 +80,13 @@ func NewRegistry(opts RegistryOptions) *Registry {
 	}
 }
 
-// Install pins a preloaded tenant into the registry — the path by which
-// the default tenant (the live corpus behind the legacy routes) becomes
-// addressable by name. Pinned tenants never age out of the LRU. The
-// tenant's name must validate.
-func (r *Registry) Install(t *Tenant) error {
-	if err := ValidateName(t.Name); err != nil {
-		return err
-	}
-	ready := make(chan struct{})
-	close(ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.resident[t.Name]; ok && old.elem != nil {
-		r.lru.Remove(old.elem)
-		r.totalBytes -= old.bytes
-	}
-	r.resident[t.Name] = &slot{
-		name: t.Name, pinned: true, ready: ready, tenant: t,
-		bytes: int64(t.ResidentBytes()),
-	}
-	r.gens[t.Name]++
-	return nil
-}
-
-// Acquire resolves name to a resident tenant, loading its snapshots on
-// first use. The returned tenant stays valid for the caller's whole
-// request even if the registry evicts it concurrently (tenants are
-// immutable; eviction only drops the registry's reference). Unknown
-// names fail with ErrUnknownTenant, invalid ones with ErrBadName.
-func (r *Registry) Acquire(ctx context.Context, name string) (*Tenant, error) {
+// Acquire resolves name to its resident summary, loading the tenant's
+// snapshot on first use. The returned summary stays valid for the
+// caller's whole request even if the registry evicts it concurrently
+// (summaries are immutable; eviction only drops the registry's
+// reference). Unknown names fail with ErrUnknownTenant, invalid ones
+// with ErrBadName.
+func (r *Registry) Acquire(ctx context.Context, name string) (*core.Summary, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
@@ -122,7 +98,7 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Tenant, error) {
 		r.mu.Unlock()
 		select {
 		case <-s.ready:
-			return s.tenant, s.err
+			return s.sum, s.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -136,39 +112,41 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Tenant, error) {
 	r.loads++
 	r.mu.Unlock()
 
-	t, err := LoadTenant(r.tenantDir(name), name)
+	sum, err := LoadTenant(r.tenantDir(name), name)
 	r.mu.Lock()
-	s.tenant, s.err = t, err
-	if err != nil {
+	s.sum, s.err = sum, err
+	switch {
+	case r.resident[name] != s:
+		// A concurrent Reload swapped in a fresh slot while this load
+		// ran; that slot serves and owns the LRU entry. Identity-checked
+		// so it is never deleted or double-counted by mistake.
+	case err != nil:
 		// Failed loads do not stay resident: the next Acquire retries
-		// (the tenant may appear on disk later). Identity-checked so a
-		// concurrent Reload's fresh slot is never deleted by mistake.
-		if r.resident[name] == s {
-			delete(r.resident, name)
-		}
-	} else {
-		s.bytes = int64(t.ResidentBytes())
+		// (the tenant may appear on disk later).
+		delete(r.resident, name)
+	default:
+		s.bytes = int64(sum.ResidentBytes())
 		r.totalBytes += s.bytes
 		s.elem = r.lru.PushFront(s)
 		r.gens[name]++
 		r.evictLocked()
-		r.logf("fleet: loaded tenant %q (%d shards, %s backend, %d resident bytes)",
-			name, t.Shards, t.StoreKind(), s.bytes)
+		r.logf("fleet: loaded tenant %q (%s backend, %d resident bytes)",
+			name, sum.StoreKind(), s.bytes)
 	}
 	r.mu.Unlock()
 	close(s.ready)
-	return t, err
+	return sum, err
 }
 
 // Reload replaces name's resident tenant with a fresh load of its
-// on-disk snapshots — the fleet half of zero-downtime ingest: a replica
-// refreezes and publishes new snapshot files, and the serving fleet
-// picks them up without evicting the serving copy. The load runs
+// on-disk snapshot — the fleet half of zero-downtime ingest: a replica
+// refreezes and publishes a new snapshot file, and the serving fleet
+// picks it up without evicting the serving copy. The load runs
 // outside the registry lock; the swap is a map-entry replacement, so
-// requests already holding the old tenant finish against it (tenants
-// are immutable) while new Acquires see the fresh one. The tenant's
-// generation counter advances on success.
-func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
+// requests already holding the old summary finish against it
+// (summaries are immutable) while new Acquires see the fresh one. The
+// tenant's generation counter advances on success.
+func (r *Registry) Reload(ctx context.Context, name string) (*core.Summary, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
@@ -178,10 +156,6 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 	for {
 		r.mu.Lock()
 		s, ok := r.resident[name]
-		if ok && s.pinned {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("fleet: tenant %q is pinned, cannot reload", name)
-		}
 		r.mu.Unlock()
 		if !ok {
 			break
@@ -201,23 +175,17 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 		}
 	}
 
-	t, err := LoadTenant(r.tenantDir(name), name)
+	sum, err := LoadTenant(r.tenantDir(name), name)
 	if err != nil {
 		return nil, err
 	}
 	ready := make(chan struct{})
 	close(ready)
-	s := &slot{name: name, ready: ready, tenant: t, bytes: int64(t.ResidentBytes())}
+	s := &slot{name: name, ready: ready, sum: sum, bytes: int64(sum.ResidentBytes())}
 	r.mu.Lock()
-	if old, ok := r.resident[name]; ok {
-		if old.pinned {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("fleet: tenant %q is pinned, cannot reload", name)
-		}
-		if old.elem != nil {
-			r.lru.Remove(old.elem)
-			r.totalBytes -= old.bytes
-		}
+	if old, ok := r.resident[name]; ok && old.elem != nil {
+		r.lru.Remove(old.elem)
+		r.totalBytes -= old.bytes
 	}
 	r.resident[name] = s
 	r.totalBytes += s.bytes
@@ -225,14 +193,14 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 	r.gens[name]++
 	r.reloads++
 	r.evictLocked()
-	r.logf("fleet: reloaded tenant %q (generation %d, %d shards, %s backend, %d resident bytes)",
-		name, r.gens[name], t.Shards, t.StoreKind(), s.bytes)
+	r.logf("fleet: reloaded tenant %q (generation %d, %s backend, %d resident bytes)",
+		name, r.gens[name], sum.StoreKind(), s.bytes)
 	r.mu.Unlock()
-	return t, nil
+	return sum, nil
 }
 
-// Generation reports how many times name has been installed, loaded, or
-// reloaded — the cache-scope discriminator for non-epoch tenants, and
+// Generation reports how many times name has been loaded or reloaded —
+// the cache-scope discriminator for non-epoch tenants, and
 // the operator's way to confirm a reload took effect. Zero means never
 // loaded. Generations survive eviction: a tenant that ages out and
 // loads again continues its count.
@@ -246,7 +214,7 @@ func (r *Registry) tenantDir(name string) string {
 	return filepath.Join(r.opts.Root, name)
 }
 
-// evictLocked drops least-recently-used unpinned tenants while the
+// evictLocked drops least-recently-used tenants while the
 // count exceeds MaxResident or the summed resident bytes exceed
 // MaxResidentBytes — but never the sole remaining one, so an oversized
 // tenant still serves. Caller holds r.mu.
@@ -271,9 +239,10 @@ func (r *Registry) logf(format string, args ...any) {
 	}
 }
 
-// Peek returns a resident, fully loaded tenant without triggering a
-// load or touching LRU order — the observability path's read.
-func (r *Registry) Peek(name string) (*Tenant, bool) {
+// Peek returns a resident, fully loaded tenant's summary without
+// triggering a load or touching LRU order — the observability path's
+// read.
+func (r *Registry) Peek(name string) (*core.Summary, bool) {
 	r.mu.Lock()
 	s, ok := r.resident[name]
 	r.mu.Unlock()
@@ -282,26 +251,9 @@ func (r *Registry) Peek(name string) (*Tenant, bool) {
 	}
 	select {
 	case <-s.ready:
-		return s.tenant, s.err == nil
+		return s.sum, s.err == nil
 	default:
 		return nil, false
-	}
-}
-
-// Loaded reports whether name is resident and loaded (not mid-load) —
-// the readiness probe's question about the default tenant.
-func (r *Registry) Loaded(name string) bool {
-	r.mu.Lock()
-	s, ok := r.resident[name]
-	r.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-s.ready:
-		return s.err == nil
-	default:
-		return false
 	}
 }
 
@@ -318,12 +270,10 @@ func (r *Registry) Resident() []string {
 }
 
 // RegistryStats is the registry's /v1/stats section. ResidentBytes
-// sums the footprint of every loaded tenant, pinned included;
-// MaxResidentBytes echoes the configured budget (0 = unlimited), which
-// meters only the unpinned, disk-loaded portion.
+// sums the footprint of every loaded tenant; MaxResidentBytes echoes
+// the configured budget (0 = unlimited).
 type RegistryStats struct {
 	Resident         int   `json:"resident"`
-	Pinned           int   `json:"pinned"`
 	Loads            int64 `json:"loads"`
 	Evictions        int64 `json:"evictions"`
 	Reloads          int64 `json:"reloads"`
@@ -335,15 +285,9 @@ type RegistryStats struct {
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RegistryStats{
+	return RegistryStats{
 		Resident: len(r.resident), Loads: r.loads, Evictions: r.evictions,
-		Reloads: r.reloads, MaxResidentBytes: r.opts.MaxResidentBytes,
+		Reloads: r.reloads, ResidentBytes: r.totalBytes,
+		MaxResidentBytes: r.opts.MaxResidentBytes,
 	}
-	for _, s := range r.resident {
-		if s.pinned {
-			st.Pinned++
-		}
-		st.ResidentBytes += s.bytes
-	}
-	return st
 }

@@ -12,100 +12,79 @@ import (
 
 	"treelattice/internal/core"
 	"treelattice/internal/fleet"
+	"treelattice/internal/labeltree"
+	"treelattice/internal/treetest"
 )
 
-// writeTenantDir materializes a tenant under root: a single summary.tlat
-// when shards == 1, else one shard snapshot per non-empty shard group.
-func writeTenantDir(t *testing.T, root, name string, seed int64, shards int) {
+// testCorpus builds a deterministic forest of nDocs random documents
+// sharing one dictionary.
+func testCorpus(t *testing.T, seed int64, nDocs, docSize int) []*labeltree.Tree {
+	t.Helper()
+	dict, ids := treetest.Alphabet(8)
+	rng := rand.New(rand.NewSource(seed))
+	trees := make([]*labeltree.Tree, nDocs)
+	for i := range trees {
+		trees[i] = treetest.RandomTree(rng, docSize, ids, dict)
+	}
+	return trees
+}
+
+// writeTenantDir materializes a tenant under root: one summary.tlat,
+// written by write (a summary's WriteTo or WriteCompressed).
+func writeTenantDir(t *testing.T, root, name string, seed int64, write func(*core.Summary, *os.File) error) {
 	t.Helper()
 	dir := filepath.Join(root, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, trees, names := testCorpus(t, seed, 6, 16)
-	opts := core.BuildOptions{K: 3}
-	write := func(path string, sum *core.Summary) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := sum.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
+	sum, err := core.BuildForestContext(context.Background(), testCorpus(t, seed, 6, 16), core.BuildOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if shards == 1 {
-		sum, err := core.BuildForestContext(context.Background(), trees, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write(filepath.Join(dir, fleet.SummaryFile), sum)
-		return
+	f, err := os.Create(filepath.Join(dir, fleet.SummaryFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, sum := range buildShards(t, trees, names, shards, opts) {
-		write(filepath.Join(dir, fleet.ShardFile(i)), sum)
+	defer f.Close()
+	if err := write(sum, f); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLoadTenantSharded(t *testing.T) {
-	root := t.TempDir()
-	writeTenantDir(t, root, "acme", 21, 3)
-	tn, err := fleet.LoadTenant(filepath.Join(root, "acme"), "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tn.Shards < 2 || tn.Gather == nil {
-		t.Fatalf("want a sharded tenant, got %d shards (gather %v)", tn.Shards, tn.Gather)
-	}
-	q, err := tn.Summary.ParseQuery("l0(l1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tn.Estimate(context.Background(), q, core.MethodFixSized, fleet.EstimateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsAnswered != tn.Shards || res.Partial {
-		t.Fatalf("healthy sharded tenant answered %+v", res)
-	}
-	if tn.Summary.Lattice() != nil {
-		t.Fatal("loaded tenant should hold no map-backed lattice")
-	}
+func writeFrozen(sum *core.Summary, f *os.File) error {
+	_, err := sum.WriteTo(f)
+	return err
 }
 
-func TestRegistryLoadEvictPin(t *testing.T) {
+func writeCompressed(sum *core.Summary, f *os.File) error {
+	_, err := sum.WriteCompressed(f)
+	return err
+}
+
+func TestRegistryLoadEvict(t *testing.T) {
 	root := t.TempDir()
 	for i := 0; i < 5; i++ {
-		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), 1)
+		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), writeFrozen)
 	}
 	r := fleet.NewRegistry(fleet.RegistryOptions{Root: root, MaxResident: 2})
-
-	// A pinned install never ages out.
-	def := fleet.NewTenant("default", mustSummary(t, 99))
-	if err := r.Install(def); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("t%d", i)
-		tn, err := r.Acquire(ctx, name)
+		sum, err := r.Acquire(ctx, name)
 		if err != nil {
 			t.Fatalf("Acquire(%s): %v", name, err)
 		}
-		if tn.Name != name {
-			t.Fatalf("Acquire(%s) returned %q", name, tn.Name)
+		if sum == nil {
+			t.Fatalf("Acquire(%s) returned no summary", name)
 		}
 	}
 	st := r.Stats()
 	if st.Loads != 5 || st.Evictions != 3 {
 		t.Fatalf("want 5 loads, 3 evictions, got %+v", st)
 	}
-	if st.Resident != 3 || st.Pinned != 1 { // 2 LRU slots + pinned default
-		t.Fatalf("want 3 resident (1 pinned), got %+v", st)
-	}
-	if !r.Loaded("default") {
-		t.Fatal("pinned default evicted")
+	if st.Resident != 2 {
+		t.Fatalf("want 2 resident, got %+v", st)
 	}
 	// Re-acquiring an evicted tenant reloads it.
 	if _, err := r.Acquire(ctx, "t0"); err != nil {
@@ -121,102 +100,61 @@ func TestRegistryLoadEvictPin(t *testing.T) {
 	if _, err := r.Acquire(ctx, "../escape"); !errors.Is(err, fleet.ErrBadName) {
 		t.Fatalf("want ErrBadName, got %v", err)
 	}
-	if r.Loaded("nosuch") {
-		t.Fatal("failed load left a resident slot")
+	for _, name := range r.Resident() {
+		if name == "nosuch" {
+			t.Fatal("failed load left a resident slot")
+		}
 	}
 }
 
-// writeCompressedTenantDir is writeTenantDir with every snapshot in the
-// compressed TLCZ form — same .tlat filenames, loaders detect by magic.
-func writeCompressedTenantDir(t *testing.T, root, name string, seed int64, shards int) {
-	t.Helper()
-	dir := filepath.Join(root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	_, trees, names := testCorpus(t, seed, 6, 16)
-	opts := core.BuildOptions{K: 3}
-	write := func(path string, sum *core.Summary) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := sum.WriteCompressed(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if shards == 1 {
-		sum, err := core.BuildForestContext(context.Background(), trees, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write(filepath.Join(dir, fleet.SummaryFile), sum)
-		return
-	}
-	for i, sum := range buildShards(t, trees, names, shards, opts) {
-		write(filepath.Join(dir, fleet.ShardFile(i)), sum)
-	}
-}
-
-// TestLoadTenantCompressed: LoadTenant must detect compressed snapshots
-// by magic — same filenames as frozen ones — and answer estimates
+// TestLoadTenantCompressed: LoadTenant must detect a compressed snapshot
+// by magic — same filename as a frozen one — and answer estimates
 // bit-identically to the frozen-loaded twin of the same tenant, at a
 // smaller resident footprint.
 func TestLoadTenantCompressed(t *testing.T) {
 	root := t.TempDir()
-	for _, shards := range []int{1, 3} {
-		frozenName := fmt.Sprintf("froz%d", shards)
-		compName := fmt.Sprintf("comp%d", shards)
-		writeTenantDir(t, root, frozenName, 33, shards)
-		writeCompressedTenantDir(t, root, compName, 33, shards)
-		froz, err := fleet.LoadTenant(filepath.Join(root, frozenName), frozenName)
+	writeTenantDir(t, root, "froz", 33, writeFrozen)
+	writeTenantDir(t, root, "comp", 33, writeCompressed)
+	froz, err := fleet.LoadTenant(filepath.Join(root, "froz"), "froz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := fleet.LoadTenant(filepath.Join(root, "comp"), "comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := comp.StoreKind(); got != "compressed" {
+		t.Fatalf("compressed tenant StoreKind() = %q", got)
+	}
+	if got := froz.StoreKind(); got != "frozen" {
+		t.Fatalf("frozen tenant StoreKind() = %q", got)
+	}
+	if comp.Lattice() != nil {
+		t.Fatal("compressed tenant must hold no map-backed lattice")
+	}
+	if cb, fb := comp.ResidentBytes(), froz.ResidentBytes(); cb <= 0 || cb >= fb {
+		t.Fatalf("compressed resident %d vs frozen %d", cb, fb)
+	}
+	ctx := context.Background()
+	for _, qs := range []string{"l0(l1)", "l1(l2,l3)", "l0(l1(l2))"} {
+		fq, err := froz.ParseQuery(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, err := fleet.LoadTenant(filepath.Join(root, compName), compName)
+		cq, err := comp.ParseQuery(qs)
+		if err != nil {
+			t.Fatalf("parse %q against compressed tenant: %v", qs, err)
+		}
+		fr, err := froz.EstimateContext(ctx, fq, core.MethodRecursiveVoting)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if comp.Shards != shards || comp.Shards != froz.Shards {
-			t.Fatalf("shards=%d: loaded %d compressed / %d frozen shards",
-				shards, comp.Shards, froz.Shards)
+		cr, err := comp.EstimateContext(ctx, cq, core.MethodRecursiveVoting)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if shards == 1 {
-			if got := comp.StoreKind(); got != "compressed" {
-				t.Fatalf("compressed tenant StoreKind() = %q", got)
-			}
-			if got := froz.StoreKind(); got != "frozen" {
-				t.Fatalf("frozen tenant StoreKind() = %q", got)
-			}
-		}
-		if comp.Summary.Lattice() != nil {
-			t.Fatal("compressed tenant must hold no map-backed lattice")
-		}
-		if cb, fb := comp.ResidentBytes(), froz.ResidentBytes(); cb <= 0 || cb >= fb {
-			t.Fatalf("shards=%d: compressed resident %d vs frozen %d", shards, cb, fb)
-		}
-		for _, qs := range []string{"l0(l1)", "l1(l2,l3)", "l0(l1(l2))"} {
-			fq, err := froz.Summary.ParseQuery(qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cq, err := comp.Summary.ParseQuery(qs)
-			if err != nil {
-				t.Fatalf("parse %q against compressed tenant: %v", qs, err)
-			}
-			fr, err := froz.Estimate(context.Background(), fq, core.MethodRecursiveVoting, fleet.EstimateOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cr, err := comp.Estimate(context.Background(), cq, core.MethodRecursiveVoting, fleet.EstimateOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cr.Estimate != fr.Estimate {
-				t.Errorf("shards=%d query %q: compressed %v != frozen %v",
-					shards, qs, cr.Estimate, fr.Estimate)
-			}
+		if cr != fr {
+			t.Errorf("query %q: compressed %v != frozen %v", qs, cr, fr)
 		}
 	}
 }
@@ -227,15 +165,15 @@ func TestLoadTenantCompressed(t *testing.T) {
 func TestRegistryByteBudget(t *testing.T) {
 	root := t.TempDir()
 	for i := 0; i < 3; i++ {
-		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), 1)
+		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), writeFrozen)
 	}
 	probe := fleet.NewRegistry(fleet.RegistryOptions{Root: root})
 	ctx := context.Background()
-	tn, err := probe.Acquire(ctx, "t0")
+	sum, err := probe.Acquire(ctx, "t0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := int64(tn.ResidentBytes())
+	one := int64(sum.ResidentBytes())
 	if one <= 0 {
 		t.Fatalf("tenant resident bytes = %d", one)
 	}
@@ -270,19 +208,9 @@ func TestRegistryByteBudget(t *testing.T) {
 	if st := r2.Stats(); st.Resident != 2 || st.Evictions != 1 {
 		t.Fatalf("two-tenant budget: %+v", st)
 	}
-	if r2.Loaded("t0") {
+	if _, ok := r2.Peek("t0"); ok {
 		t.Fatal("LRU tenant t0 survived the byte budget")
 	}
-}
-
-func mustSummary(t *testing.T, seed int64) *core.Summary {
-	t.Helper()
-	_, trees, _ := testCorpus(t, seed, 4, 12)
-	sum, err := core.BuildForestContext(context.Background(), trees, core.BuildOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum
 }
 
 // TestRegistryConcurrent hammers a small-LRU registry with concurrent
@@ -293,8 +221,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	root := t.TempDir()
 	const tenants = 6
 	for i := 0; i < tenants; i++ {
-		shards := 1 + i%3
-		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), shards)
+		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), writeFrozen)
 	}
 	r := fleet.NewRegistry(fleet.RegistryOptions{Root: root, MaxResident: 2})
 	ctx := context.Background()
@@ -307,17 +234,17 @@ func TestRegistryConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 40; i++ {
 				name := fmt.Sprintf("t%d", rng.Intn(tenants))
-				tn, err := r.Acquire(ctx, name)
+				sum, err := r.Acquire(ctx, name)
 				if err != nil {
 					t.Errorf("Acquire(%s): %v", name, err)
 					return
 				}
-				q, err := tn.Summary.ParseQuery("l0(l1)")
+				q, err := sum.ParseQuery("l0(l1)")
 				if err != nil {
 					t.Errorf("parse on %s: %v", name, err)
 					return
 				}
-				if _, err := tn.Estimate(ctx, q, core.MethodFixSized, fleet.EstimateOptions{}); err != nil {
+				if _, err := sum.EstimateContext(ctx, q, core.MethodFixSized); err != nil {
 					t.Errorf("estimate on %s: %v", name, err)
 					return
 				}
@@ -330,13 +257,13 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestRegistryReload: Reload swaps in freshly loaded snapshots without
-// evicting the serving copy — the old tenant keeps answering for
-// requests already holding it, the generation advances so epoch-less
-// cache scopes roll over, and pinned installs refuse to be reloaded.
+// TestRegistryReload: Reload swaps in a freshly loaded snapshot without
+// evicting the serving copy — the old summary keeps answering for
+// requests already holding it, and the generation advances so
+// epoch-less cache scopes roll over.
 func TestRegistryReload(t *testing.T) {
 	root := t.TempDir()
-	writeTenantDir(t, root, "acme", 7, 1)
+	writeTenantDir(t, root, "acme", 7, writeFrozen)
 	r := fleet.NewRegistry(fleet.RegistryOptions{Root: root, MaxResident: 2})
 	ctx := context.Background()
 
@@ -349,15 +276,15 @@ func TestRegistryReload(t *testing.T) {
 		t.Fatal("generation still zero after load")
 	}
 
-	// New snapshots land on disk (a refrozen replica published them),
-	// then the fleet picks them up.
-	writeTenantDir(t, root, "acme", 8, 1)
+	// A new snapshot lands on disk (a refrozen replica published it),
+	// then the fleet picks it up.
+	writeTenantDir(t, root, "acme", 8, writeFrozen)
 	fresh, err := r.Reload(ctx, "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh == old {
-		t.Fatal("Reload returned the old tenant")
+		t.Fatal("Reload returned the old summary")
 	}
 	if g := r.Generation("acme"); g != gen+1 {
 		t.Fatalf("generation = %d, want %d", g, gen+1)
@@ -366,30 +293,57 @@ func TestRegistryReload(t *testing.T) {
 		t.Fatalf("stats reloads = %d, want 1", st.Reloads)
 	}
 
-	// The displaced tenant is immutable and still serves.
-	q, err := old.Summary.ParseQuery("l0(l1)")
+	// The displaced summary is immutable and still serves.
+	q, err := old.ParseQuery("l0(l1)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := old.Estimate(ctx, q, core.MethodFixSized, fleet.EstimateOptions{}); err != nil {
-		t.Fatalf("old tenant after reload: %v", err)
+	if _, err := old.EstimateContext(ctx, q, core.MethodFixSized); err != nil {
+		t.Fatalf("old summary after reload: %v", err)
 	}
 	got, err := r.Acquire(ctx, "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != fresh {
-		t.Fatal("Acquire after reload did not return the fresh tenant")
+		t.Fatal("Acquire after reload did not return the fresh summary")
 	}
 
-	// Pinned tenants are operator-installed, not snapshot-backed.
-	if err := r.Install(fleet.NewTenant("default", mustSummary(t, 99))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Reload(ctx, "default"); err == nil {
-		t.Fatal("reloading a pinned tenant should fail")
-	}
 	if _, err := r.Reload(ctx, "nosuch"); !errors.Is(err, fleet.ErrUnknownTenant) {
 		t.Fatalf("want ErrUnknownTenant, got %v", err)
+	}
+}
+
+// TestRegistryReloadRacesFirstLoad: a Reload running beside a tenant's
+// first Acquire leaves exactly one resident copy, counted once against
+// the byte budget, whichever of the two loads finishes first.
+func TestRegistryReloadRacesFirstLoad(t *testing.T) {
+	root := t.TempDir()
+	writeTenantDir(t, root, "acme", 7, writeFrozen)
+	ctx := context.Background()
+	for i := 0; i < 400; i++ {
+		r := fleet.NewRegistry(fleet.RegistryOptions{Root: root})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Acquire(ctx, "acme"); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := r.Reload(ctx, "acme"); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		sum, ok := r.Peek("acme")
+		if !ok {
+			t.Fatalf("iteration %d: acme not resident", i)
+		}
+		if st := r.Stats(); st.Resident != 1 || st.ResidentBytes != int64(sum.ResidentBytes()) {
+			t.Fatalf("iteration %d: %+v, want one resident copy of %d bytes", i, st, sum.ResidentBytes())
+		}
 	}
 }

@@ -23,17 +23,64 @@ const (
 // accepted and ignored: patterns are matched anywhere in the data tree, so
 // the descendant axis at the root is implicit.
 func ParsePattern(s string, dict *Dict) (Pattern, error) {
-	p := &patternParser{src: s, dict: dict}
+	return parsePattern(s, Resolver{Dict: dict})
+}
+
+// ParseKnownPattern is ParsePattern for untrusted queries against a
+// shared dictionary: it resolves labels with Lookup and interns nothing.
+// A label the dictionary lacks fails with an *UnknownLabelError, but
+// only once the whole query has parsed, so syntax errors take
+// precedence.
+func ParseKnownPattern(s string, dict *Dict) (Pattern, error) {
+	return parsePattern(s, Resolver{Dict: dict, LookupOnly: true})
+}
+
+// UnknownLabelError reports a query label that a lookup-only parse
+// (ParseKnownPattern, twigjoin.ParseKnownQuery) did not find in the
+// dictionary.
+type UnknownLabelError struct {
+	Label string
+}
+
+func (e *UnknownLabelError) Error() string {
+	return fmt.Sprintf("labeltree: unknown label %q", e.Label)
+}
+
+// Resolver maps the label names of one query parse to IDs. It interns
+// them, or, when LookupOnly, records the first name the dictionary
+// lacks in Unknown and stands in ID 0, so the parse can finish and
+// report any syntax error first.
+type Resolver struct {
+	Dict       *Dict
+	LookupOnly bool
+	Unknown    *UnknownLabelError
+}
+
+// ID resolves one label name.
+func (r *Resolver) ID(name string) LabelID {
+	if !r.LookupOnly {
+		return r.Dict.Intern(name)
+	}
+	id, ok := r.Dict.Lookup(name)
+	if !ok && r.Unknown == nil {
+		r.Unknown = &UnknownLabelError{Label: name}
+	}
+	return id
+}
+
+func parsePattern(s string, res Resolver) (Pattern, error) {
+	p := &patternParser{src: s, res: res}
 	p.skipSpace()
 	p.acceptPrefix("//")
-	root, err := p.parseNode(-1, 1)
-	if err != nil {
+	if _, err := p.parseNode(-1, 1); err != nil {
 		return Pattern{}, err
 	}
-	_ = root
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return Pattern{}, fmt.Errorf("labeltree: trailing input %q at offset %d", p.src[p.pos:], p.pos)
+	}
+	if p.res.Unknown != nil {
+		return Pattern{}, p.res.Unknown
 	}
 	return Pattern{labels: p.labels, parent: p.parents}, nil
 }
@@ -70,7 +117,7 @@ func ParsePath(s string, dict *Dict) (Pattern, error) {
 type patternParser struct {
 	src     string
 	pos     int
-	dict    *Dict
+	res     Resolver
 	labels  []LabelID
 	parents []int32
 }
@@ -113,7 +160,7 @@ func (p *patternParser) parseNode(parent int32, depth int) (int32, error) {
 		return -1, fmt.Errorf("labeltree: expected label at offset %d in %q", p.pos, p.src)
 	}
 	idx := int32(len(p.labels))
-	p.labels = append(p.labels, p.dict.Intern(p.src[start:p.pos]))
+	p.labels = append(p.labels, p.res.ID(p.src[start:p.pos]))
 	p.parents = append(p.parents, parent)
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '(' {

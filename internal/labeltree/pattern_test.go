@@ -1,6 +1,7 @@
 package labeltree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -330,6 +331,29 @@ func TestParseErrors(t *testing.T) {
 		if _, err := ParsePattern(src, d); err == nil {
 			t.Errorf("ParsePattern(%q) succeeded, want error", src)
 		}
+	}
+}
+
+// TestParseKnownPattern: the lookup-only parse matches ParsePattern on
+// known labels, fails on an unknown one with its name, lets a syntax
+// error win over an unknown label, and never grows the dictionary.
+func TestParseKnownPattern(t *testing.T) {
+	d := NewDict()
+	want := MustParsePattern("laptop(brand,price)", d)
+	n := d.Len()
+	got, err := ParseKnownPattern("//laptop( brand , price )", d)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("ParseKnownPattern = %v, %v; want %v", got, err, want)
+	}
+	var unknown *UnknownLabelError
+	if _, err := ParseKnownPattern("laptop(brand,zz)", d); !errors.As(err, &unknown) || unknown.Label != "zz" {
+		t.Fatalf("unknown label: err = %v, want *UnknownLabelError for zz", err)
+	}
+	if _, err := ParseKnownPattern("zz(brand", d); err == nil || errors.As(err, &unknown) {
+		t.Fatalf("syntax error with unknown label: err = %v, want the syntax error", err)
+	}
+	if d.Len() != n {
+		t.Fatalf("dictionary grew from %d to %d labels", n, d.Len())
 	}
 }
 

@@ -207,7 +207,7 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 // no_documents — they estimate, the corpus owner executes.
 func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
+	sum, err := h.tenantFor(r.Context(), name)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -222,7 +222,7 @@ func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !p.naive && p.method != "" {
-		if _, err := tn.Summary.LookupMethod(p.method); err != nil {
+		if _, err := sum.LookupMethod(p.method); err != nil {
 			writeCoreError(w, err)
 			return
 		}
@@ -238,7 +238,7 @@ func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
 	defer h.quota.Release(name)
 	tm.requests.Inc()
 
-	resp, err := h.runQuery(r, tn.Summary, p)
+	resp, err := h.runQuery(r, sum, p)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		writeJSON(w, queryResponse{Tenant: name, Query: p.qs, Plan: []int32{}})
 		return

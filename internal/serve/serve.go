@@ -22,16 +22,13 @@
 //	GET    /v1/readyz                           readiness probe (503 when not ready)
 //
 // Multi-tenant serving (see internal/fleet): Options.Fleet supplies a
-// registry of named tenants loaded lazily from frozen snapshots; the
-// legacy routes answer as the default tenant. A sharded tenant scatters
-// each estimate across its shard summaries and gathers one combined
-// answer — bit-identical to a single merged summary when every shard
-// answers, and a degraded partial answer (shards_answered <
-// shards_total) when one misses its deadline. Tenant routes sit behind
-// per-tenant admission quotas (Resilience.TenantQuota); the whole-query
-// cache is scoped by (tenant, epoch), so tenants never share entries
-// and POST /v1/t/{tenant}/reload (or a corpus epoch swap) invalidates
-// only the affected scope.
+// registry of named tenants, each one snapshot loaded lazily; the
+// legacy routes answer as the default tenant, the live corpus. Tenant
+// routes sit behind per-tenant admission quotas
+// (Resilience.TenantQuota); the whole-query cache is scoped by
+// (tenant, epoch), so tenants never share entries and POST
+// /v1/t/{tenant}/reload (or a corpus epoch swap) invalidates only the
+// affected scope.
 //
 // Queries use the twig syntax ("a(b,c(d))"). Estimation methods resolve
 // through the core registry (GET /v1/methods lists them): the paper's
@@ -48,7 +45,7 @@
 // budget_exhausted, bad_document, too_large, batch_too_large, exists,
 // not_found, frozen, ingest_backpressure, method_not_allowed, canceled,
 // shed, deadline_exceeded, internal, bad_tenant, unknown_tenant,
-// no_shards, not_ready, reload_failed, no_documents.
+// not_ready, reload_failed, no_documents.
 //
 // GET/POST /v1/query executes a twig query (extended axis syntax, so
 // descendant steps like "//a(b,//c)" work) against the corpus documents
@@ -179,11 +176,6 @@ type ResilienceOptions struct {
 	// limiter decides whether the server has capacity, the quota decides
 	// whether one tenant may monopolize it. Zero disables quotas.
 	TenantQuota int
-	// ShardTimeout bounds each shard's responsiveness probe on sharded
-	// tenants; a shard that misses it is excluded from that estimate and
-	// the answer degrades to the responders. Zero means probes run under
-	// the request deadline alone.
-	ShardTimeout time.Duration
 }
 
 // Options configures the handler.
@@ -203,13 +195,9 @@ type Options struct {
 	Resilience ResilienceOptions
 	// Fleet is the multi-tenant registry behind the /v1/t/{tenant}/*
 	// routes; nil serves only the default tenant (the corpus). The
-	// registry loads tenants lazily from frozen snapshots and keeps an
-	// LRU of resident ones.
+	// registry loads tenant snapshots lazily and keeps an LRU of
+	// resident ones.
 	Fleet *fleet.Registry
-	// DefaultTenant names the live corpus on the tenant routes — the
-	// legacy routes and /v1/t/<DefaultTenant>/estimate answer from the
-	// same summary. Empty means DefaultTenant ("default").
-	DefaultTenant string
 	// Logf receives panic-recovery log lines; nil means no logging.
 	Logf func(format string, args ...any)
 }
@@ -223,11 +211,10 @@ type Handler struct {
 	maxBytes int64
 	res      ResilienceOptions
 
-	flt           *fleet.Registry
-	defaultTenant string
-	quota         *resilience.QuotaSet
-	tenantMu      sync.Mutex
-	tenantStats   map[string]*tenantMetrics
+	flt         *fleet.Registry
+	quota       *resilience.QuotaSet
+	tenantMu    sync.Mutex
+	tenantStats map[string]*tenantMetrics
 
 	reg               *obs.Registry
 	inFlight          *obs.Gauge
@@ -264,28 +251,23 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	defTenant := opts.DefaultTenant
-	if defTenant == "" {
-		defTenant = DefaultTenant
-	}
 	h := &Handler{
-		c:             c,
-		cache:         qcache.New(4096),
-		maxBytes:      opts.MaxDocumentBytes,
-		res:           opts.Resilience,
-		flt:           opts.Fleet,
-		defaultTenant: defTenant,
-		quota:         resilience.NewQuotaSet(opts.Resilience.TenantQuota),
-		tenantStats:   make(map[string]*tenantMetrics),
-		reg:           reg,
-		inFlight:      reg.Gauge("http.in_flight"),
-		epochG:        reg.Gauge("ingest.epoch"),
-		deltaDocsG:    reg.Gauge("ingest.delta_docs"),
-		deltaBytesG:   reg.Gauge("ingest.delta_bytes"),
-		routes:        make(map[string]*routeMetrics),
-		panics:        reg.Counter("http.panics"),
-		degraded:      reg.Counter("estimate.degraded"),
-		timeouts:      reg.Counter("http.deadline_exceeded"),
+		c:           c,
+		cache:       qcache.New(4096),
+		maxBytes:    opts.MaxDocumentBytes,
+		res:         opts.Resilience,
+		flt:         opts.Fleet,
+		quota:       resilience.NewQuotaSet(opts.Resilience.TenantQuota),
+		tenantStats: make(map[string]*tenantMetrics),
+		reg:         reg,
+		inFlight:    reg.Gauge("http.in_flight"),
+		epochG:      reg.Gauge("ingest.epoch"),
+		deltaDocsG:  reg.Gauge("ingest.delta_docs"),
+		deltaBytesG: reg.Gauge("ingest.delta_bytes"),
+		routes:      make(map[string]*routeMetrics),
+		panics:      reg.Counter("http.panics"),
+		degraded:    reg.Counter("estimate.degraded"),
+		timeouts:    reg.Counter("http.deadline_exceeded"),
 		batchSizes: reg.Histogram("http.estimate_batch.batch_size",
 			batchSizeBounds),
 		ensembleChecked:   reg.Counter("ensemble.checked"),
@@ -333,9 +315,8 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 	mux.HandleFunc("GET /v1/metrics", h.instrument("metrics", recov(h.metricsEndpoint)))
 	mux.HandleFunc("POST /v1/docs/{name}", h.instrument("doc_add", guarded(h.res.BuildBudget, h.addDoc)))
 	mux.HandleFunc("DELETE /v1/docs/{name}", h.instrument("doc_remove", guarded(0, h.removeDoc)))
-	// Multi-tenant routes: the same estimate pipeline, routed by tenant,
-	// through the fleet registry and (for sharded tenants) the
-	// scatter-gather front end.
+	// Multi-tenant routes: the same estimate pipeline, routed by tenant
+	// through the fleet registry.
 	mux.HandleFunc("GET /v1/t/{tenant}/estimate", h.instrument("tenant_estimate", guarded(h.res.EstimateBudget, h.tenantEstimate)))
 	mux.HandleFunc("GET /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))
 	mux.HandleFunc("POST /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))

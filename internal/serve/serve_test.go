@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -187,6 +188,48 @@ func TestUnknownLabelEstimatesZero(t *testing.T) {
 	code, out = do(t, "GET", srv.URL+"/v1/exact?q=never_seen2", "")
 	if code != 200 || out["count"].(float64) != 0 {
 		t.Fatalf("unknown label exact: %d %v", code, out)
+	}
+}
+
+// TestUnknownLabelsInternNothing: parsing a request never adds its
+// labels to the dictionary a summary shares with its corpus (or its
+// fleet snapshot). So the dictionary cannot grow with read traffic,
+// and a repeated unknown label still short-circuits: every route gives
+// the second request the answer it gave the first, without running an
+// estimator or scanning documents.
+func TestUnknownLabelsInternNothing(t *testing.T) {
+	srv, h := newFleetServer(t, Options{})
+	if code, _ := do(t, "POST", srv.URL+"/v1/docs/sample", doc); code != http.StatusCreated {
+		t.Fatal("seeding corpus")
+	}
+	// Load the tenant before reading its dictionary.
+	if code, out := do(t, "GET", srv.URL+"/v1/t/acme/estimate?q=l0", ""); code != http.StatusOK {
+		t.Fatalf("acme estimate: %d %v", code, out)
+	}
+	acme, ok := h.flt.Peek("acme")
+	if !ok {
+		t.Fatal("tenant acme not resident")
+	}
+	corpusLabels, acmeLabels := h.c.Summary().Dict().Len(), acme.Dict().Len()
+	for _, req := range []struct{ method, path, body string }{
+		{"GET", "/v1/estimate?q=laptop(zz0)", ""},
+		{"POST", "/v1/estimate/batch", `{"queries":["laptop(zz1)"]}`},
+		{"GET", "/v1/exact?q=laptop(zz2)", ""},
+		{"GET", "/v1/explain?q=laptop(zz3)", ""},
+		{"GET", "/v1/query?count=1&q=laptop(//zz4)", ""},
+		{"GET", "/v1/t/acme/estimate?q=l0(zz5)", ""},
+	} {
+		code1, out1 := do(t, req.method, srv.URL+req.path, req.body)
+		code2, out2 := do(t, req.method, srv.URL+req.path, req.body)
+		if code1 != code2 || !reflect.DeepEqual(out1, out2) {
+			t.Errorf("%s %s: first %d %v, repeated %d %v", req.method, req.path, code1, out1, code2, out2)
+		}
+	}
+	if n := h.c.Summary().Dict().Len(); n != corpusLabels {
+		t.Errorf("corpus dictionary grew from %d to %d labels", corpusLabels, n)
+	}
+	if n := acme.Dict().Len(); n != acmeLabels {
+		t.Errorf("tenant dictionary grew from %d to %d labels", acmeLabels, n)
 	}
 }
 

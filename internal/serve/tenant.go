@@ -12,9 +12,8 @@ import (
 	"treelattice/internal/qcache"
 )
 
-// DefaultTenant is the name the legacy single-tenant routes answer as
-// when no override is configured: /v1/estimate and
-// /v1/t/default/estimate are the same corpus.
+// DefaultTenant is the name the legacy single-tenant routes answer as:
+// /v1/estimate and /v1/t/default/estimate are the same corpus.
 const DefaultTenant = "default"
 
 // tenantMetrics is one tenant's slice of the obs registry. The metric
@@ -44,15 +43,16 @@ func (h *Handler) tenantMetricsFor(name string) *tenantMetrics {
 	return tm
 }
 
-// tenantFor resolves a tenant name: the default tenant is the live
-// corpus behind the legacy routes, everything else loads through the
-// fleet registry (when one is configured).
-func (h *Handler) tenantFor(ctx context.Context, name string) (*fleet.Tenant, error) {
+// tenantFor resolves a tenant name to the summary that answers for it:
+// the default tenant is the live corpus behind the legacy routes,
+// everything else loads through the fleet registry (when one is
+// configured).
+func (h *Handler) tenantFor(ctx context.Context, name string) (*core.Summary, error) {
 	if err := fleet.ValidateName(name); err != nil {
 		return nil, err
 	}
-	if name == h.defaultTenant {
-		return fleet.NewTenant(name, h.c.Summary()), nil
+	if name == DefaultTenant {
+		return h.c.Summary(), nil
 	}
 	if h.flt == nil {
 		return nil, fleet.ErrUnknownTenant
@@ -61,17 +61,15 @@ func (h *Handler) tenantFor(ctx context.Context, name string) (*fleet.Tenant, er
 }
 
 // tenantEstimate serves GET /v1/t/{tenant}/estimate: the multi-tenant
-// twin of /v1/estimate. Sharded tenants answer through the
-// scatter-gather front end and report how much of the fleet produced
-// the answer; a partial answer (some shard missed its deadline) is
-// marked degraded. The whole-query cache applies here too — entries are
-// keyed by (tenant, epoch), so tenants never see each other's answers
-// and a reload or epoch swap makes old entries unreachable. Partial and
-// degraded answers are never cached: they reflect transient pressure,
-// not the tenant's true estimate.
+// twin of /v1/estimate, sharing its budget, degradation and ensemble
+// accounting through runEstimate. The whole-query cache applies here
+// too — entries are keyed by (tenant, epoch), so tenants never see each
+// other's answers and a reload or epoch swap makes old entries
+// unreachable. Degraded answers are never cached: they reflect
+// transient pressure, not the tenant's true estimate.
 func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
+	sum, err := h.tenantFor(r.Context(), name)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -82,7 +80,7 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	method := h.method(r)
-	if _, err := tn.Summary.LookupMethod(method); err != nil {
+	if _, err := sum.LookupMethod(method); err != nil {
 		writeCoreError(w, err)
 		return
 	}
@@ -97,7 +95,7 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 	defer h.quota.Release(name)
 	tm.requests.Inc()
 
-	q, err := tn.Summary.ParseQuery(qs)
+	q, err := sum.ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		writeJSON(w, map[string]any{"tenant": name, "query": qs, "estimate": 0.0})
 		return
@@ -106,30 +104,19 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
-	scope := h.tenantScope(name, tn.Summary)
+	scope := h.tenantScope(name, sum)
 	if est, ok := h.cache.Get(scope, string(method), q); ok {
 		writeJSON(w, map[string]any{
 			"tenant": name, "query": qs, "estimate": est, "method": string(method),
 		})
 		return
 	}
-	res, err := tn.Estimate(r.Context(), q, method, fleet.EstimateOptions{
-		ShardTimeout: h.res.ShardTimeout,
-		NoFallback:   h.res.DisableFallback,
-	})
+	res, err := h.runEstimate(r.Context(), sum, q, method)
 	if err != nil {
-		if errors.Is(err, fleet.ErrNoShards) {
-			writeFleetError(w, err)
-			return
-		}
 		h.coreError(w, err)
 		return
 	}
-	if res.Degraded {
-		h.degraded.Inc()
-	}
-	h.observeEnsemble(res.DegradedEstimate)
-	if !res.Degraded && !res.Partial {
+	if !res.Degraded {
 		h.cache.Put(scope, string(res.Method), q, res.Estimate)
 	}
 	resp := map[string]any{
@@ -137,10 +124,6 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 		"query":    qs,
 		"estimate": res.Estimate,
 		"method":   string(res.Method),
-	}
-	if tn.Shards > 1 || res.Partial {
-		resp["shards_total"] = res.ShardsTotal
-		resp["shards_answered"] = res.ShardsAnswered
 	}
 	if res.Degraded {
 		resp["degraded"] = true
@@ -160,14 +143,14 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 // generation's entries become unreachable.
 func (h *Handler) tenantScope(name string, sum *core.Summary) qcache.Scope {
 	sc := scopeFor(name, sum)
-	if sc.Epoch == 0 && h.flt != nil && name != h.defaultTenant {
+	if sc.Epoch == 0 && h.flt != nil && name != DefaultTenant {
 		sc.Epoch = h.flt.Generation(name)
 	}
 	return sc
 }
 
 // tenantReload serves POST /v1/t/{tenant}/reload: hot-swap the tenant's
-// freshly published snapshots into the registry without evicting the
+// freshly published snapshot into the registry without evicting the
 // serving copy — in-flight estimates finish against the old tenant,
 // new requests see the new one. The fleet-side half of zero-downtime
 // ingest: a writer replica refreezes, then the serving fleet reloads.
@@ -177,7 +160,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	if name == h.defaultTenant {
+	if name == DefaultTenant {
 		writeError(w, http.StatusConflict, "reload_failed",
 			"default tenant is the live corpus; it publishes epochs, not snapshot reloads")
 		return
@@ -186,7 +169,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, fleet.ErrUnknownTenant)
 		return
 	}
-	tn, err := h.flt.Reload(r.Context(), name)
+	sum, err := h.flt.Reload(r.Context(), name)
 	if err != nil {
 		switch {
 		case errors.Is(err, fleet.ErrBadName), errors.Is(err, fleet.ErrUnknownTenant),
@@ -204,8 +187,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 		"tenant":     name,
 		"reloaded":   true,
 		"generation": h.flt.Generation(name),
-		"backend":    tn.StoreKind(),
-		"shards":     tn.Shards,
+		"backend":    sum.StoreKind(),
 	})
 }
 
@@ -214,7 +196,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 // effectiveness.
 func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
+	sum, err := h.tenantFor(r.Context(), name)
 	if err != nil {
 		writeFleetError(w, err)
 		return
@@ -222,17 +204,16 @@ func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 	tm := h.tenantMetricsFor(name)
 	writeJSON(w, map[string]any{
 		"tenant":         name,
-		"shards":         tn.Shards,
-		"epoch":          h.tenantScope(name, tn.Summary).Epoch,
-		"k":              tn.Summary.K(),
-		"patterns":       tn.Summary.Patterns(),
-		"bytes":          tn.Summary.SizeBytes(),
-		"backend":        tn.StoreKind(),
-		"resident_bytes": tn.ResidentBytes(),
+		"epoch":          h.tenantScope(name, sum).Epoch,
+		"k":              sum.K(),
+		"patterns":       sum.Patterns(),
+		"bytes":          sum.SizeBytes(),
+		"backend":        sum.StoreKind(),
+		"resident_bytes": sum.ResidentBytes(),
 		"requests":       tm.requests.Value(),
 		"shed":           tm.shed.Value(),
 		"in_flight":      h.quota.InFlight(name),
-		"subcache":       h.subcacheSummary(tn.Summary),
+		"subcache":       h.subcacheSummary(sum),
 	})
 }
 
@@ -240,22 +221,19 @@ func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 // fleet registry, plus per-tenant backend kind and resident footprint
 // for every loaded tenant (and always the default tenant).
 func (h *Handler) tenantsEndpoint(w http.ResponseWriter, _ *http.Request) {
-	resp := map[string]any{"default": h.defaultTenant}
-	tenants := map[string]any{}
+	resp := map[string]any{"default": DefaultTenant}
+	tenants := map[string]any{DefaultTenant: tenantShape(h.c.Summary())}
 	if h.flt != nil {
 		names := h.flt.Resident()
 		resp["resident"] = names
 		resp["registry"] = h.flt.Stats()
 		for _, name := range names {
-			if tn, ok := h.flt.Peek(name); ok {
-				tenants[name] = tenantShape(tn)
+			if sum, ok := h.flt.Peek(name); ok {
+				tenants[name] = tenantShape(sum)
 			}
 		}
 	} else {
-		resp["resident"] = []string{h.defaultTenant}
-	}
-	if _, ok := tenants[h.defaultTenant]; !ok {
-		tenants[h.defaultTenant] = tenantShape(fleet.NewTenant(h.defaultTenant, h.c.Summary()))
+		resp["resident"] = []string{DefaultTenant}
 	}
 	resp["tenants"] = tenants
 	writeJSON(w, resp)
@@ -263,11 +241,10 @@ func (h *Handler) tenantsEndpoint(w http.ResponseWriter, _ *http.Request) {
 
 // tenantShape is the /v1/tenants per-tenant entry: which backend the
 // tenant's summary runs on and how many bytes it keeps resident.
-func tenantShape(tn *fleet.Tenant) map[string]any {
+func tenantShape(sum *core.Summary) map[string]any {
 	return map[string]any{
-		"backend":        tn.StoreKind(),
-		"shards":         tn.Shards,
-		"resident_bytes": tn.ResidentBytes(),
+		"backend":        sum.StoreKind(),
+		"resident_bytes": sum.ResidentBytes(),
 	}
 }
 
@@ -277,18 +254,12 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz serves GET /v1/readyz — readiness for load-balancer rotation:
-// the default tenant answers estimates and admission control has spare
-// capacity. 503 keeps new traffic away without killing the replica
-// (that is healthz's job).
-func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
+// admission control has spare capacity. 503 keeps new traffic away
+// without killing the replica (that is healthz's job).
+func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	if h.limiter.Saturated() {
 		writeError(w, http.StatusServiceUnavailable, "not_ready",
 			"admission control saturated")
-		return
-	}
-	if _, err := h.tenantFor(r.Context(), h.defaultTenant); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "not_ready",
-			"default tenant not loaded: "+err.Error())
 		return
 	}
 	writeJSON(w, map[string]any{"status": "ready"})
@@ -314,11 +285,11 @@ func (h *Handler) tenantsSummary() map[string]any {
 			"shed":     tm.shed.Value(),
 		}
 		var sum *core.Summary
-		if name == h.defaultTenant {
+		if name == DefaultTenant {
 			sum = h.c.Summary()
 		} else if h.flt != nil {
-			if tn, ok := h.flt.Peek(name); ok {
-				sum = tn.Summary
+			if resident, ok := h.flt.Peek(name); ok {
+				sum = resident
 			}
 		}
 		if sum != nil {
@@ -343,10 +314,6 @@ func writeFleetError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, "bad_tenant", err.Error())
 	case errors.Is(err, fleet.ErrUnknownTenant):
 		writeError(w, http.StatusNotFound, "unknown_tenant", err.Error())
-	case errors.Is(err, fleet.ErrNoShards):
-		// Every shard missed its deadline: the service is up but this
-		// tenant cannot answer right now.
-		writeError(w, http.StatusServiceUnavailable, "no_shards", err.Error())
 	case errors.Is(err, context.Canceled):
 		writeError(w, 499, "canceled", err.Error())
 	case errors.Is(err, context.DeadlineExceeded):

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,15 +14,17 @@ import (
 
 	"treelattice/internal/core"
 	"treelattice/internal/corpus"
+	"treelattice/internal/datagen"
 	"treelattice/internal/fleet"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/treetest"
+	"treelattice/internal/workload"
+	"treelattice/internal/xmlparse"
 )
 
-// writeFleetTenant materializes a tenant under root: nShards snapshot
-// files (or a single summary.tlat) over a small deterministic forest
-// labeled l0..l3.
-func writeFleetTenant(t *testing.T, root, name string, nShards int) {
+// writeFleetTenant materializes a tenant under root: one summary.tlat
+// over a small deterministic forest labeled l0..l3.
+func writeFleetTenant(t *testing.T, root, name string) {
 	t.Helper()
 	dir := filepath.Join(root, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -32,37 +36,22 @@ func writeFleetTenant(t *testing.T, root, name string, nShards int) {
 	for i := range trees {
 		trees[i] = treetest.RandomTree(rng, 14, ids, dict)
 	}
-	write := func(path string, group []*labeltree.Tree) {
-		sum, err := core.BuildForestContext(context.Background(), group, core.BuildOptions{K: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := sum.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
+	sum, err := core.BuildForestContext(context.Background(), trees, core.BuildOptions{K: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nShards == 1 {
-		write(filepath.Join(dir, fleet.SummaryFile), trees)
-		return
+	f, err := os.Create(filepath.Join(dir, fleet.SummaryFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for s := 0; s < nShards; s++ {
-		var group []*labeltree.Tree
-		for i, tree := range trees {
-			if i%nShards == s {
-				group = append(group, tree)
-			}
-		}
-		write(filepath.Join(dir, fleet.ShardFile(s)), group)
+	defer f.Close()
+	if _, err := sum.WriteTo(f); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// newFleetServer builds a server whose corpus holds the sample doc and
-// whose fleet root holds tenants "acme" (2 shards) and "solo" (single).
+// newFleetServer builds a server over an empty corpus whose fleet root
+// holds tenants "acme" and "solo".
 func newFleetServer(t *testing.T, opts Options) (*httptest.Server, *Handler) {
 	t.Helper()
 	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
@@ -70,8 +59,8 @@ func newFleetServer(t *testing.T, opts Options) (*httptest.Server, *Handler) {
 		t.Fatal(err)
 	}
 	root := t.TempDir()
-	writeFleetTenant(t, root, "acme", 2)
-	writeFleetTenant(t, root, "solo", 1)
+	writeFleetTenant(t, root, "acme")
+	writeFleetTenant(t, root, "solo")
 	opts.Fleet = fleet.NewRegistry(fleet.RegistryOptions{Root: root, MaxResident: 4})
 	h := NewHandlerOptions(c, opts)
 	srv := httptest.NewServer(h)
@@ -133,7 +122,6 @@ func TestReadyzSaturatedLimiter(t *testing.T) {
 func TestTenantRoutes(t *testing.T) {
 	srv, _ := newFleetServer(t, Options{})
 
-	// Sharded tenant answers with shard accounting.
 	code, out := do(t, "GET", srv.URL+"/v1/t/acme/estimate?q=l0(l1)&method=fix-sized", "")
 	if code != http.StatusOK {
 		t.Fatalf("acme estimate: %d %v", code, out)
@@ -141,20 +129,13 @@ func TestTenantRoutes(t *testing.T) {
 	if out["tenant"] != "acme" || out["method"] != "fix-sized" {
 		t.Fatalf("acme envelope: %v", out)
 	}
-	if out["shards_total"] != 2.0 || out["shards_answered"] != 2.0 {
-		t.Fatalf("acme shard accounting: %v", out)
-	}
 	if _, ok := out["degraded"]; ok {
 		t.Fatalf("healthy fleet marked degraded: %v", out)
 	}
 
-	// Single-summary tenant: no shard accounting on the wire.
 	code, out = do(t, "GET", srv.URL+"/v1/t/solo/estimate?q=l0(l1)", "")
 	if code != http.StatusOK || out["tenant"] != "solo" {
 		t.Fatalf("solo estimate: %d %v", code, out)
-	}
-	if _, ok := out["shards_total"]; ok {
-		t.Fatalf("single tenant leaked shard fields: %v", out)
 	}
 
 	// Unknown label estimates to exactly zero, as on the legacy route.
@@ -186,10 +167,10 @@ func TestTenantRoutes(t *testing.T) {
 
 	// Tenant stats and the registry listing.
 	code, out = do(t, "GET", srv.URL+"/v1/t/acme/stats", "")
-	if code != http.StatusOK || out["shards"] != 2.0 || out["requests"].(float64) < 1 {
+	if code != http.StatusOK || out["requests"].(float64) < 1 {
 		t.Fatalf("acme stats: %d %v", code, out)
 	}
-	if out["backend"] != "shards" || out["resident_bytes"].(float64) <= 0 {
+	if out["backend"] != "frozen" || out["resident_bytes"].(float64) <= 0 {
 		t.Fatalf("acme stats backend accounting: %v", out)
 	}
 	code, out = do(t, "GET", srv.URL+"/v1/tenants", "")
@@ -205,7 +186,7 @@ func TestTenantRoutes(t *testing.T) {
 		t.Fatalf("tenants listing has no per-tenant shapes: %v", out)
 	}
 	acmeShape, ok := shapes["acme"].(map[string]any)
-	if !ok || acmeShape["backend"] != "shards" || acmeShape["resident_bytes"].(float64) <= 0 {
+	if !ok || acmeShape["backend"] != "frozen" || acmeShape["resident_bytes"].(float64) <= 0 {
 		t.Fatalf("acme shape: %v", shapes)
 	}
 	defShape, ok := shapes[DefaultTenant].(map[string]any)
@@ -232,7 +213,7 @@ func TestTenantRoutes(t *testing.T) {
 	if !ok || acme["requests"].(float64) < 1 {
 		t.Fatalf("tenants section: %v", tenants)
 	}
-	if acme["backend"] != "shards" || acme["resident_bytes"].(float64) <= 0 {
+	if acme["backend"] != "frozen" || acme["resident_bytes"].(float64) <= 0 {
 		t.Fatalf("tenants section backend accounting: %v", acme)
 	}
 	if out["backend"] != "frozen" || out["resident_bytes"].(float64) <= 0 {
@@ -320,5 +301,77 @@ func TestTenantReloadEndpoint(t *testing.T) {
 	code, _ = do(t, "GET", srv.URL+"/v1/t/solo/reload", "")
 	if code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET reload: %d", code)
+	}
+}
+
+// TestCorpusSnapshotServesAsTenant pins the publishing workflow: a
+// corpus's summary.tlat, copied into a fleet root, serves as a tenant
+// whose estimates equal the corpus's own /v1/estimate bit for bit under
+// every paper method.
+func TestCorpusSnapshotServesAsTenant(t *testing.T) {
+	dir := t.TempDir()
+	c, err := corpus.Create(dir, corpus.Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{3, 4, 5, 6}
+	var queries []string
+	for _, profile := range datagen.AllProfiles() {
+		dict := labeltree.NewDict()
+		tree, err := datagen.Generate(datagen.Config{Profile: profile, Scale: 1500, Seed: 3}, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := xmlparse.Write(&b, tree); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddXML(string(profile), &b); err != nil {
+			t.Fatal(err)
+		}
+		wl, err := workload.Positive(tree, workload.Options{Sizes: sizes, PerSize: 8, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range sizes {
+			for _, q := range wl[size] {
+				queries = append(queries, q.Pattern.String(dict))
+			}
+		}
+	}
+	if len(queries) < len(sizes)*len(datagen.AllProfiles()) {
+		t.Fatalf("workload produced only %d queries", len(queries))
+	}
+	snapshot, err := os.ReadFile(filepath.Join(dir, fleet.SummaryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "published"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "published", fleet.SummaryFile), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandlerOptions(c, Options{
+		Fleet: fleet.NewRegistry(fleet.RegistryOptions{Root: root}),
+	}))
+	t.Cleanup(srv.Close)
+
+	for _, method := range core.Methods() {
+		for _, qs := range queries {
+			params := url.Values{"q": {qs}, "method": {string(method)}}.Encode()
+			code, want := do(t, "GET", srv.URL+"/v1/estimate?"+params, "")
+			if code != http.StatusOK {
+				t.Fatalf("%s %s: corpus answered %d %v", method, qs, code, want)
+			}
+			code, got := do(t, "GET", srv.URL+"/v1/t/published/estimate?"+params, "")
+			if code != http.StatusOK {
+				t.Fatalf("%s %s: tenant answered %d %v", method, qs, code, got)
+			}
+			if got["estimate"] != want["estimate"] || got["method"] != want["method"] {
+				t.Errorf("%s %s: tenant %v, corpus %v", method, qs, got, want)
+			}
+		}
 	}
 }

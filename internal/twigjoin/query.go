@@ -68,9 +68,23 @@ const (
 // ParseQuery parses the twig syntax extended with a per-edge axis: each
 // child may be prefixed with "//" for the descendant axis, e.g.
 // "a(b,//c(d))". A leading "//" (default) matches the query anywhere in
-// the document; a leading "/" anchors it at the document root.
+// the document; a leading "/" anchors it at the document root. Labels
+// are interned into dict.
 func ParseQuery(s string, dict *labeltree.Dict) (Query, error) {
-	p := &queryParser{src: strings.TrimSpace(s), dict: dict}
+	return parseQuery(s, labeltree.Resolver{Dict: dict})
+}
+
+// ParseKnownQuery is ParseQuery for untrusted queries against a shared
+// dictionary: it resolves labels with Lookup and interns nothing. A
+// label the dictionary lacks fails with a *labeltree.UnknownLabelError,
+// but only once the whole query has parsed, so syntax errors take
+// precedence.
+func ParseKnownQuery(s string, dict *labeltree.Dict) (Query, error) {
+	return parseQuery(s, labeltree.Resolver{Dict: dict, LookupOnly: true})
+}
+
+func parseQuery(s string, res labeltree.Resolver) (Query, error) {
+	p := &queryParser{src: strings.TrimSpace(s), res: res}
 	rootAxis := Descendant
 	switch {
 	case strings.HasPrefix(p.src, "//"):
@@ -85,6 +99,9 @@ func ParseQuery(s string, dict *labeltree.Dict) (Query, error) {
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return Query{}, fmt.Errorf("twigjoin: trailing input %q", p.src[p.pos:])
+	}
+	if p.res.Unknown != nil {
+		return Query{}, p.res.Unknown
 	}
 	pat, err := labeltree.NewPattern(p.labels, p.parents)
 	if err != nil {
@@ -145,7 +162,7 @@ func (q Query) ChildOnly() bool {
 type queryParser struct {
 	src     string
 	pos     int
-	dict    *labeltree.Dict
+	res     labeltree.Resolver
 	labels  []labeltree.LabelID
 	parents []int32
 	axes    []Axis
@@ -178,7 +195,7 @@ func (p *queryParser) parseNode(parent int32, axis Axis, depth int) error {
 		return fmt.Errorf("twigjoin: expected label at offset %d in %q", p.pos, p.src)
 	}
 	idx := int32(len(p.labels))
-	p.labels = append(p.labels, p.dict.Intern(p.src[start:p.pos]))
+	p.labels = append(p.labels, p.res.ID(p.src[start:p.pos]))
 	p.parents = append(p.parents, parent)
 	p.axes = append(p.axes, axis)
 	p.skipSpace()

@@ -1,6 +1,7 @@
 package twigjoin
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -262,6 +263,29 @@ func TestQueryParseAndString(t *testing.T) {
 	}
 	if MustParseQuery("//a(//b)", dict).ChildOnly() {
 		t.Fatal("descendant edge missed")
+	}
+}
+
+// TestParseKnownQuery: the lookup-only parse matches ParseQuery on
+// known labels, fails on an unknown one with its name, lets a syntax
+// error win over an unknown label, and never grows the dictionary.
+func TestParseKnownQuery(t *testing.T) {
+	dict := labeltree.NewDict()
+	want := MustParseQuery("/a(b,//c)", dict)
+	n := dict.Len()
+	got, err := ParseKnownQuery("/a(b,//c)", dict)
+	if err != nil || got.String(dict) != want.String(dict) {
+		t.Fatalf("ParseKnownQuery = %v, %v; want %v", got, err, want)
+	}
+	var unknown *labeltree.UnknownLabelError
+	if _, err := ParseKnownQuery("//a(//zz)", dict); !errors.As(err, &unknown) || unknown.Label != "zz" {
+		t.Fatalf("unknown label: err = %v, want *UnknownLabelError for zz", err)
+	}
+	if _, err := ParseKnownQuery("//zz(b", dict); err == nil || errors.As(err, &unknown) {
+		t.Fatalf("syntax error with unknown label: err = %v, want the syntax error", err)
+	}
+	if dict.Len() != n {
+		t.Fatalf("dictionary grew from %d to %d labels", n, dict.Len())
 	}
 }
 
