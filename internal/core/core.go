@@ -94,9 +94,8 @@ type Summary struct {
 	// values depend on the estimator configuration (voting changes
 	// out-of-range sub-estimates), so each method gets its own cache; the
 	// store never changes under them.
-	cacheMu     sync.Mutex
-	subCaches   map[Method]*estimate.SubCache
-	subCacheCap int // entries per cache; 0 = estimate's default
+	cacheMu   sync.Mutex
+	subCaches map[Method]*estimate.SubCache
 	// subCacheNew, when non-nil, runs for each per-method cache as it is
 	// created — the serving layer's way to instrument caches on epoch
 	// summaries it never saw at construction time.
@@ -257,7 +256,7 @@ type sized interface {
 }
 
 // derive returns a summary over st that keeps this summary's serving
-// configuration (instrumentation, registry, cache settings) and bound
+// configuration (instrumentation, registry, cache creation hook) and bound
 // document source. Caches and prepared backends start empty: they
 // belong to the store they were built against.
 func (s *Summary) derive(st estimate.Store) *Summary {
@@ -266,7 +265,6 @@ func (s *Summary) derive(st estimate.Store) *Summary {
 		dict:        s.dict,
 		observe:     s.observe,
 		registry:    s.registry,
-		subCacheCap: s.subCacheCap,
 		subCacheNew: s.subCacheNew,
 		source:      s.Source(),
 	}
@@ -306,7 +304,7 @@ func (s *Summary) SubCache(method Method) *estimate.SubCache {
 		if s.subCaches == nil {
 			s.subCaches = make(map[Method]*estimate.SubCache, 3)
 		}
-		c = estimate.NewSubCache(s.subCacheCap)
+		c = estimate.NewSubCache(0)
 		s.subCaches[method] = c
 		if s.subCacheNew != nil {
 			s.subCacheNew(method, c)
@@ -329,15 +327,6 @@ func (s *Summary) OnSubCacheCreate(fn func(Method, *estimate.SubCache)) {
 			fn(m, c)
 		}
 	}
-}
-
-// SetSubCacheCapacity bounds each per-method sub-estimate cache to
-// roughly n entries (0 restores the default). Only caches created after
-// the call are affected; call before serving.
-func (s *Summary) SetSubCacheCapacity(n int) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	s.subCacheCap = n
 }
 
 // SubCacheStats aggregates hit/miss/eviction counters and occupancy

@@ -89,7 +89,7 @@ func (h *EpochHandle) Current() *Epoch { return h.cur.Load() }
 // Publish builds the next epoch over base merged with delta and swaps
 // it in. An epoch whose delta is nil or empty serves the base store
 // directly. The serving configuration (instrumentation observer, private
-// registry, sub-cache capacity and creation hook) is inherited from the
+// registry and sub-cache creation hook) is inherited from the
 // base summary when set there, else from the previous epoch's summary —
 // so a handler that instrumented epoch 1 keeps its metrics flowing
 // through every later epoch. docs/names must be sorted by name and
@@ -109,9 +109,6 @@ func (h *EpochHandle) Publish(base *Summary, delta *lattice.Delta, docs []*label
 		}
 		if sum.registry == nil {
 			sum.registry = ps.registry
-		}
-		if sum.subCacheCap == 0 {
-			sum.subCacheCap = ps.subCacheCap
 		}
 		if sum.subCacheNew == nil {
 			sum.subCacheNew = ps.subCacheNew

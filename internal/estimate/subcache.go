@@ -144,22 +144,6 @@ func (c *SubCache) Len() int {
 	return total
 }
 
-// Reset discards all entries. Counters are preserved: a reset is an
-// invalidation event, not a restart.
-func (c *SubCache) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.ring = nil
-		s.next = 0
-		s.mu.Unlock()
-	}
-}
-
 // SubCacheStats is a point-in-time view of cache effectiveness.
 type SubCacheStats struct {
 	Hits, Misses, Evictions int64
@@ -177,16 +161,4 @@ func (c *SubCache) Stats() SubCacheStats {
 		Evictions: c.evictions.Load(),
 		Entries:   c.Len(),
 	}
-}
-
-// HitRatio is hits / (hits + misses), or 0 before any lookup.
-func (c *SubCache) HitRatio() float64 {
-	if c == nil {
-		return 0
-	}
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

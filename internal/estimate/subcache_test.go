@@ -37,9 +37,6 @@ func TestSubCacheGetPut(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := c.HitRatio(); got < 0.66 || got > 0.67 {
-		t.Fatalf("HitRatio = %v", got)
-	}
 }
 
 func TestSubCacheBounded(t *testing.T) {
@@ -58,32 +55,13 @@ func TestSubCacheBounded(t *testing.T) {
 	}
 }
 
-func TestSubCacheReset(t *testing.T) {
-	c := NewSubCache(64)
-	for i := 0; i < 32; i++ {
-		c.put(testKey(i), float64(i))
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", c.Len())
-	}
-	if _, ok := c.get(testKey(3)); ok {
-		t.Fatal("hit after Reset")
-	}
-	// Refill past capacity again: the FIFO ring must have been reset too.
-	for i := 0; i < 200; i++ {
-		c.put(testKey(i), float64(i))
-	}
-}
-
 func TestSubCacheNilSafe(t *testing.T) {
 	var c *SubCache
 	if _, ok := c.get(testKey(1)); ok {
 		t.Fatal("nil cache hit")
 	}
 	c.put(testKey(1), 1)
-	c.Reset()
-	if c.Len() != 0 || c.HitRatio() != 0 {
+	if c.Len() != 0 {
 		t.Fatal("nil cache reports state")
 	}
 	if st := c.Stats(); st != (SubCacheStats{}) {
@@ -111,10 +89,11 @@ func TestSubCacheInstrument(t *testing.T) {
 }
 
 // TestSubCacheConcurrent hammers one cache from 8 goroutines mixing gets,
-// puts, stats reads, and resets; run under -race this is the shared-cache
-// safety test the issue calls for.
+// puts, and stats reads over twice as many keys as it holds, so FIFO
+// evictions race lookups; run under -race it is the shared-cache safety
+// test.
 func TestSubCacheConcurrent(t *testing.T) {
-	c := NewSubCache(256)
+	c := NewSubCache(64)
 	keys := make([]labeltree.Key, 128)
 	for i := range keys {
 		keys[i] = testKey(i)
@@ -131,11 +110,6 @@ func TestSubCacheConcurrent(t *testing.T) {
 				case 0:
 					c.Stats()
 				case 1:
-					c.HitRatio()
-				case 2:
-					if g == 0 && i%1000 == 999 {
-						c.Reset()
-					}
 					c.put(k, float64(i))
 				default:
 					if v, ok := c.get(k); !ok {
@@ -148,6 +122,9 @@ func TestSubCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if c.Stats().Evictions == 0 {
+		t.Fatal("no evictions: the race mix never overflowed the cache")
+	}
 }
 
 // minedStore builds a small mined summary for estimator-level cache tests.

@@ -48,7 +48,7 @@ type Registry struct {
 	lru      *list.List // loaded slots, front = most recent
 	gens     map[string]uint64
 
-	loads      int64
+	loads      int64 // loads that joined the LRU; failed ones do not count
 	evictions  int64
 	reloads    int64
 	totalBytes int64 // summed bytes of lru-listed (loaded) slots
@@ -109,7 +109,6 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*core.Summary, err
 	}
 	s := &slot{name: name, ready: make(chan struct{})}
 	r.resident[name] = s
-	r.loads++
 	r.mu.Unlock()
 
 	sum, err := LoadTenant(r.tenantDir(name), name)
@@ -129,6 +128,7 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*core.Summary, err
 		r.totalBytes += s.bytes
 		s.elem = r.lru.PushFront(s)
 		r.gens[name]++
+		r.loads++
 		r.evictLocked()
 		r.logf("fleet: loaded tenant %q (%s backend, %d resident bytes)",
 			name, sum.StoreKind(), s.bytes)
@@ -200,8 +200,8 @@ func (r *Registry) Reload(ctx context.Context, name string) (*core.Summary, erro
 }
 
 // Generation reports how many times name has been loaded or reloaded —
-// the cache-scope discriminator for non-epoch tenants, and
-// the operator's way to confirm a reload took effect. Zero means never
+// the operator's way to confirm a reload took effect, and what a fleet
+// tenant reports as its epoch in /v1/t/{tenant}/stats. Zero means never
 // loaded. Generations survive eviction: a tenant that ages out and
 // loads again continues its count.
 func (r *Registry) Generation(name string) uint64 {

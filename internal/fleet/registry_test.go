@@ -107,6 +107,38 @@ func TestRegistryLoadEvict(t *testing.T) {
 	}
 }
 
+// TestRegistryCountsOnlySuccessfulLoads: Stats().Loads counts the loads
+// that made a tenant resident. Acquires that fail — a tenant directory
+// without summary.tlat, a name with no directory — load nothing and must
+// not count, however often they repeat.
+func TestRegistryCountsOnlySuccessfulLoads(t *testing.T) {
+	root := t.TempDir()
+	writeTenantDir(t, root, "good", 1, writeFrozen)
+	if err := os.MkdirAll(filepath.Join(root, "empty"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r := fleet.NewRegistry(fleet.RegistryOptions{Root: root})
+	ctx := context.Background()
+	if _, err := r.Acquire(ctx, "good"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for _, name := range []string{"empty", "missing"} {
+			if _, err := r.Acquire(ctx, name); !errors.Is(err, fleet.ErrUnknownTenant) {
+				t.Fatalf("Acquire(%s): want ErrUnknownTenant, got %v", name, err)
+			}
+		}
+	}
+	if st := r.Stats(); st.Loads != 1 || st.Resident != 1 {
+		t.Fatalf("one successful load and six failed acquires: want 1 load, 1 resident, got %+v", st)
+	}
+	for _, name := range []string{"empty", "missing"} {
+		if g := r.Generation(name); g != 0 {
+			t.Fatalf("Generation(%s) = %d after failed loads, want 0", name, g)
+		}
+	}
+}
+
 // TestLoadTenantCompressed: LoadTenant must detect a compressed snapshot
 // by magic — same filename as a frozen one — and answer estimates
 // bit-identically to the frozen-loaded twin of the same tenant, at a

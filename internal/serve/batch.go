@@ -111,14 +111,12 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sum := h.c.Summary()
-	scope := scopeFor("", sum)
 	if _, err := sum.LookupMethod(method); err != nil {
 		writeCoreError(w, err)
 		return
 	}
 	// Resolve and validate each entry's effective method. A bad per-item
 	// override fails that item alone, mirroring per-item parse errors.
-	methods := make([]core.Method, len(req.Queries))
 	items := make([]batchItem, len(req.Queries))
 	for i, entry := range req.Queries {
 		m := method
@@ -130,14 +128,13 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 				items[i].Code = code
 			}
 		}
-		methods[i] = m
 		items[i].Query = entry.Q
 		items[i].Method = string(m)
 	}
 	h.batchSizes.Observe(float64(len(req.Queries)))
 
-	// Parse and consult the query cache first; only misses reach the
-	// worker pool. pending[j] remembers which item slot miss j fills.
+	// Parse every entry; only parsed queries reach the worker pool.
+	// pending[j] remembers which item slot query j fills.
 	var (
 		pending     []int
 		queries     []labeltree.Pattern
@@ -161,14 +158,9 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].Code = code
 			continue
 		}
-		if est, ok := h.cache.Get(scope, string(methods[i]), q); ok {
-			e := est
-			items[i].Estimate = &e
-			continue
-		}
 		pending = append(pending, i)
 		queries = append(queries, q)
-		itemMethods = append(itemMethods, methods[i])
+		itemMethods = append(itemMethods, core.Method(items[i].Method))
 	}
 
 	if len(queries) > 0 {
@@ -203,10 +195,6 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 				items[i].Divergent = &div
 			}
 			h.observeEnsemble(core.DegradedEstimate{Checked: res.Checked, Divergent: res.Divergent})
-			// Cache under the producing method, mirroring the single
-			// endpoint: degraded answers must not masquerade as the
-			// requested method once pressure subsides.
-			h.cache.Put(scope, string(res.Method), queries[j], res.Estimate)
 		}
 	}
 	writeJSON(w, batchResponse{Method: string(method), Results: items})

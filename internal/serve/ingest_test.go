@@ -265,8 +265,9 @@ func TestIngestStatsAndBackpressure(t *testing.T) {
 
 // TestIngestEpochScopedCache: answers cached under one epoch must not
 // leak into the next — a cached pre-ingest estimate would hide the
-// freshly added document. The epoch-keyed scope makes invalidation
-// automatic, with no global Reset on the write path.
+// freshly added document. Each epoch's summary owns its sub-estimate
+// caches, so publishing is the invalidation, with no Reset on the write
+// path.
 func TestIngestEpochScopedCache(t *testing.T) {
 	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
 	if err != nil {

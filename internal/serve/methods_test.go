@@ -182,3 +182,46 @@ func TestBatchEnsembleFields(t *testing.T) {
 		t.Fatalf("divergence = %v", item["divergence"])
 	}
 }
+
+// TestEnsembleVerdictOnEveryAnswer: every ensemble answer carries its
+// cross-check verdict, a repeated query's included, on all three
+// estimate routes, and ensemble.checked counts each checked answer. The
+// default tenant serves the tenant route: the ensemble's sampling
+// cross-check needs documents, which a fleet snapshot tenant lacks.
+func TestEnsembleVerdictOnEveryAnswer(t *testing.T) {
+	srv, _ := newServer(t)
+	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
+	const q = "laptops(laptop(brand,price))"
+	routes := []struct {
+		name string
+		send func() map[string]any
+	}{
+		{"/v1/estimate", func() map[string]any {
+			_, out := do(t, "GET", srv.URL+"/v1/estimate?method=ensemble&q="+q, "")
+			return out
+		}},
+		{"/v1/t/default/estimate", func() map[string]any {
+			_, out := do(t, "GET", srv.URL+"/v1/t/default/estimate?method=ensemble&q="+q, "")
+			return out
+		}},
+		{"/v1/estimate/batch", func() map[string]any {
+			_, out := postBatch(t, srv.URL, `{"queries": ["`+q+`"], "method": "ensemble"}`)
+			return out["results"].([]any)[0].(map[string]any)
+		}},
+	}
+	for _, route := range routes {
+		before := decodeMetrics(t, srv.URL).Counters["ensemble.checked"]
+		for i := 1; i <= 2; i++ {
+			out := route.send()
+			for _, field := range []string{"cross_estimate", "divergence", "divergent"} {
+				if _, ok := out[field]; !ok {
+					t.Errorf("%s answer %d has no %s: %v", route.name, i, field, out)
+				}
+			}
+		}
+		after := decodeMetrics(t, srv.URL).Counters["ensemble.checked"]
+		if after-before != 2 {
+			t.Errorf("%s: ensemble.checked rose by %d over two answers, want 2", route.name, after-before)
+		}
+	}
+}

@@ -90,14 +90,9 @@ func (h *Handler) endpointSummaries() map[string]endpointSummary {
 	return out
 }
 
-// instrumentCorpus wires the corpus-side metrics: qcache hit/miss/eviction
-// counters and per-method estimate latency histograms.
+// instrumentCorpus wires the corpus-side metrics: per-method estimate
+// latency histograms and sub-estimate cache counters.
 func (h *Handler) instrumentCorpus() {
-	h.cache.Instrument(
-		h.reg.Counter("qcache.hits"),
-		h.reg.Counter("qcache.misses"),
-		h.reg.Counter("qcache.evictions"),
-	)
 	registered := h.c.Summary().Registry().Methods()
 	hists := make(map[core.Method]*obs.Histogram, len(registered))
 	for _, m := range registered {

@@ -25,17 +25,16 @@
 // registry of named tenants, each one snapshot loaded lazily; the
 // legacy routes answer as the default tenant, the live corpus. Tenant
 // routes sit behind per-tenant admission quotas
-// (Resilience.TenantQuota); the whole-query cache is scoped by
-// (tenant, epoch), so tenants never share entries and POST
-// /v1/t/{tenant}/reload (or a corpus epoch swap) invalidates only the
-// affected scope.
+// (Resilience.TenantQuota). /v1/estimate and /v1/t/{tenant}/estimate
+// share one path from parse to response; the tenant route adds the
+// tenant lookup, the tenant's quota and the "tenant" response field.
 //
 // Queries use the twig syntax ("a(b,c(d))"). Estimation methods resolve
 // through the core registry (GET /v1/methods lists them): the paper's
 // recursive, recursive+voting (default), and fix-sized decompositions,
 // plus markov, treesketches, sampling, and ensemble. An ensemble answer
 // carries its sampling cross-check verdict (cross_estimate, divergence,
-// divergent) when the check completed.
+// divergent) whenever the check completed.
 //
 // Every error response carries the JSON envelope
 //
@@ -77,8 +76,11 @@
 // touching the corpus; a finished mine lands in the corpus delta and is
 // published as a new epoch. Removals land the same way, as a negative
 // increment. The handler takes no lock: every request loads the corpus's
-// current epoch once and finishes against it, and the whole-query cache
-// is keyed by epoch, so publishing is the invalidation.
+// current epoch once and finishes against it. The one cache between a
+// request and the lattice is the summary's sub-estimate cache
+// (estimate.SubCache), which also answers a repeated query by its
+// whole-query key; a new epoch is a new summary with fresh caches, so
+// publishing is the invalidation.
 //
 // Resilience (see Options.Resilience and internal/resilience): the
 // work-bearing endpoints sit behind admission control (shed requests get
@@ -105,7 +107,6 @@ import (
 	"treelattice/internal/labeltree"
 	"treelattice/internal/metrics"
 	"treelattice/internal/obs"
-	"treelattice/internal/qcache"
 	"treelattice/internal/resilience"
 	"treelattice/internal/twigjoin"
 )
@@ -206,7 +207,6 @@ type Options struct {
 // publishes immutable epochs and serializes its writers.
 type Handler struct {
 	c        Backend
-	cache    *qcache.Cache
 	mux      *http.ServeMux
 	maxBytes int64
 	res      ResilienceOptions
@@ -253,7 +253,6 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 	}
 	h := &Handler{
 		c:           c,
-		cache:       qcache.New(4096),
 		maxBytes:    opts.MaxDocumentBytes,
 		res:         opts.Resilience,
 		flt:         opts.Fleet,
@@ -365,20 +364,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// scopeFor derives the cache scope for an estimate computed against sum.
-// When the summary belongs to a published RCU epoch (every corpus
-// summary does), the epoch ID joins the key, so an estimate cached
-// against one epoch can never answer a lookup against another —
-// publishing IS the invalidation. Fleet snapshots carry epoch 0 and rely
-// on their registry generation (see tenantScope).
-func scopeFor(tenant string, sum *core.Summary) qcache.Scope {
-	sc := qcache.Scope{Tenant: tenant}
-	if ep, ok := sum.Source().(*core.Epoch); ok {
-		sc.Epoch = ep.ID
-	}
-	return sc
-}
-
 func (h *Handler) method(r *http.Request) core.Method {
 	m := r.URL.Query().Get("method")
 	if m == "" {
@@ -387,14 +372,26 @@ func (h *Handler) method(r *http.Request) core.Method {
 	return core.Method(m)
 }
 
+// estimate serves GET /v1/estimate against the live corpus.
 func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
+	h.answerEstimate(w, r, "", h.c.Summary())
+}
+
+// answerEstimate serves one estimate request against sum, from parse to
+// response, for /v1/estimate (tenant empty) and /v1/t/{tenant}/estimate.
+// A named tenant adds its admission quota and the "tenant" response
+// field. The caller passes the summary it resolved so the whole request
+// pins one epoch; re-loading here could observe a newer one mid-request.
+// The estimate runs within the request budget, degrading to a cheaper
+// method when the budget expires (unless disabled); an ensemble answer
+// carries its cross-check verdict.
+func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant string, sum *core.Summary) {
 	qs := r.URL.Query().Get("q")
 	if qs == "" {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
 	method := h.method(r)
-	sum := h.c.Summary()
 	// Validate the method before the query: with an empty corpus every
 	// label is unknown, and a bogus method should still 400. LookupMethod
 	// checks the registry without preparing the backend.
@@ -402,38 +399,48 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
+	resp := map[string]any{"query": qs}
+	if tenant != "" {
+		tm := h.tenantMetricsFor(tenant)
+		if !h.quota.Acquire(tenant) {
+			tm.shed.Inc()
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "shed",
+				"tenant over its admission quota; retry later")
+			return
+		}
+		defer h.quota.Release(tenant)
+		tm.requests.Inc()
+		resp["tenant"] = tenant
+	}
 	q, err := sum.ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		// A label no document has ever carried cannot match: the true
 		// selectivity is exactly zero.
-		writeJSON(w, map[string]any{"query": qs, "estimate": 0.0})
+		resp["estimate"] = 0.0
+		writeJSON(w, resp)
 		return
 	}
 	if err != nil {
 		writeCoreError(w, err)
 		return
 	}
-	// Cache lookup under the requested method and the pinned summary's
-	// scope; a hit needs no budget. (Cached ensemble answers lose their
-	// divergence verdict — only fresh runs cross-check.)
-	scope := scopeFor("", sum)
-	if est, ok := h.cache.Get(scope, string(method), q); ok {
-		writeJSON(w, map[string]any{"query": qs, "estimate": est, "method": string(method)})
-		return
+	run := sum.EstimateDegradable
+	if h.res.DisableFallback {
+		run = sum.EstimateStrict
 	}
-	res, err := h.runEstimate(r.Context(), sum, q, method)
+	res, err := run(r.Context(), q, method)
 	if err != nil {
 		h.coreError(w, err)
 		return
 	}
-	// Cache under the method that actually produced the value: a degraded
-	// answer must not masquerade as the requested method once pressure
-	// subsides.
-	h.cache.Put(scope, string(res.Method), q, res.Estimate)
-	resp := map[string]any{"query": qs, "estimate": res.Estimate, "method": string(res.Method)}
 	if res.Degraded {
+		h.degraded.Inc()
 		resp["degraded"] = true
 	}
+	h.observeEnsemble(res)
+	resp["estimate"] = res.Estimate
+	resp["method"] = string(res.Method)
 	if res.Checked {
 		resp["cross_estimate"] = res.CrossEstimate
 		resp["divergence"] = res.Divergence
@@ -466,28 +473,6 @@ func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
 		"default": string(core.MethodRecursiveVoting),
 		"methods": out,
 	})
-}
-
-// runEstimate evaluates q against sum within the request budget,
-// degrading to a cheaper method when the budget expires (unless
-// disabled), and accounts ensemble cross-check outcomes. The caller
-// passes the summary it already loaded (and derived the cache scope
-// from) so the whole request pins one epoch — re-loading here could
-// observe a newer one mid-request.
-func (h *Handler) runEstimate(ctx context.Context, sum *core.Summary, q labeltree.Pattern, method core.Method) (core.DegradedEstimate, error) {
-	run := sum.EstimateDegradable
-	if h.res.DisableFallback {
-		run = sum.EstimateStrict
-	}
-	res, err := run(ctx, q, method)
-	if err != nil {
-		return core.DegradedEstimate{}, err
-	}
-	if res.Degraded {
-		h.degraded.Inc()
-	}
-	h.observeEnsemble(res)
-	return res, nil
 }
 
 // observeEnsemble feeds an estimate's cross-check outcome into the obs
@@ -562,21 +547,15 @@ type explainResponse struct {
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	s := h.c.Summary()
-	hits, misses, evictions, size := h.cache.Stats()
 	ing := h.syncIngest()
 	resp := map[string]any{
-		"k":               s.K(),
-		"patterns":        s.Patterns(),
-		"bytes":           s.SizeBytes(),
-		"backend":         s.StoreKind(),
-		"resident_bytes":  s.ResidentBytes(),
-		"documents":       h.c.Docs(),
-		"cache_hits":      hits,
-		"cache_misses":    misses,
-		"cache_evictions": evictions,
-		"cache_size":      size,
-		"cache_hit_ratio": h.cache.HitRatio(),
-		"workers":         h.c.Workers(),
+		"k":              s.K(),
+		"patterns":       s.Patterns(),
+		"bytes":          s.SizeBytes(),
+		"backend":        s.StoreKind(),
+		"resident_bytes": s.ResidentBytes(),
+		"documents":      h.c.Docs(),
+		"workers":        h.c.Workers(),
 		// One-stop obs summary: per-endpoint totals and latency quantiles,
 		// plus current concurrency, without scraping /v1/metrics.
 		"endpoints": h.endpointSummaries(),
@@ -585,7 +564,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 		// out, or eating panics right now?
 		"resilience": h.resilienceSummary(),
 		// Shared sub-estimate cache effectiveness across the estimator
-		// worker pool (distinct from the whole-query cache above).
+		// worker pool: the one cache in front of the lattice.
 		"subcache": h.subcacheSummary(s),
 		// Ensemble cross-check outcomes: how many estimates carried a
 		// completed sampling cross-check, and how many of those diverged
@@ -677,8 +656,8 @@ func (h *Handler) syncIngest() core.IngestStats {
 }
 
 // addDoc serves POST /v1/docs/{name}. The add publishes a new epoch;
-// in-flight reads finish against the epoch they pinned, and cached
-// entries of older epochs simply become unreachable.
+// in-flight reads finish against the epoch they pinned, and new ones
+// start on the new epoch's summary with fresh caches.
 func (h *Handler) addDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body := http.MaxBytesReader(w, r.Body, h.maxBytes)

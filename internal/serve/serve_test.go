@@ -265,7 +265,7 @@ func TestUploadTooLarge(t *testing.T) {
 
 // TestConcurrentEstimateAndUpload races reads against incremental merges:
 // run under -race, it checks the lock discipline across the estimate
-// path, the cache, and the upload pipeline.
+// path, the sub-estimate caches, and the upload pipeline.
 func TestConcurrentEstimateAndUpload(t *testing.T) {
 	srv, _ := newServer(t)
 	do(t, "POST", srv.URL+"/v1/docs/seed", doc)
@@ -352,14 +352,33 @@ func TestConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEstimateCaching: the summary's sub-estimate cache answers a
+// repeated query by its whole-query key. A size-(K+1) twig is not in the
+// lattice, so every repeat is exactly one cache hit and answers bit for
+// bit like the first; a new document publishes an epoch whose estimate
+// reflects it.
 func TestEstimateCaching(t *testing.T) {
 	srv, _ := newServer(t)
 	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
-	do(t, "GET", srv.URL+"/v1/estimate?q=laptop(brand)", "")
-	do(t, "GET", srv.URL+"/v1/estimate?q=laptop(brand)", "")
-	_, out := do(t, "GET", srv.URL+"/v1/stats", "")
-	if out["cache_hits"].(float64) < 1 {
-		t.Fatalf("no cache hits recorded: %v", out)
+	const (
+		q    = "laptops(laptop(brand,price))" // size 4, K = 3
+		hits = "subcache.recursive+voting.hits"
+	)
+	_, first := do(t, "GET", srv.URL+"/v1/estimate?q="+q, "")
+	if _, ok := first["estimate"].(float64); !ok {
+		t.Fatalf("first estimate: %v", first)
+	}
+	prev := decodeMetrics(t, srv.URL).Counters[hits]
+	for i := 1; i <= 3; i++ {
+		_, out := do(t, "GET", srv.URL+"/v1/estimate?q="+q, "")
+		if out["estimate"] != first["estimate"] {
+			t.Fatalf("repeat %d answered %v, first answer %v", i, out["estimate"], first["estimate"])
+		}
+		got := decodeMetrics(t, srv.URL).Counters[hits]
+		if got != prev+1 {
+			t.Fatalf("repeat %d: %s went %d -> %d, want one hit", i, hits, prev, got)
+		}
+		prev = got
 	}
 	// A mutation invalidates: estimates change after a second document.
 	do(t, "POST", srv.URL+"/v1/docs/sample2", doc)
@@ -415,18 +434,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok || hist.Count != n+1 {
 		t.Errorf("estimate latency histogram count = %d, want %d", hist.Count, n+1)
 	}
-	// The estimate path records per-method latencies in core: the cache
-	// absorbed repeats, so the voting estimator ran for the two distinct
-	// computations (good query once, plus zero for the bad one which never
-	// reaches the estimator).
-	if got := s.Histograms["estimate.recursive+voting.latency_seconds"].Count; got != 1 {
-		t.Errorf("estimator latency count = %d, want 1 (cache absorbed repeats)", got)
-	}
-	if got := s.Counters["qcache.hits"]; got != n-1 {
-		t.Errorf("qcache.hits = %d, want %d", got, n-1)
-	}
-	if got := s.Counters["qcache.misses"]; got != 1 {
-		t.Errorf("qcache.misses = %d, want 1", got)
+	// The estimate path records per-method latencies in core: every good
+	// request reaches the estimator, repeats included; the bad query
+	// fails to parse before it.
+	if got := s.Histograms["estimate.recursive+voting.latency_seconds"].Count; got != n {
+		t.Errorf("estimator latency count = %d, want %d", got, n)
 	}
 	// The scrape observes itself: the snapshot is taken while the metrics
 	// request is still in flight.
@@ -435,19 +447,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsObsSummary checks the satellite: /v1/stats carries the cache
-// hit ratio and the per-endpoint obs summary.
+// TestStatsObsSummary: /v1/stats carries the sub-estimate cache's hit
+// ratio and the per-endpoint obs summary.
 func TestStatsObsSummary(t *testing.T) {
 	srv, _ := newServer(t)
 	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
-	do(t, "GET", srv.URL+"/v1/estimate?q=laptop(brand)", "")
-	do(t, "GET", srv.URL+"/v1/estimate?q=laptop(brand)", "")
+	// A size-(K+1) twig: the first estimate misses the cache by its
+	// whole-query key, the repeat hits it.
+	do(t, "GET", srv.URL+"/v1/estimate?q=laptops(laptop(brand,price))", "")
+	do(t, "GET", srv.URL+"/v1/estimate?q=laptops(laptop(brand,price))", "")
 	_, out := do(t, "GET", srv.URL+"/v1/stats", "")
-	if ratio, ok := out["cache_hit_ratio"].(float64); !ok || ratio != 0.5 {
-		t.Errorf("cache_hit_ratio = %v, want 0.5", out["cache_hit_ratio"])
+	sub, ok := out["subcache"].(map[string]any)
+	if !ok {
+		t.Fatalf("stats missing subcache section: %v", out)
 	}
-	if _, ok := out["cache_evictions"].(float64); !ok {
-		t.Errorf("stats missing cache_evictions: %v", out)
+	if ratio, ok := sub["hit_ratio"].(float64); !ok || ratio != 0.5 {
+		t.Errorf("subcache hit_ratio = %v, want 0.5", sub["hit_ratio"])
+	}
+	if _, ok := sub["evictions"].(float64); !ok {
+		t.Errorf("subcache section missing evictions: %v", sub)
 	}
 	eps, ok := out["endpoints"].(map[string]any)
 	if !ok {

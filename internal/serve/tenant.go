@@ -9,7 +9,6 @@ import (
 	"treelattice/internal/core"
 	"treelattice/internal/fleet"
 	"treelattice/internal/obs"
-	"treelattice/internal/qcache"
 )
 
 // DefaultTenant is the name the legacy single-tenant routes answer as:
@@ -61,12 +60,8 @@ func (h *Handler) tenantFor(ctx context.Context, name string) (*core.Summary, er
 }
 
 // tenantEstimate serves GET /v1/t/{tenant}/estimate: the multi-tenant
-// twin of /v1/estimate, sharing its budget, degradation and ensemble
-// accounting through runEstimate. The whole-query cache applies here
-// too — entries are keyed by (tenant, epoch), so tenants never see each
-// other's answers and a reload or epoch swap makes old entries
-// unreachable. Degraded answers are never cached: they reflect
-// transient pressure, not the tenant's true estimate.
+// twin of /v1/estimate. It resolves the tenant and answers through the
+// same answerEstimate, which adds the tenant's quota and name.
 func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	sum, err := h.tenantFor(r.Context(), name)
@@ -74,79 +69,7 @@ func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	qs := r.URL.Query().Get("q")
-	if qs == "" {
-		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
-		return
-	}
-	method := h.method(r)
-	if _, err := sum.LookupMethod(method); err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	tm := h.tenantMetricsFor(name)
-	if !h.quota.Acquire(name) {
-		tm.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "shed",
-			"tenant over its admission quota; retry later")
-		return
-	}
-	defer h.quota.Release(name)
-	tm.requests.Inc()
-
-	q, err := sum.ParseQuery(qs)
-	if errors.Is(err, core.ErrUnknownLabel) {
-		writeJSON(w, map[string]any{"tenant": name, "query": qs, "estimate": 0.0})
-		return
-	}
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	scope := h.tenantScope(name, sum)
-	if est, ok := h.cache.Get(scope, string(method), q); ok {
-		writeJSON(w, map[string]any{
-			"tenant": name, "query": qs, "estimate": est, "method": string(method),
-		})
-		return
-	}
-	res, err := h.runEstimate(r.Context(), sum, q, method)
-	if err != nil {
-		h.coreError(w, err)
-		return
-	}
-	if !res.Degraded {
-		h.cache.Put(scope, string(res.Method), q, res.Estimate)
-	}
-	resp := map[string]any{
-		"tenant":   name,
-		"query":    qs,
-		"estimate": res.Estimate,
-		"method":   string(res.Method),
-	}
-	if res.Degraded {
-		resp["degraded"] = true
-	}
-	if res.Checked {
-		resp["cross_estimate"] = res.CrossEstimate
-		resp["divergence"] = res.Divergence
-		resp["divergent"] = res.Divergent
-	}
-	writeJSON(w, resp)
-}
-
-// tenantScope derives the cache scope for an estimate against a named
-// tenant. The corpus discriminates by RCU epoch; fleet tenants loaded
-// from static snapshots carry no epoch, so their registry generation
-// fills the slot — a reload bumps it and the previous
-// generation's entries become unreachable.
-func (h *Handler) tenantScope(name string, sum *core.Summary) qcache.Scope {
-	sc := scopeFor(name, sum)
-	if sc.Epoch == 0 && h.flt != nil && name != DefaultTenant {
-		sc.Epoch = h.flt.Generation(name)
-	}
-	return sc
+	h.answerEstimate(w, r, name, sum)
 }
 
 // tenantReload serves POST /v1/t/{tenant}/reload: hot-swap the tenant's
@@ -180,9 +103,6 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// The generation bump already routes new lookups past the old
-	// entries; dropping them too frees the LRU slots immediately.
-	h.cache.DropScope(name)
 	writeJSON(w, map[string]any{
 		"tenant":     name,
 		"reloaded":   true,
@@ -193,7 +113,9 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 
 // tenantStatsEndpoint serves GET /v1/t/{tenant}/stats: the tenant's
 // summary shape, traffic counters, and sub-estimate cache
-// effectiveness.
+// effectiveness. Its "epoch" is the corpus's RCU epoch for the default
+// tenant and the registry generation for a fleet tenant, whose
+// snapshot publishes no epochs.
 func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	sum, err := h.tenantFor(r.Context(), name)
@@ -201,10 +123,16 @@ func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
+	var epoch uint64
+	if ep, ok := sum.Source().(*core.Epoch); ok {
+		epoch = ep.ID
+	} else if h.flt != nil {
+		epoch = h.flt.Generation(name)
+	}
 	tm := h.tenantMetricsFor(name)
 	writeJSON(w, map[string]any{
 		"tenant":         name,
-		"epoch":          h.tenantScope(name, sum).Epoch,
+		"epoch":          epoch,
 		"k":              sum.K(),
 		"patterns":       sum.Patterns(),
 		"bytes":          sum.SizeBytes(),
@@ -293,12 +221,7 @@ func (h *Handler) tenantsSummary() map[string]any {
 			}
 		}
 		if sum != nil {
-			st := sum.SubCacheStats()
-			ratio := 0.0
-			if st.Hits+st.Misses > 0 {
-				ratio = float64(st.Hits) / float64(st.Hits+st.Misses)
-			}
-			entry["subcache_hit_ratio"] = ratio
+			entry["subcache_hit_ratio"] = h.subcacheSummary(sum)["hit_ratio"]
 			entry["backend"] = sum.StoreKind()
 			entry["resident_bytes"] = sum.ResidentBytes()
 		}
