@@ -92,9 +92,25 @@ microbench:
 
 # loc prints the non-test Go lines of every package directory, then
 # their total, over tracked files outside perfbench/ (its own module).
-# Run it at two commits and subtract to get a change's net line count.
+# With BASE=<rev> (make loc BASE=HEAD~1) it prints, per package and in
+# total, the lines at BASE (read from git objects), the lines in the
+# work tree, and the difference: a change's net line count in one run.
+LOC_FILES = -- '*.go' ':!:*_test.go' ':!:perfbench/'
+
 loc:
-	@git ls-files -z -- '*.go' ':!:*_test.go' ':!:perfbench/' | xargs -0 awk ' \
+ifeq ($(BASE),)
+	@git ls-files -z $(LOC_FILES) | xargs -0 awk ' \
 		FNR == 1 { d = FILENAME; if (!sub("/[^/]*$$", "", d)) d = "." } \
 		{ n[d]++; total++ } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
+else
+	@git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: BASE=$(BASE) names no commit"; exit 1; }
+	@{ git grep -c -e '' '$(BASE)' $(LOC_FILES) | sed 's/^/b:/'; \
+	   git grep -c -e '' $(LOC_FILES) | sed 's/^/w:/'; } | awk -v base='$(BASE)' ' \
+		{ side = substr($$0, 1, 1); p = substr($$0, 3); if (side == "b") p = substr(p, length(base) + 2); \
+		  n = p; sub(/.*:/, "", n); sub(/:[0-9]+$$/, "", p); \
+		  d = p; if (!sub("/[^/]*$$", "", d)) d = "."; c[side, d] += n; t[side] += n; dirs[d] = 1 } \
+		END { printf "%7s  %7s  %7s  %s\n", "base", "work", "diff", "package"; \
+		  for (d in dirs) printf "%7d  %7d  %+7d  %s\n", c["b", d], c["w", d], c["w", d] - c["b", d], d | "sort -k4"; \
+		  close("sort -k4"); printf "%7d  %7d  %+7d  total\n", t["b"], t["w"], t["w"] - t["b"] }'
+endif

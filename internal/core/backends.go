@@ -12,7 +12,7 @@ import (
 	"treelattice/internal/treesketch"
 )
 
-// The non-decomposition methods the registry serves alongside the
+// The non-decomposition methods the method table serves alongside the
 // paper's three (MethodRecursive, MethodRecursiveVoting, MethodFixSized).
 const (
 	// MethodMarkov estimates via a Markov table of path counts: twigs
@@ -32,10 +32,10 @@ const (
 	MethodEnsemble Method = "ensemble"
 )
 
-// DefaultSamplingOptions bounds the registered sampling backend: enough
-// probes to stabilize the inverse-fraction scaling, a node budget that
-// keeps one estimate under a few milliseconds on paper-scale documents,
-// and a fixed seed so estimates are reproducible run-to-run.
+// DefaultSamplingOptions bounds the sampling method: enough probes to
+// stabilize the inverse-fraction scaling, a node budget that keeps one
+// estimate under a few milliseconds on paper-scale documents, and a
+// fixed seed so estimates are reproducible run-to-run.
 var DefaultSamplingOptions = sampling.Options{Probes: 64, MaxNodes: 1 << 20, Seed: 1}
 
 // DefaultEnsembleThreshold is the smoothed divergence ratio
@@ -44,106 +44,44 @@ var DefaultSamplingOptions = sampling.Options{Probes: 64, MaxNodes: 1 << 20, See
 // order-of-magnitude misses compounded independence assumptions produce.
 const DefaultEnsembleThreshold = 4.0
 
-func init() {
-	DefaultRegistry.MustRegister(decompBackend{
-		method: MethodRecursive, fallback: MethodFixSized,
-		desc: "recursive leaf-pair decomposition (Section 3.2)",
+// ---- decomposition methods (the paper's estimators) ----
+
+// The decomposition methods answer with exactly the estimator a direct
+// caller would build, sharing the method's sub-estimate cache, so
+// table-routed estimates are bit-identical to direct calls.
+
+func prepareRecursive(_ context.Context, s *Summary) (Prepared, error) {
+	return decomposition(s.recursive(MethodRecursive)), nil
+}
+
+func prepareRecursiveVoting(_ context.Context, s *Summary) (Prepared, error) {
+	return decomposition(s.recursive(MethodRecursiveVoting)), nil
+}
+
+func prepareFixSized(_ context.Context, s *Summary) (Prepared, error) {
+	return decomposition(&estimate.FixSized{Sum: s.st, Cache: s.SubCache(MethodFixSized)}), nil
+}
+
+// recursive returns the recursive estimator of MethodRecursive or
+// MethodRecursiveVoting over the summary's store and the method's
+// sub-estimate cache.
+func (s *Summary) recursive(m Method) *estimate.Recursive {
+	return &estimate.Recursive{Sum: s.st, Voting: m == MethodRecursiveVoting, Cache: s.SubCache(m)}
+}
+
+func decomposition(est estimate.ContextEstimator) Prepared {
+	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
+		v, err := est.EstimateContext(ctx, q)
+		if err != nil {
+			return Aggregate{}, err
+		}
+		return Aggregate{Estimate: v}, nil
 	})
-	DefaultRegistry.MustRegister(decompBackend{
-		method: MethodRecursiveVoting, voting: true, fallback: MethodFixSized,
-		desc: "recursive decomposition averaging all leaf pairs (Section 3.2, voting)",
-	})
-	DefaultRegistry.MustRegister(decompBackend{
-		method: MethodFixSized, fixed: true,
-		desc: "preorder K-subtree cover with telescoping product (Section 3.3)",
-	})
-	DefaultRegistry.MustRegister(markovBackend{})
-	DefaultRegistry.MustRegister(treesketchBackend{})
-	DefaultRegistry.MustRegister(samplingBackend{})
-	DefaultRegistry.MustRegister(ensembleBackend{
-		primary: MethodRecursiveVoting, cross: MethodSampling,
-		threshold: DefaultEnsembleThreshold,
-	})
 }
 
-// ---- decomposition backends (the paper's estimators) ----
+// ---- markov ----
 
-// decompBackend adapts the estimate package's decomposition estimators.
-// Decompose emits the whole query as one subquery and EstCard delegates
-// to exactly the estimator construction the pre-registry API used, so
-// registry-routed estimates are bit-identical to direct calls.
-type decompBackend struct {
-	method   Method
-	voting   bool
-	fixed    bool
-	fallback Method
-	desc     string
-}
-
-func (b decompBackend) Method() Method { return b.method }
-
-func (b decompBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsFrozen: true,
-		SupportsBatch:  true,
-		Fallback:       b.fallback,
-		Description:    b.desc,
-	}
-}
-
-func (b decompBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) {
-	if b.fixed {
-		return wholeQueryPrepared{est: &estimate.FixSized{Sum: s.st, Cache: s.SubCache(b.method)}}, nil
-	}
-	return recursivePrepared{
-		wholeQueryPrepared{est: &estimate.Recursive{Sum: s.st, Voting: b.voting, Cache: s.SubCache(b.method)}},
-	}, nil
-}
-
-// wholeQueryPrepared runs a ContextEstimator as a single-subquery
-// pipeline.
-type wholeQueryPrepared struct {
-	est estimate.ContextEstimator
-}
-
-func (p wholeQueryPrepared) Decompose(q labeltree.Pattern) ([]Subquery, error) {
-	return []Subquery{{Pattern: q, Weight: 1}}, nil
-}
-
-func (p wholeQueryPrepared) EstCard(ctx context.Context, sub Subquery) (float64, error) {
-	return p.est.EstimateContext(ctx, sub.Pattern)
-}
-
-func (p wholeQueryPrepared) AggCard(_ []Subquery, cards []Card) Aggregate {
-	return Aggregate{Estimate: cards[0].Value}
-}
-
-// recursivePrepared additionally exposes the recursive estimator's work
-// trace for /v1/explain.
-type recursivePrepared struct {
-	wholeQueryPrepared
-}
-
-func (p recursivePrepared) EstimateWithTrace(q labeltree.Pattern) (float64, estimate.Trace) {
-	return p.est.(*estimate.Recursive).EstimateWithTrace(q)
-}
-
-// ---- markov backend ----
-
-type markovBackend struct{}
-
-func (markovBackend) Method() Method { return MethodMarkov }
-
-func (markovBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsFrozen: true,
-		SupportsBatch:  true,
-		NeedsDocuments: true,
-		Description:    "Markov path table, twigs via root-to-leaf path independence (Lemma 4 baseline)",
-	}
-}
-
-func (markovBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) {
+func prepareMarkov(_ context.Context, s *Summary) (Prepared, error) {
 	trees, err := s.sourceTrees(MethodMarkov)
 	if err != nil {
 		return nil, err
@@ -152,53 +90,17 @@ func (markovBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) {
 	if k < 2 {
 		k = 2
 	}
-	return markovPrepared{tb: markov.BuildForest(trees, k)}, nil
+	tb := markov.BuildForest(trees, k)
+	// A path-table estimate is a handful of map probes: one poll covers it.
+	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
+		if err := ctx.Err(); err != nil {
+			return Aggregate{}, err
+		}
+		return Aggregate{Estimate: tb.EstimateTwig(q)}, nil
+	}), nil
 }
 
-type markovPrepared struct {
-	tb *markov.Table
-}
-
-func (p markovPrepared) Decompose(q labeltree.Pattern) ([]Subquery, error) {
-	terms := markov.TwigPaths(q)
-	subs := make([]Subquery, len(terms))
-	for i, t := range terms {
-		subs[i] = Subquery{Path: t.Path, Weight: float64(t.Weight)}
-	}
-	return subs, nil
-}
-
-func (p markovPrepared) EstCard(ctx context.Context, sub Subquery) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return p.tb.Estimate(sub.Path), nil
-}
-
-func (p markovPrepared) AggCard(subs []Subquery, cards []Card) Aggregate {
-	terms := make([]markov.PathTerm, len(subs))
-	vals := make([]float64, len(subs))
-	for i, sub := range subs {
-		terms[i] = markov.PathTerm{Path: sub.Path, Weight: int(sub.Weight)}
-		vals[i] = cards[i].Value
-	}
-	return Aggregate{Estimate: markov.CombinePathTerms(terms, vals)}
-}
-
-// ---- treesketch backend ----
-
-type treesketchBackend struct{}
-
-func (treesketchBackend) Method() Method { return MethodTreeSketch }
-
-func (treesketchBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsFrozen: true,
-		SupportsBatch:  true,
-		NeedsDocuments: true,
-		Description:    "TreeSketches graph synopsis per document, estimates summed (comparison baseline)",
-	}
-}
+// ---- treesketch ----
 
 // treesketchOptions bounds synopsis construction for serving: the default
 // (effectively unbounded) refinement and merge limits reproduce the
@@ -211,7 +113,9 @@ var treesketchOptions = treesketch.Options{
 	MaxMergeRounds:    512,
 }
 
-func (treesketchBackend) Prepare(ctx context.Context, s *Summary) (Prepared, error) {
+// prepareTreeSketch builds one synopsis per document. Matches never span
+// documents, so the per-document estimates sum to the answer.
+func prepareTreeSketch(ctx context.Context, s *Summary) (Prepared, error) {
 	trees, err := s.sourceTrees(MethodTreeSketch)
 	if err != nil {
 		return nil, err
@@ -223,53 +127,22 @@ func (treesketchBackend) Prepare(ctx context.Context, s *Summary) (Prepared, err
 		}
 		syn[i] = treesketch.Build(t, treesketchOptions)
 	}
-	return treesketchPrepared{syn: syn}, nil
+	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
+		var total float64
+		for _, sy := range syn {
+			v, err := sy.EstimateContext(ctx, q)
+			if err != nil {
+				return Aggregate{}, err
+			}
+			total += v
+		}
+		return Aggregate{Estimate: total}, nil
+	}), nil
 }
 
-type treesketchPrepared struct {
-	syn []*treesketch.Synopsis
-}
+// ---- sampling ----
 
-// Decompose emits one subquery per document: matches never span
-// documents, so per-document estimates are additive.
-func (p treesketchPrepared) Decompose(q labeltree.Pattern) ([]Subquery, error) {
-	subs := make([]Subquery, len(p.syn))
-	for i := range subs {
-		subs[i] = Subquery{Pattern: q, Doc: i, Weight: 1}
-	}
-	return subs, nil
-}
-
-func (p treesketchPrepared) EstCard(ctx context.Context, sub Subquery) (float64, error) {
-	return p.syn[sub.Doc].EstimateContext(ctx, sub.Pattern)
-}
-
-func (p treesketchPrepared) AggCard(_ []Subquery, cards []Card) Aggregate {
-	var total float64
-	for _, c := range cards {
-		total += c.Value
-	}
-	return Aggregate{Estimate: total}
-}
-
-// ---- sampling backend ----
-
-type samplingBackend struct{}
-
-func (samplingBackend) Method() Method { return MethodSampling }
-
-func (samplingBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsFrozen: true,
-		SupportsBatch:  true,
-		Budgeted:       true,
-		NeedsDocuments: true,
-		Fallback:       MethodFixSized,
-		Description:    "bounded random probes through the twigjoin engine (Alley-style cross-check)",
-	}
-}
-
-func (samplingBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) {
+func prepareSampling(_ context.Context, s *Summary) (Prepared, error) {
 	trees, err := s.sourceTrees(MethodSampling)
 	if err != nil {
 		return nil, err
@@ -278,113 +151,64 @@ func (samplingBackend) Prepare(_ context.Context, s *Summary) (Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	return samplingPrepared{se: se}, nil
+	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
+		v, err := se.EstimateContext(ctx, q)
+		if errors.Is(err, sampling.ErrBudgetExhausted) {
+			// Re-class into the core vocabulary so the degradation ladder and
+			// the serve layer can branch without importing sampling.
+			return Aggregate{}, fmt.Errorf("%w: %v", ErrBudgetExhausted, err)
+		}
+		if err != nil {
+			return Aggregate{}, err
+		}
+		return Aggregate{Estimate: v}, nil
+	}), nil
 }
 
-type samplingPrepared struct {
-	se *sampling.Estimator
-}
+// ---- ensemble ----
 
-func (p samplingPrepared) Decompose(q labeltree.Pattern) ([]Subquery, error) {
-	return []Subquery{{Pattern: q, Weight: 1}}, nil
-}
-
-func (p samplingPrepared) EstCard(ctx context.Context, sub Subquery) (float64, error) {
-	v, err := p.se.EstimateContext(ctx, sub.Pattern)
-	if errors.Is(err, sampling.ErrBudgetExhausted) {
-		// Re-class into the core vocabulary so the degradation ladder and
-		// the serve layer can branch without importing sampling.
-		return 0, fmt.Errorf("%w: %v", ErrBudgetExhausted, err)
-	}
-	return v, err
-}
-
-func (p samplingPrepared) AggCard(_ []Subquery, cards []Card) Aggregate {
-	return Aggregate{Estimate: cards[0].Value}
-}
-
-// ---- ensemble backend ----
-
-type ensembleBackend struct {
-	primary, cross Method
-	threshold      float64
-}
-
-func (b ensembleBackend) Method() Method { return MethodEnsemble }
-
-func (b ensembleBackend) Capabilities() Capabilities {
-	return Capabilities{
-		SupportsFrozen: true,
-		SupportsBatch:  true,
-		Budgeted:       true,
-		NeedsDocuments: true,
-		Fallback:       b.primary,
-		Description: fmt.Sprintf("%s answered, %s cross-checked concurrently; flags divergence ≥ %g",
-			b.primary, b.cross, b.threshold),
-	}
-}
-
-// Prepare resolves both delegate backends through the summary's prepared
+// prepareEnsemble resolves both delegates through the summary's prepared
 // cache, so an ensemble shares its primary's sub-estimate cache and its
 // cross-checker's probe indexes with direct uses of those methods.
-func (b ensembleBackend) Prepare(ctx context.Context, s *Summary) (Prepared, error) {
-	pp, err := s.preparedFor(ctx, b.primary)
+func prepareEnsemble(ctx context.Context, s *Summary) (Prepared, error) {
+	primary, err := s.preparedFor(ctx, MethodRecursiveVoting, prepareRecursiveVoting)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := s.preparedFor(ctx, b.cross)
+	cross, err := s.preparedFor(ctx, MethodSampling, prepareSampling)
 	if err != nil {
 		return nil, err
 	}
-	return ensemblePrepared{primary: pp, cross: cp, threshold: b.threshold}, nil
+	return ensemble(primary, cross, DefaultEnsembleThreshold), nil
 }
 
-type ensemblePrepared struct {
-	primary, cross Prepared
-	threshold      float64
-}
-
-// roles of the ensemble's two subqueries.
-const (
-	rolePrimary = "primary"
-	roleCross   = "cross"
-)
-
-// Decompose emits the primary run and the optional cross-check: a
-// cross-check that blows its probe budget degrades the estimate to
-// unchecked instead of failing it.
-func (p ensemblePrepared) Decompose(q labeltree.Pattern) ([]Subquery, error) {
-	return []Subquery{
-		{Pattern: q, Role: rolePrimary, Weight: 1},
-		{Pattern: q, Role: roleCross, Optional: true},
-	}, nil
-}
-
-// ConcurrentSubqueries runs primary and cross in parallel — the
-// cross-check costs wall-clock max instead of sum.
-func (p ensemblePrepared) ConcurrentSubqueries() bool { return true }
-
-func (p ensemblePrepared) EstCard(ctx context.Context, sub Subquery) (float64, error) {
-	delegate := p.primary
-	if sub.Role == roleCross {
-		delegate = p.cross
-	}
-	agg, err := runPrepared(ctx, delegate, sub.Pattern)
-	return agg.Estimate, err
-}
-
-func (p ensemblePrepared) AggCard(subs []Subquery, cards []Card) Aggregate {
-	agg := Aggregate{Estimate: cards[0].Value}
-	for i, sub := range subs {
-		if sub.Role != roleCross || cards[i].Err != nil {
-			continue
+// ensemble answers with primary and cross-checks it with cross on one
+// more goroutine, so the check costs wall-clock max instead of sum. A
+// failed primary fails the estimate; a failed cross-check (a blown
+// sampling budget) leaves the answer unchecked instead.
+func ensemble(primary, cross Prepared, threshold float64) Prepared {
+	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
+		var check Aggregate
+		var checkErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			check, checkErr = cross.Estimate(ctx, q)
+		}()
+		answer, err := primary.Estimate(ctx, q)
+		<-done
+		if err != nil {
+			return Aggregate{}, err
 		}
-		agg.Checked = true
-		agg.CrossEstimate = cards[i].Value
-		agg.Divergence = divergenceRatio(agg.Estimate, agg.CrossEstimate)
-		agg.Divergent = agg.Divergence >= p.threshold
-	}
-	return agg
+		agg := Aggregate{Estimate: answer.Estimate}
+		if checkErr == nil {
+			agg.Checked = true
+			agg.CrossEstimate = check.Estimate
+			agg.Divergence = divergenceRatio(agg.Estimate, agg.CrossEstimate)
+			agg.Divergent = agg.Divergence >= threshold
+		}
+		return agg, nil
+	})
 }
 
 // divergenceRatio is the smoothed ratio (max+1)/(min+1): 1 at perfect
@@ -397,7 +221,7 @@ func divergenceRatio(a, b float64) float64 {
 	return (a + 1) / (b + 1)
 }
 
-// sourceTrees fetches the bound document source for a backend that needs
+// sourceTrees fetches the bound document source for a method that needs
 // one, classifying the failure modes under ErrMethodUnavailable.
 func (s *Summary) sourceTrees(m Method) ([]*labeltree.Tree, error) {
 	src := s.Source()

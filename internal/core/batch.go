@@ -22,7 +22,7 @@ type BatchOptions struct {
 	// Methods, when non-empty, overrides the batch-level method per item:
 	// Methods[i] applies to queries[i], with the empty Method falling
 	// back to the batch-level one. Length must match queries. Every named
-	// method is validated against the registry up front.
+	// method is validated against the method table up front.
 	Methods []Method
 }
 
@@ -32,16 +32,8 @@ type BatchOptions struct {
 // requested one, or its fallback when Degraded is set), on failure the
 // one that was asked for.
 type BatchResult struct {
-	Estimate float64
-	Method   Method
-	Degraded bool
-	// Checked through Divergent carry the ensemble cross-check verdict,
-	// mirroring DegradedEstimate.
-	Checked       bool
-	CrossEstimate float64
-	Divergence    float64
-	Divergent     bool
-	Err           error
+	DegradedEstimate
+	Err error
 }
 
 // EstimateBatchContext estimates every query in one call, fanning the
@@ -117,11 +109,7 @@ func (s *Summary) estimateBatchItem(ctx context.Context, q labeltree.Pattern, me
 	}
 	de, err := run(ctx, q, method)
 	if err != nil {
-		return BatchResult{Method: method, Err: err}
+		return BatchResult{DegradedEstimate: DegradedEstimate{Method: method}, Err: err}
 	}
-	return BatchResult{
-		Estimate: de.Estimate, Method: de.Method, Degraded: de.Degraded,
-		Checked: de.Checked, CrossEstimate: de.CrossEstimate,
-		Divergence: de.Divergence, Divergent: de.Divergent,
-	}
+	return BatchResult{DegradedEstimate: de}
 }

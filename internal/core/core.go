@@ -40,8 +40,8 @@ const (
 )
 
 // Methods returns the paper's estimation methods in presentation order.
-// The full set of registered backends (markov, treesketches, sampling,
-// ensemble included) is RegisteredMethods().
+// The full method table (markov, treesketches, sampling, ensemble
+// included) is RegisteredMethods().
 func Methods() []Method {
 	return []Method{MethodRecursive, MethodRecursiveVoting, MethodFixSized}
 }
@@ -101,9 +101,7 @@ type Summary struct {
 	// summaries it never saw at construction time.
 	subCacheNew func(Method, *estimate.SubCache)
 
-	// registry resolves methods to backends (nil = DefaultRegistry).
-	registry *Registry
-	// prepMu guards source and the prepared-backend cache; the cache
+	// prepMu guards source and the prepared-method cache; the cache
 	// empties whenever the summary rebinds its source (see registry.go).
 	prepMu   sync.Mutex
 	source   TreeSource
@@ -118,10 +116,10 @@ type Summary struct {
 // before serving; a nil observer disables instrumentation.
 func (s *Summary) Instrument(obs EstimateObserver) { s.observe = obs }
 
-// methodEstimator adapts a registered method to the estimate.Estimator /
+// methodEstimator adapts a method to the estimate.Estimator /
 // estimate.ContextEstimator shape callers hold — every call routes through
-// the summary's registry pipeline, so it sees the same prepared backends,
-// caches, and instrumentation as EstimateContext.
+// EstimateContext, so it sees the same prepared methods, caches, and
+// instrumentation.
 type methodEstimator struct {
 	s      *Summary
 	method Method
@@ -256,15 +254,14 @@ type sized interface {
 }
 
 // derive returns a summary over st that keeps this summary's serving
-// configuration (instrumentation, registry, cache creation hook) and bound
-// document source. Caches and prepared backends start empty: they
+// configuration (instrumentation, cache creation hook) and bound
+// document source. Caches and prepared methods start empty: they
 // belong to the store they were built against.
 func (s *Summary) derive(st estimate.Store) *Summary {
 	return &Summary{
 		st:          st,
 		dict:        s.dict,
 		observe:     s.observe,
-		registry:    s.registry,
 		subCacheNew: s.subCacheNew,
 		source:      s.Source(),
 	}
@@ -375,27 +372,31 @@ func (s *Summary) Patterns() int {
 }
 
 // Estimator returns an estimator handle for method over this summary,
-// validated against the registry. Every call on the handle routes through
-// the registry pipeline, sharing prepared backends and instrumentation
-// with EstimateContext.
+// validated against the method table. Every call on the handle routes
+// through EstimateContext, sharing prepared methods and instrumentation
+// with it.
 func (s *Summary) Estimator(method Method) (estimate.Estimator, error) {
-	if _, err := s.registryFor().Lookup(method); err != nil {
+	if _, err := lookupMethod(method); err != nil {
 		return nil, err
 	}
 	return methodEstimator{s: s, method: method}, nil
 }
 
-// estimateVia drives one estimate through the registry pipeline,
+// estimateVia answers one estimate with the method's prepared instance,
 // reporting its latency to the instrumentation observer. Failed (canceled
 // or budget-blown) estimates are still observed: their latency is exactly
 // the budget burned.
 func (s *Summary) estimateVia(ctx context.Context, q labeltree.Pattern, method Method) (Aggregate, error) {
-	p, err := s.preparedFor(ctx, method)
+	row, err := lookupMethod(method)
+	if err != nil {
+		return Aggregate{}, err
+	}
+	p, err := s.preparedFor(ctx, method, row.prepare)
 	if err != nil {
 		return Aggregate{}, err
 	}
 	start := time.Now()
-	agg, err := runPrepared(ctx, p, q)
+	agg, err := p.Estimate(ctx, q)
 	if s.observe != nil {
 		s.observe(method, time.Since(start))
 	}
@@ -422,41 +423,15 @@ func (s *Summary) EstimateContext(ctx context.Context, q labeltree.Pattern, meth
 	return agg.Estimate, nil
 }
 
-// Fallback names the cheaper method EstimateDegradable retries with when
-// method blows its budget, consulting the default registry's declared
-// capabilities: the recursive variants and sampling degrade to fix-sized
-// decomposition (the fastest estimator), the ensemble drops its
-// cross-check and degrades to its primary, and fix-sized has nothing
-// cheaper to fall to.
-func Fallback(method Method) (Method, bool) {
-	return DefaultRegistry.fallbackFor(method)
-}
-
-// fallbackFor reads a method's registered fallback capability.
-func (r *Registry) fallbackFor(method Method) (Method, bool) {
-	b, err := r.Lookup(method)
-	if err != nil {
-		return "", false
-	}
-	fb := b.Capabilities().Fallback
-	return fb, fb != ""
-}
-
 // DegradedEstimate is the result of EstimateStrict/EstimateDegradable:
-// the estimate, the method that actually produced it, whether that method
-// was a budget-forced downgrade from the one requested, and — when the
-// producing method was the ensemble — its cross-check verdict.
+// the answer (with the ensemble's cross-check verdict when the producing
+// method was the ensemble), the method that actually produced it, and
+// whether that method was a budget-forced downgrade from the one
+// requested.
 type DegradedEstimate struct {
-	Estimate float64
+	Aggregate
 	Method   Method
 	Degraded bool
-	// Checked through Divergent mirror Aggregate: an ensemble estimate
-	// that completed its sampling cross-check reports how far the two
-	// backends disagreed.
-	Checked       bool
-	CrossEstimate float64
-	Divergence    float64
-	Divergent     bool
 }
 
 // EstimateStrict estimates q under exactly the requested method —
@@ -470,20 +445,13 @@ func (s *Summary) EstimateStrict(ctx context.Context, q labeltree.Pattern, metho
 	if err != nil {
 		return DegradedEstimate{}, err
 	}
-	return DegradedEstimate{
-		Estimate:      agg.Estimate,
-		Method:        method,
-		Checked:       agg.Checked,
-		CrossEstimate: agg.CrossEstimate,
-		Divergence:    agg.Divergence,
-		Divergent:     agg.Divergent,
-	}, nil
+	return DegradedEstimate{Aggregate: agg, Method: method}, nil
 }
 
 // EstimateDegradable estimates q under method within ctx's budget; if the
 // budget expires mid-estimate — the deadline passes, or a budgeted
-// backend exhausts its internal work budget (ErrBudgetExhausted) — and
-// the method has a registered cheaper fallback, it re-runs under the
+// method exhausts its internal work budget (ErrBudgetExhausted) — and
+// the method declares a cheaper fallback, it re-runs under the
 // fallback instead of failing. The fallback runs outside the expired
 // deadline (the request already paid for an answer; a degraded one beats
 // a 504) but still honors the caller's cancellation — a client that hung
@@ -493,7 +461,7 @@ func (s *Summary) EstimateDegradable(ctx context.Context, q labeltree.Pattern, m
 	if err == nil {
 		return res, nil
 	}
-	fb, ok := s.registryFor().fallbackFor(method)
+	fb, ok := Fallback(method)
 	if !ok || !(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrBudgetExhausted)) {
 		return DegradedEstimate{}, err
 	}
@@ -550,19 +518,18 @@ func parseError(err error) error {
 
 // EstimateWithTrace estimates q and returns the work record: lattice
 // hits/misses, reconstruction count, and the recursion depth over which
-// independence assumptions compounded. Only backends whose Prepared
-// exposes a trace (the recursive methods) support it.
+// independence assumptions compounded. Only the recursive methods
+// support it.
 func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
-	p, err := s.preparedFor(context.Background(), method)
-	if err != nil {
-		return 0, estimate.Trace{}, err
-	}
-	tp, ok := p.(tracePrepared)
-	if !ok {
+	if method != MethodRecursive && method != MethodRecursiveVoting {
+		if _, err := lookupMethod(method); err != nil {
+			return 0, estimate.Trace{}, err
+		}
 		return 0, estimate.Trace{}, fmt.Errorf("core: method %q does not support traces", method)
 	}
+	r := s.recursive(method)
 	start := time.Now()
-	est, tr := tp.EstimateWithTrace(q)
+	est, tr := r.EstimateWithTrace(q)
 	if s.observe != nil {
 		s.observe(method, time.Since(start))
 	}

@@ -20,12 +20,12 @@ import (
 // epoch even if a dozen more are published meanwhile. Nothing in an
 // epoch ever mutates, so there is no read-side locking anywhere — and
 // because every epoch carries a fresh Summary, its sub-estimate and
-// prepared-backend caches are per-epoch by construction: publishing a
+// prepared-method caches are per-epoch by construction: publishing a
 // new epoch is the cache invalidation.
 
 // Epoch is one immutable serving state. Estimates run against Summary;
 // Docs/Names are the sorted document snapshot the summary's
-// document-driven backends (markov, treesketch, sampling) prepare from.
+// document-driven methods (markov, treesketch, sampling) prepare from.
 type Epoch struct {
 	// ID is the monotonically increasing epoch number (1 = first publish).
 	ID uint64
@@ -88,9 +88,9 @@ func (h *EpochHandle) Current() *Epoch { return h.cur.Load() }
 
 // Publish builds the next epoch over base merged with delta and swaps
 // it in. An epoch whose delta is nil or empty serves the base store
-// directly. The serving configuration (instrumentation observer, private
-// registry and sub-cache creation hook) is inherited from the
-// base summary when set there, else from the previous epoch's summary —
+// directly. The serving configuration (instrumentation observer and
+// sub-cache creation hook) is inherited from the base summary when set
+// there, else from the previous epoch's summary —
 // so a handler that instrumented epoch 1 keeps its metrics flowing
 // through every later epoch. docs/names must be sorted by name and
 // positionally aligned; the new epoch's summary binds them as its
@@ -106,9 +106,6 @@ func (h *EpochHandle) Publish(base *Summary, delta *lattice.Delta, docs []*label
 		ps := prev.Summary
 		if sum.observe == nil {
 			sum.observe = ps.observe
-		}
-		if sum.registry == nil {
-			sum.registry = ps.registry
 		}
 		if sum.subCacheNew == nil {
 			sum.subCacheNew = ps.subCacheNew

@@ -11,9 +11,8 @@ var (
 	// dictionary has never seen. The true selectivity of such a query is
 	// zero; callers that prefer 0 over an error can test for this.
 	ErrUnknownLabel = errors.New("treelattice: unknown label")
-	// ErrUnknownMethod reports an estimation method name with no
-	// registered backend; the wrapping error enumerates what is
-	// registered.
+	// ErrUnknownMethod reports an estimation method name that is not in
+	// the method table; the wrapping error enumerates every method.
 	ErrUnknownMethod = errors.New("treelattice: unknown estimation method")
 	// ErrKTooLarge reports a BuildOptions.K beyond MaxK. Level-wise
 	// enumeration is exponential in K; the cap keeps a mistyped K from
@@ -26,12 +25,12 @@ var (
 	// label dictionary.
 	ErrDictMismatch = errors.New("treelattice: different label dictionary")
 	// ErrBudgetExhausted reports an estimator that ran out of its internal
-	// work budget (the sampling backend's node budget) before producing an
+	// work budget (the sampling method's node budget) before producing an
 	// answer. Like a blown deadline, it makes the estimate degradable: the
-	// ladder retries with the backend's registered fallback.
+	// ladder retries with the method's declared fallback.
 	ErrBudgetExhausted = errors.New("treelattice: estimation budget exhausted")
-	// ErrMethodUnavailable reports a registered method that cannot serve
-	// this summary — a document-needing backend (markov, treesketch,
+	// ErrMethodUnavailable reports a known method that cannot serve
+	// this summary — a document-needing method (markov, treesketch,
 	// sampling, ensemble) with no bound TreeSource or an empty corpus.
 	ErrMethodUnavailable = errors.New("treelattice: method unavailable for this summary")
 )

@@ -57,9 +57,9 @@ func registrySample(t *testing.T) (*Summary, *labeltree.Tree, []labeltree.Patter
 	return sum, tr, queries
 }
 
-// directEstimate computes each method's estimate exactly the way the
-// pre-registry API did — hand-built estimator structs with no registry,
-// no Prepared cache, no subquery plumbing.
+// directEstimate computes each method's estimate the way a direct caller
+// would — hand-built estimator structs, with no method table and no
+// Prepared cache.
 func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q labeltree.Pattern) float64 {
 	t.Helper()
 	switch m {
@@ -122,6 +122,23 @@ func TestRegistryDifferentialIdentity(t *testing.T) {
 				if got != want {
 					t.Errorf("%s/%s query %v: registry %v != direct %v", backend, m, q, got, want)
 				}
+			}
+		}
+		// The ensemble answers with its primary, annotated by its
+		// cross-check: both must equal their direct constructions.
+		for _, q := range queries {
+			primary := directEstimate(t, sum, tr, MethodRecursiveVoting, q)
+			cross := directEstimate(t, sum, tr, MethodSampling, q)
+			lo, hi := min(primary, cross), max(primary, cross)
+			div := (hi + 1) / (lo + 1)
+			got, err := sum.EstimateStrict(context.Background(), q, MethodEnsemble)
+			if err != nil {
+				t.Fatalf("%s/ensemble EstimateStrict(%v): %v", backend, q, err)
+			}
+			if got.Estimate != primary || !got.Checked || got.CrossEstimate != cross ||
+				got.Divergence != div || got.Divergent != (div >= DefaultEnsembleThreshold) {
+				t.Errorf("%s/ensemble query %v: got %+v, want estimate %v, checked cross %v, divergence %v",
+					backend, q, got, primary, cross, div)
 			}
 		}
 	}
@@ -228,32 +245,36 @@ func TestEnsembleMatchesPrimary(t *testing.T) {
 }
 
 // TestEnsembleFlagsDivergence: a cross-estimate more than threshold× off
-// the primary must set Divergent. Exercised through a registry carrying a
-// rigged ensemble whose delegates disagree wildly.
+// the primary must set Divergent; a failed cross-check leaves the answer
+// unchecked, and a failed primary fails the estimate. Exercised with fake
+// delegates that disagree wildly or fail.
 func TestEnsembleFlagsDivergence(t *testing.T) {
 	_, _, queries := registrySample(t)
 	q := queries[0]
-	agg := ensemblePrepared{threshold: DefaultEnsembleThreshold}.AggCard(
-		[]Subquery{{Pattern: q, Role: rolePrimary}, {Pattern: q, Role: roleCross, Optional: true}},
-		[]Card{{Value: 100}, {Value: 3}},
-	)
-	if !agg.Checked || !agg.Divergent {
-		t.Fatalf("100 vs 3 should flag divergence, got %+v", agg)
+	fake := func(v float64, err error) Prepared {
+		return estimateFunc(func(context.Context, labeltree.Pattern) (Aggregate, error) {
+			return Aggregate{Estimate: v}, err
+		})
 	}
-	agg = ensemblePrepared{threshold: DefaultEnsembleThreshold}.AggCard(
-		[]Subquery{{Pattern: q, Role: rolePrimary}, {Pattern: q, Role: roleCross, Optional: true}},
-		[]Card{{Value: 100}, {Value: 90}},
-	)
-	if !agg.Checked || agg.Divergent {
-		t.Fatalf("100 vs 90 should agree, got %+v", agg)
+	run := func(primary, cross Prepared) (Aggregate, error) {
+		return ensemble(primary, cross, DefaultEnsembleThreshold).Estimate(context.Background(), q)
+	}
+	agg, err := run(fake(100, nil), fake(3, nil))
+	if err != nil || agg.Estimate != 100 || !agg.Checked || agg.CrossEstimate != 3 || !agg.Divergent {
+		t.Fatalf("100 vs 3 should flag divergence, got %+v, %v", agg, err)
+	}
+	agg, err = run(fake(100, nil), fake(90, nil))
+	if err != nil || agg.Estimate != 100 || !agg.Checked || agg.Divergent {
+		t.Fatalf("100 vs 90 should agree, got %+v, %v", agg, err)
 	}
 	// A failed cross-check (blown budget) degrades to unchecked.
-	agg = ensemblePrepared{threshold: DefaultEnsembleThreshold}.AggCard(
-		[]Subquery{{Pattern: q, Role: rolePrimary}, {Pattern: q, Role: roleCross, Optional: true}},
-		[]Card{{Value: 100}, {Err: ErrBudgetExhausted}},
-	)
-	if agg.Checked || agg.Divergent {
-		t.Fatalf("failed cross-check must leave the estimate unchecked, got %+v", agg)
+	agg, err = run(fake(100, nil), fake(0, ErrBudgetExhausted))
+	if err != nil || agg.Estimate != 100 || agg.Checked || agg.Divergent {
+		t.Fatalf("failed cross-check must leave the estimate unchecked, got %+v, %v", agg, err)
+	}
+	// A failed primary fails the estimate, whatever the cross-check says.
+	if agg, err := run(fake(0, context.DeadlineExceeded), fake(3, nil)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("failed primary must fail the estimate, got %+v, %v", agg, err)
 	}
 }
 
@@ -269,23 +290,6 @@ func TestUnknownMethodListsRegistered(t *testing.T) {
 		if !strings.Contains(err.Error(), string(m)) {
 			t.Errorf("error %q does not mention registered method %q", err, m)
 		}
-	}
-}
-
-// TestRegistryOrderAndDuplicates: Methods() preserves registration order;
-// duplicate registration fails.
-func TestRegistryOrderAndDuplicates(t *testing.T) {
-	r := NewRegistry()
-	a := fakeEstimator{method: "a"}
-	b := fakeEstimator{method: "b"}
-	r.MustRegister(a)
-	r.MustRegister(b)
-	got := r.Methods()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Methods() = %v, want [a b]", got)
-	}
-	if err := r.Register(fakeEstimator{method: "a"}); err == nil {
-		t.Fatal("duplicate registration must fail")
 	}
 }
 
@@ -333,24 +337,12 @@ func TestUnboundSourceUnavailable(t *testing.T) {
 	}
 }
 
-// fakeEstimator is a minimal registrable backend for registry-shape tests.
-type fakeEstimator struct {
-	method Method
-}
-
-func (f fakeEstimator) Method() Method             { return f.method }
-func (f fakeEstimator) Capabilities() Capabilities { return Capabilities{} }
-func (f fakeEstimator) Prepare(context.Context, *Summary) (Prepared, error) {
-	return wholeQueryPrepared{}, nil
-}
-
-// TestConcurrentRegistryUse: lookups, registrations (fresh registry), and
-// registry-routed estimates across every method racing each other — the
-// -race pass of `make check` is the real assertion here.
+// TestConcurrentRegistryUse: method lookups and table-routed estimates
+// across every method racing each other — the -race pass of `make check`
+// is the real assertion here.
 func TestConcurrentRegistryUse(t *testing.T) {
 	sum, _, queries := registrySample(t)
 	methods := RegisteredMethods()
-	fresh := NewRegistry()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -363,18 +355,11 @@ func TestConcurrentRegistryUse(t *testing.T) {
 					t.Errorf("concurrent %s: %v", m, err)
 					return
 				}
-				if _, err := DefaultRegistry.Lookup(m); err != nil {
+				if _, err := sum.LookupMethod(m); err != nil {
 					t.Errorf("concurrent lookup %s: %v", m, err)
 					return
 				}
 			}
-		}(i)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = fresh.Register(fakeEstimator{method: Method(rune('a' + i))})
-			_ = fresh.Methods()
-			_, _ = fresh.Lookup(Method("a"))
 		}(i)
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"treelattice/internal/core"
 	"treelattice/internal/datagen"
 )
 
@@ -319,11 +320,7 @@ func TestMethodQErrorTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range datagen.AllProfiles() {
-		e, err := s.Env(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range e.Summary.Registry().Methods() {
+		for _, m := range core.RegisteredMethods() {
 			var row *MethodRow
 			for i := range rows {
 				if rows[i].Dataset == p && rows[i].Method == m {

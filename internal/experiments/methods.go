@@ -12,8 +12,8 @@ import (
 
 // MethodRow is one registered estimation method's q-error on one
 // dataset's positive workload (beyond the paper): the paper's three
-// decomposition strategies beside every other backend the serving
-// registry offers, scored against the workload's TrueCount.
+// decomposition strategies beside every other method core's method
+// table serves, scored against the workload's TrueCount.
 type MethodRow struct {
 	Dataset datagen.Profile
 	Method  core.Method
@@ -33,7 +33,7 @@ type MethodRow struct {
 }
 
 // Methods estimates each dataset's positive workload under every method
-// in the summary's registry, strictly (no fallback to a cheaper method),
+// in core's method table, strictly (no fallback to a cheaper method),
 // so each row describes the method itself.
 func (s *Suite) Methods() ([]MethodRow, error) {
 	ctx := context.Background()
@@ -43,7 +43,7 @@ func (s *Suite) Methods() ([]MethodRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range e.Summary.Registry().Methods() {
+		for _, m := range core.RegisteredMethods() {
 			row := MethodRow{Dataset: p, Method: m}
 			var qerrs []float64
 			for _, size := range s.Cfg.Sizes {

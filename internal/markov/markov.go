@@ -125,24 +125,17 @@ func (tb *Table) EstimatePattern(p labeltree.Pattern) float64 {
 	return tb.Estimate(p.PathLabels())
 }
 
-// PathTerm is one factor of a twig's path decomposition: a root-to-node
-// label path raised to an integer weight (+1 for root-to-leaf paths,
-// −(deg−1) for the path to a node with deg ≥ 2 children, which the leaf
-// paths over-count).
-type PathTerm struct {
-	Path   []labeltree.LabelID
-	Weight int
-}
-
-// TwigPaths decomposes a twig pattern into path terms under the standard
-// path-independence assumption: the branches below a node grow
+// EstimateTwig generalizes the table from paths to twigs under the
+// standard path-independence assumption: the branches below a node grow
 // independently given the path to it, so
 //
 //	f(twig) = Π_leaves f(root..leaf) / Π_branching f(root..node)^(deg−1).
 //
-// Leaf terms come first in node order, then branching-node corrections in
-// node order. A path-shaped pattern yields exactly one term.
-func TwigPaths(p labeltree.Pattern) []PathTerm {
+// Leaf paths fold in first, in node order, then the branching-node
+// corrections in node order; a path-shaped pattern is one leaf path. A
+// zero correction means the branching point itself cannot occur, so the
+// twig cannot either. This is the markov method of core's method table.
+func (tb *Table) EstimateTwig(p labeltree.Pattern) float64 {
 	degree := make([]int, p.Size())
 	for i := int32(1); int(i) < p.Size(); i++ {
 		degree[p.Parent(i)]++
@@ -158,54 +151,25 @@ func TwigPaths(p labeltree.Pattern) []PathTerm {
 		}
 		return rev
 	}
-	var out []PathTerm
+	est := 1.0
 	for n := int32(0); int(n) < p.Size(); n++ {
 		if degree[n] == 0 {
-			out = append(out, PathTerm{Path: pathTo(n), Weight: 1})
+			est *= tb.Estimate(pathTo(n))
 		}
 	}
 	for n := int32(0); int(n) < p.Size(); n++ {
-		if degree[n] >= 2 {
-			out = append(out, PathTerm{Path: pathTo(n), Weight: -(degree[n] - 1)})
-		}
-	}
-	return out
-}
-
-// CombinePathTerms folds per-term path estimates (positionally aligned
-// with terms) into the twig estimate. A zero denominator means the
-// branching point itself cannot occur, so the twig cannot either. The
-// fold order is part of the contract: callers combining externally
-// estimated terms get bit-identical results to EstimateTwig.
-func CombinePathTerms(terms []PathTerm, vals []float64) float64 {
-	est := 1.0
-	for i, t := range terms {
-		v := vals[i]
-		if t.Weight >= 0 {
-			for j := 0; j < t.Weight; j++ {
-				est *= v
-			}
+		if degree[n] < 2 {
 			continue
 		}
+		v := tb.Estimate(pathTo(n))
 		if v == 0 {
 			return 0
 		}
-		for j := 0; j < -t.Weight; j++ {
+		for j := 0; j < degree[n]-1; j++ {
 			est /= v
 		}
 	}
 	return est
-}
-
-// EstimateTwig generalizes the table from paths to twigs via the path
-// decomposition above — the markov backend of the estimation registry.
-func (tb *Table) EstimateTwig(p labeltree.Pattern) float64 {
-	terms := TwigPaths(p)
-	vals := make([]float64, len(terms))
-	for i, t := range terms {
-		vals[i] = tb.Estimate(t.Path)
-	}
-	return CombinePathTerms(terms, vals)
 }
 
 // SizeBytes is the accounted storage size: 8 bytes of count plus 4 bytes

@@ -121,6 +121,36 @@ func TestEstimatePattern(t *testing.T) {
 	tb.EstimatePattern(branching)
 }
 
+// TestEstimateTwig: a twig's estimate multiplies its root-to-leaf path
+// estimates and divides by each branching node's path estimate once per
+// extra branch; a branching point that cannot occur makes the twig zero
+// rather than 0/0.
+func TestEstimateTwig(t *testing.T) {
+	dict := labeltree.NewDict()
+	doc := `<r><a><b/><c/></a><a><b/></a><a><c/><c/></a></r>`
+	tr, err := xmlparse.Parse(strings.NewReader(doc), dict, xmlparse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := Build(tr, 2)
+	for _, tc := range []struct {
+		q    string
+		want float64
+	}{
+		{"a(b)", 2},           // a path is its own count
+		{"a(b,c)", 2},         // f(a/b)·f(a/c) / f(a) = 2·3/3
+		{"a(b,c,c)", 2},       // 2·3·3 / 3²
+		{"r(a(b),a(c))", 6},   // f(r/a/b)·f(r/a/c) / f(r), each leaf path chained: 2·3/1
+		{"r(b(c,c))", 0},      // r/b never occurs
+		{"a(b(c),b(c))", 0},   // no b has a c child: zero leaves
+		{"r(a(b,c),a(c))", 6}, // (2·3)·3 / f(r/a) / f(r) = 18/3/1
+	} {
+		if got := tb.EstimateTwig(labeltree.MustParsePattern(tc.q, dict)); got != tc.want {
+			t.Errorf("EstimateTwig(%s) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestPathCountsAgreeWithMatcher(t *testing.T) {
 	// Path counts in the Markov table must equal twig-match counts of the
 	// corresponding path patterns: the lattice and the table agree on the

@@ -194,7 +194,7 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 				items[i].Divergence = res.Divergence
 				items[i].Divergent = &div
 			}
-			h.observeEnsemble(core.DegradedEstimate{Checked: res.Checked, Divergent: res.Divergent})
+			h.observeEnsemble(res.DegradedEstimate)
 		}
 	}
 	writeJSON(w, batchResponse{Method: string(method), Results: items})

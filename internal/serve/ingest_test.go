@@ -300,3 +300,39 @@ func TestIngestEpochScopedCache(t *testing.T) {
 		t.Fatalf("estimate after second doc = %v, want 4 (stale cache?)", est)
 	}
 }
+
+// TestMetricsIngestGauges: a /v1/metrics scrape sees the current epoch
+// and delta size in the ingest.* gauges on its own, with no /v1/stats
+// call before it.
+func TestMetricsIngestGauges(t *testing.T) {
+	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableIngest(corpus.IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.DisableIngest()
+	srv := httptest.NewServer(NewHandler(c))
+	defer srv.Close()
+
+	for _, name := range []string{"a", "b"} {
+		if code, out := do(t, "POST", srv.URL+"/v1/docs/"+name, doc); code != http.StatusCreated {
+			t.Fatalf("add %s: %d %v", name, code, out)
+		}
+	}
+	ing := c.IngestStats()
+	if ing.Epoch != 3 || ing.DeltaDocs != 2 {
+		t.Fatalf("IngestStats() = %+v, want epoch 3 with 2 delta documents", ing)
+	}
+	gauges := decodeMetrics(t, srv.URL).Gauges
+	if got := gauges["ingest.epoch"]; got != 3 {
+		t.Errorf("ingest.epoch = %d, want 3", got)
+	}
+	if got := gauges["ingest.delta_docs"]; got != 2 {
+		t.Errorf("ingest.delta_docs = %d, want 2", got)
+	}
+	if got, want := gauges["ingest.delta_bytes"], int64(ing.DeltaBytes); got != want {
+		t.Errorf("ingest.delta_bytes = %d, want %d", got, want)
+	}
+}

@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
 	"treelattice/internal/core"
 )
 
-// TestMethodsEndpoint: GET /v1/methods enumerates every registered
-// estimator with its capabilities, and names the default.
+// TestMethodsEndpoint: GET /v1/methods lists all seven estimation
+// methods in their fixed order, each with exactly the declared budget,
+// document, fallback and description, and names the default.
 func TestMethodsEndpoint(t *testing.T) {
 	srv, _ := newServer(t)
 	code, out := do(t, "GET", srv.URL+"/v1/methods", "")
@@ -20,27 +23,48 @@ func TestMethodsEndpoint(t *testing.T) {
 	if out["default"] != string(core.MethodRecursiveVoting) {
 		t.Fatalf("default = %v", out["default"])
 	}
-	list, ok := out["methods"].([]any)
-	if !ok {
-		t.Fatalf("methods list missing: %v", out)
+	type entry struct {
+		Name           string `json:"name"`
+		Budgeted       bool   `json:"budgeted"`
+		NeedsDocuments bool   `json:"needs_documents"`
+		Fallback       string `json:"fallback"`
+		Description    string `json:"description"`
 	}
-	byName := make(map[string]map[string]any, len(list))
-	for _, e := range list {
-		m := e.(map[string]any)
-		byName[m["name"].(string)] = m
+	want := []entry{
+		{"recursive", false, false, "fix-sized",
+			"recursive leaf-pair decomposition (Section 3.2)"},
+		{"recursive+voting", false, false, "fix-sized",
+			"recursive decomposition averaging all leaf pairs (Section 3.2, voting)"},
+		{"fix-sized", false, false, "",
+			"preorder K-subtree cover with telescoping product (Section 3.3)"},
+		{"markov", false, true, "",
+			"Markov path table, twigs via root-to-leaf path independence (Lemma 4 baseline)"},
+		{"treesketches", false, true, "",
+			"TreeSketches graph synopsis per document, estimates summed (comparison baseline)"},
+		{"sampling", true, true, "fix-sized",
+			"bounded random probes through the twigjoin engine (Alley-style cross-check)"},
+		{"ensemble", true, true, "recursive+voting",
+			"recursive+voting answered, sampling cross-checked concurrently; flags divergence ≥ 4"},
 	}
-	for _, m := range core.RegisteredMethods() {
-		if _, ok := byName[string(m)]; !ok {
-			t.Errorf("registered method %q missing from /v1/methods", m)
+	raw, err := json.Marshal(out["methods"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []entry
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("decoding methods list: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/methods entries:\n got %+v\nwant %+v", got, want)
+	}
+	names := core.RegisteredMethods()
+	if len(names) != len(want) {
+		t.Fatalf("RegisteredMethods() = %v, want %d methods", names, len(want))
+	}
+	for i, m := range names {
+		if string(m) != want[i].Name {
+			t.Errorf("RegisteredMethods()[%d] = %q, want %q", i, m, want[i].Name)
 		}
-	}
-	s, ok := byName[string(core.MethodSampling)]
-	if !ok || s["budgeted"] != true || s["needs_documents"] != true {
-		t.Errorf("sampling capabilities wrong: %v", s)
-	}
-	e, ok := byName[string(core.MethodEnsemble)]
-	if !ok || e["fallback"] != string(core.MethodRecursiveVoting) {
-		t.Errorf("ensemble capabilities wrong: %v", e)
 	}
 
 	// Method not allowed on the route still gets an envelope.

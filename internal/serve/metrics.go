@@ -61,8 +61,10 @@ func (h *Handler) instrument(route string, fn http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// metrics serves the full registry snapshot.
+// metricsEndpoint serves the full registry snapshot, with the ingest
+// gauges synced first.
 func (h *Handler) metricsEndpoint(w http.ResponseWriter, _ *http.Request) {
+	h.syncIngest()
 	writeJSON(w, h.reg.Snapshot())
 }
 
@@ -93,7 +95,7 @@ func (h *Handler) endpointSummaries() map[string]endpointSummary {
 // instrumentCorpus wires the corpus-side metrics: per-method estimate
 // latency histograms and sub-estimate cache counters.
 func (h *Handler) instrumentCorpus() {
-	registered := h.c.Summary().Registry().Methods()
+	registered := core.RegisteredMethods()
 	hists := make(map[core.Method]*obs.Histogram, len(registered))
 	for _, m := range registered {
 		hists[m] = h.reg.Histogram("estimate."+string(m)+".latency_seconds", nil)

@@ -170,6 +170,29 @@ func (h *Handler) runQuery(r *http.Request, sum *core.Summary, p queryParams) (*
 // query serves GET/POST /v1/query: planner-driven twig query execution
 // against the default tenant's documents.
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
+	h.answerQuery(w, r, "", h.c.Summary())
+}
+
+// tenantQuery serves GET/POST /v1/t/{tenant}/query: the multi-tenant
+// twin of /v1/query. Tenants loaded from frozen snapshots carry no
+// documents and answer 409 no_documents — they estimate, the corpus
+// owner executes.
+func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("tenant")
+	sum, err := h.tenantFor(r.Context(), name)
+	if err != nil {
+		writeFleetError(w, err)
+		return
+	}
+	h.answerQuery(w, r, name, sum)
+}
+
+// answerQuery serves one query request against sum, from parameter
+// decoding to response, for /v1/query (tenant empty) and
+// /v1/t/{tenant}/query. A named tenant adds its admission quota and the
+// "tenant" response field. The caller passes the summary it resolved so
+// the whole request pins one epoch.
+func (h *Handler) answerQuery(w http.ResponseWriter, r *http.Request, tenant string, sum *core.Summary) {
 	p, err := parseQueryParams(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
@@ -179,7 +202,6 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	sum := h.c.Summary()
 	// Validate a requested planning method up front, like /v1/estimate:
 	// a bogus method should 400 even when the query would not parse.
 	if !p.naive && p.method != "" {
@@ -188,66 +210,22 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if tenant != "" {
+		if !h.admitTenant(w, tenant) {
+			return
+		}
+		defer h.quota.Release(tenant)
+	}
 	resp, err := h.runQuery(r, sum, p)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		// A label no document carries cannot match: zero matches, no scan.
-		writeJSON(w, queryResponse{Query: p.qs, Plan: []int32{}})
-		return
+		resp, err = &queryResponse{Query: p.qs, Plan: []int32{}}, nil
 	}
 	if err != nil {
 		h.coreError(w, err)
 		return
 	}
-	writeJSON(w, resp)
-}
-
-// tenantQuery serves GET/POST /v1/t/{tenant}/query: the multi-tenant
-// twin of /v1/query, behind the per-tenant admission quota. Tenants
-// loaded from frozen snapshots carry no documents and answer 409
-// no_documents — they estimate, the corpus owner executes.
-func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	sum, err := h.tenantFor(r.Context(), name)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	p, err := parseQueryParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
-		return
-	}
-	if p.qs == "" {
-		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
-		return
-	}
-	if !p.naive && p.method != "" {
-		if _, err := sum.LookupMethod(p.method); err != nil {
-			writeCoreError(w, err)
-			return
-		}
-	}
-	tm := h.tenantMetricsFor(name)
-	if !h.quota.Acquire(name) {
-		tm.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "shed",
-			"tenant over its admission quota; retry later")
-		return
-	}
-	defer h.quota.Release(name)
-	tm.requests.Inc()
-
-	resp, err := h.runQuery(r, sum, p)
-	if errors.Is(err, core.ErrUnknownLabel) {
-		writeJSON(w, queryResponse{Tenant: name, Query: p.qs, Plan: []int32{}})
-		return
-	}
-	if err != nil {
-		h.coreError(w, err)
-		return
-	}
-	resp.Tenant = name
+	resp.Tenant = tenant
 	writeJSON(w, resp)
 }
 

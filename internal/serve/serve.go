@@ -5,7 +5,7 @@
 //
 //	GET    /v1/estimate?q=<twig>&method=<name>  estimated selectivity
 //	POST   /v1/estimate/batch                   many estimates in one call
-//	GET    /v1/methods                          registered estimators + capabilities
+//	GET    /v1/methods                          estimation methods + capabilities
 //	GET    /v1/exact?q=<twig>                   exact count (scans documents)
 //	GET    /v1/query?q=<twig>&limit=<n>         execute a twig query, return matches
 //	POST   /v1/query                            same, JSON body {"q": ..., "limit": ...}
@@ -26,15 +26,16 @@
 // legacy routes answer as the default tenant, the live corpus. Tenant
 // routes sit behind per-tenant admission quotas
 // (Resilience.TenantQuota). /v1/estimate and /v1/t/{tenant}/estimate
-// share one path from parse to response; the tenant route adds the
-// tenant lookup, the tenant's quota and the "tenant" response field.
+// share one path from parse to response, and so do /v1/query and
+// /v1/t/{tenant}/query; a tenant route adds the tenant lookup, the
+// tenant's quota and the "tenant" response field.
 //
-// Queries use the twig syntax ("a(b,c(d))"). Estimation methods resolve
-// through the core registry (GET /v1/methods lists them): the paper's
-// recursive, recursive+voting (default), and fix-sized decompositions,
-// plus markov, treesketches, sampling, and ensemble. An ensemble answer
-// carries its sampling cross-check verdict (cross_estimate, divergence,
-// divergent) whenever the check completed.
+// Queries use the twig syntax ("a(b,c(d))"). Estimation methods are the
+// rows of core's fixed method table (GET /v1/methods lists them): the
+// paper's recursive, recursive+voting (default), and fix-sized
+// decompositions, plus markov, treesketches, sampling, and ensemble. An
+// ensemble answer carries its sampling cross-check verdict
+// (cross_estimate, divergence, divergent) whenever the check completed.
 //
 // Every error response carries the JSON envelope
 //
@@ -172,10 +173,10 @@ type ResilienceOptions struct {
 	// blows its budget returns 504 instead of falling back to a cheaper
 	// method.
 	DisableFallback bool
-	// TenantQuota bounds concurrent in-flight estimates per tenant on
-	// the tenant routes, on top of the global admission limit: the
-	// limiter decides whether the server has capacity, the quota decides
-	// whether one tenant may monopolize it. Zero disables quotas.
+	// TenantQuota bounds concurrent in-flight estimates and queries per
+	// tenant on the tenant routes, on top of the global admission limit:
+	// the limiter decides whether the server has capacity, the quota
+	// decides whether one tenant may monopolize it. Zero disables quotas.
 	TenantQuota int
 }
 
@@ -401,16 +402,10 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 	}
 	resp := map[string]any{"query": qs}
 	if tenant != "" {
-		tm := h.tenantMetricsFor(tenant)
-		if !h.quota.Acquire(tenant) {
-			tm.shed.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "shed",
-				"tenant over its admission quota; retry later")
+		if !h.admitTenant(w, tenant) {
 			return
 		}
 		defer h.quota.Release(tenant)
-		tm.requests.Inc()
 		resp["tenant"] = tenant
 	}
 	q, err := sum.ParseQuery(qs)
@@ -449,25 +444,22 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 	writeJSON(w, resp)
 }
 
-// methodCapabilities is one /v1/methods entry: the registered name plus
-// the backend's declared capabilities.
+// methodCapabilities is one /v1/methods entry: the method's name plus
+// its declared capabilities.
 type methodCapabilities struct {
 	Name string `json:"name"`
 	core.Capabilities
 }
 
 // methods serves GET /v1/methods: the estimator discovery endpoint,
-// driven entirely by the summary's backend registry.
+// driven entirely by core's method table.
 func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
 	sum := h.c.Summary()
-	list := sum.Registry().Methods()
-	out := make([]methodCapabilities, 0, len(list))
-	for _, m := range list {
-		caps, err := sum.LookupMethod(m)
-		if err != nil {
-			continue // raced with registry mutation; skip
-		}
-		out = append(out, methodCapabilities{Name: string(m), Capabilities: caps})
+	list := core.RegisteredMethods()
+	out := make([]methodCapabilities, len(list))
+	for i, m := range list {
+		caps, _ := sum.LookupMethod(m) // every listed method is in the table
+		out[i] = methodCapabilities{Name: string(m), Capabilities: caps}
 	}
 	writeJSON(w, map[string]any{
 		"default": string(core.MethodRecursiveVoting),
@@ -645,8 +637,9 @@ func (h *Handler) batchSummary() map[string]any {
 }
 
 // syncIngest snapshots the backend's ingest counters and mirrors the
-// headline ones into the obs registry, so /v1/metrics scrapes see the
-// epoch and delta size without hitting /v1/stats.
+// headline ones into the obs registry's ingest.* gauges; /v1/stats and
+// /v1/metrics both call it, so either reads the current epoch and delta
+// size.
 func (h *Handler) syncIngest() core.IngestStats {
 	ing := h.c.IngestStats()
 	h.epochG.Set(int64(ing.Epoch))

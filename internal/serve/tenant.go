@@ -59,6 +59,23 @@ func (h *Handler) tenantFor(ctx context.Context, name string) (*core.Summary, er
 	return h.flt.Acquire(ctx, name)
 }
 
+// admitTenant applies tenant's admission quota to one estimate or query
+// request, counting it under tenant.<tenant>.requests or .shed. A shed
+// request gets its 429 here and admitTenant reports false; an admitted
+// one holds a quota slot the caller releases with h.quota.Release.
+func (h *Handler) admitTenant(w http.ResponseWriter, tenant string) bool {
+	tm := h.tenantMetricsFor(tenant)
+	if !h.quota.Acquire(tenant) {
+		tm.shed.Inc()
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "shed",
+			"tenant over its admission quota; retry later")
+		return false
+	}
+	tm.requests.Inc()
+	return true
+}
+
 // tenantEstimate serves GET /v1/t/{tenant}/estimate: the multi-tenant
 // twin of /v1/estimate. It resolves the tenant and answers through the
 // same answerEstimate, which adds the tenant's quota and name.
