@@ -19,6 +19,7 @@ FUZZ_TARGETS = \
 	./internal/xmlparse:FuzzParse \
 	./internal/labeltree:FuzzQuerySyntax \
 	./internal/labeltree:FuzzKeyDecode \
+	./internal/labeltree:FuzzLeafSplice \
 	./internal/lattice:FuzzFrozenLoad \
 	./internal/lattice:FuzzCompressedLoad \
 	./internal/lattice:FuzzDeltaMerge \
@@ -82,7 +83,8 @@ bench:
 # the canonical-keying microbenchmarks (BenchmarkKey and the
 # pre-optimization string-encoder reference), the store probes, the
 # paper macro benchmarks (Table 3 lattice construction, Figure 9
-# response time per backend, cold and warm) and twig execution, and
+# response time per backend, cold and warm, plus fresh on the frozen
+# store) and twig execution, and
 # writes BENCH_core.json with ns/op, B/op, and allocs/op per result.
 benchcore:
 	$(GO) run ./cmd/benchcore -benchtime 1s -scale 2000 -out BENCH_core.json

@@ -239,7 +239,9 @@ func BenchmarkFigure8ErrorCDF(b *testing.B) {
 // per backend/state/method/size: cold rows share no cache across
 // estimates (each starts from an empty per-query memo), and warm rows
 // give the row its own SubCache, filled by one pass over the row's
-// queries before the timer starts. The document-backed methods run once
+// queries before the timer starts. On the frozen store a third state,
+// fresh, gives every estimate a new SubCache, as the first read on a
+// newly published epoch gets one: it prices filling an empty cache. The document-backed methods run once
 // per size: treesketches on the suite's synopsis; markov, sampling and
 // ensemble through Summary.EstimateStrict with Prepare paid before the
 // timer, so the ensemble's recursive+voting half uses the summary's
@@ -264,10 +266,9 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 		return &estimate.Recursive{Sum: st, Voting: method == core.MethodRecursiveVoting, Cache: c}
 	}
 	for _, store := range stores {
-		for _, warm := range []bool{false, true} {
-			state := "cold"
-			if warm {
-				state = "warm"
+		for _, state := range []string{"cold", "warm", "fresh"} {
+			if state == "fresh" && store.name != "frozen" {
+				continue
 			}
 			for _, m := range core.Methods() {
 				for _, size := range sizes {
@@ -277,11 +278,11 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 					}
 					b.Run(fmt.Sprintf("%s/%s/%s/size%d", store.name, state, m, size), func(b *testing.B) {
 						var cache *estimate.SubCache
-						if warm {
+						if state == "warm" {
 							cache = estimate.NewSubCache(0)
 						}
 						est := newEstimator(m, store.st, cache)
-						if warm {
+						if state == "warm" {
 							for _, q := range qs {
 								est.Estimate(q.Pattern)
 							}
@@ -289,6 +290,9 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
+							if state == "fresh" {
+								est = newEstimator(m, store.st, estimate.NewSubCache(0))
+							}
 							est.Estimate(qs[i%len(qs)].Pattern)
 						}
 					})

@@ -46,9 +46,13 @@ func runExplain(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	iv := sum.EstimateInterval(q)
+	iv, err := sum.EstimateInterval(context.Background(), q)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "estimate:        %.2f\n", est)
 	fmt.Fprintf(stdout, "spread:          [%.2f, %.2f]\n", iv.Lo, iv.Hi)
+	fmt.Fprintf(stdout, "memo hits:       %d\n", trace.MemoHits)
 	fmt.Fprintf(stdout, "lattice hits:    %d\n", trace.LatticeHits)
 	fmt.Fprintf(stdout, "lattice misses:  %d\n", trace.LatticeMisses)
 	fmt.Fprintf(stdout, "reconstructions: %d\n", trace.Reconstructions)

@@ -521,6 +521,13 @@ func parseError(err error) error {
 // independence assumptions compounded. Only the recursive methods
 // support it.
 func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
+	return s.EstimateWithTraceContext(context.Background(), q, method)
+}
+
+// EstimateWithTraceContext is EstimateWithTrace with cooperative
+// cancellation: the recursion polls ctx at bounded intervals and fails
+// with ctx.Err() once it is done.
+func (s *Summary) EstimateWithTraceContext(ctx context.Context, q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
 	if method != MethodRecursive && method != MethodRecursiveVoting {
 		if _, err := lookupMethod(method); err != nil {
 			return 0, estimate.Trace{}, err
@@ -529,19 +536,19 @@ func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64
 	}
 	r := s.recursive(method)
 	start := time.Now()
-	est, tr := r.EstimateWithTrace(q)
+	est, tr, err := r.EstimateWithTraceContext(ctx, q)
 	if s.observe != nil {
 		s.observe(method, time.Since(start))
 	}
-	return est, tr, nil
+	return est, tr, err
 }
 
 // EstimateInterval returns the decomposition-choice spread [Lo, Hi] of
 // q's estimate: how much the answer varies across admissible
 // decompositions, an indicator of how hard the conditional-independence
-// assumption is working.
-func (s *Summary) EstimateInterval(q labeltree.Pattern) estimate.Interval {
-	return estimate.EstimateInterval(s.st, q)
+// assumption is working. It fails with ctx.Err() once ctx is done.
+func (s *Summary) EstimateInterval(ctx context.Context, q labeltree.Pattern) (estimate.Interval, error) {
+	return estimate.EstimateInterval(ctx, s.st, q)
 }
 
 // Prune returns a copy of the summary without δ-derivable patterns

@@ -261,7 +261,10 @@ func TestEstimateWithTrace(t *testing.T) {
 func TestEstimateIntervalFacade(t *testing.T) {
 	sum, tr, dict := buildSample(t, 3)
 	q := labeltree.MustParsePattern("computer(laptops(laptop(brand,price)))", dict)
-	iv := sum.EstimateInterval(q)
+	iv, err := sum.EstimateInterval(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
 	est, _ := sum.Estimate(q, MethodRecursiveVoting)
 	if !iv.Contains(est) {

@@ -23,7 +23,10 @@ package estimate
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
@@ -88,7 +91,16 @@ func Augment(s1, s2, common float64) float64 {
 // future-work direction of attaching confidence information to estimates:
 // deeper recursion and more misses mean more compounded independence
 // assumptions.
+//
+// Every sub-twig the engine looks up is answered by exactly one of the
+// per-estimate memo, the summary, or decomposition, so its lookups equal
+// MemoHits + LatticeHits + LatticeMisses: one for the query plus three per
+// augmentation.
 type Trace struct {
+	// MemoHits counts lookups answered from the estimate's own memo: a
+	// sub-twig that an earlier decomposition of the same query already
+	// resolved (Alley's num_memoi_).
+	MemoHits int
 	// LatticeHits counts lookups answered directly from the summary.
 	LatticeHits int
 	// LatticeMisses counts patterns that had to be decomposed.
@@ -170,27 +182,46 @@ func (r *Recursive) Name() string {
 
 // Estimate implements Estimator.
 func (r *Recursive) Estimate(q labeltree.Pattern) float64 {
-	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme, maxPairs: r.MaxVotingPairs, memo: make(map[labeltree.Key]float64), cache: r.Cache}
-	return e.estimate(q, 0)
+	est, _ := r.run(nil, q, nil)
+	return est
 }
 
 // EstimateContext implements ContextEstimator: the decomposition recursion
 // polls ctx every ctxOpsInterval memo operations and unwinds with ctx.Err()
 // once the context is done.
 func (r *Recursive) EstimateContext(ctx context.Context, q labeltree.Pattern) (float64, error) {
-	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme, maxPairs: r.MaxVotingPairs, memo: make(map[labeltree.Key]float64), cache: r.Cache, ctx: ctx}
-	est := e.estimate(q, 0)
-	if e.ctxErr != nil {
-		return 0, e.ctxErr
-	}
-	return est, nil
+	return r.run(ctx, q, nil)
 }
 
 // EstimateWithTrace is Estimate plus a record of the work performed.
 func (r *Recursive) EstimateWithTrace(q labeltree.Pattern) (float64, Trace) {
-	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme, maxPairs: r.MaxVotingPairs, memo: make(map[labeltree.Key]float64), cache: r.Cache, tr: &Trace{}}
-	est := e.estimate(q, 0)
-	return est, *e.tr
+	var tr Trace
+	est, _ := r.run(nil, q, &tr)
+	return est, tr
+}
+
+// EstimateWithTraceContext is EstimateWithTrace with EstimateContext's
+// cooperative cancellation.
+func (r *Recursive) EstimateWithTraceContext(ctx context.Context, q labeltree.Pattern) (float64, Trace, error) {
+	var tr Trace
+	est, err := r.run(ctx, q, &tr)
+	if err != nil {
+		return 0, Trace{}, err
+	}
+	return est, tr, nil
+}
+
+// run estimates q, polling ctx when it is non-nil and recording into tr
+// when it is non-nil.
+func (r *Recursive) run(ctx context.Context, q labeltree.Pattern, tr *Trace) (float64, error) {
+	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme, maxPairs: r.MaxVotingPairs,
+		memo: make(map[labeltree.Key]float64), cache: r.Cache, tr: tr, ctx: ctx}
+	defer e.release()
+	est := e.estimate(q)
+	if e.ctxErr != nil {
+		return 0, e.ctxErr
+	}
+	return est, nil
 }
 
 // ctxOpsInterval is how many estimateKeyed entries pass between context
@@ -201,7 +232,9 @@ const ctxOpsInterval = 64
 
 // engine is the shared decomposition evaluator: the recursive estimator
 // itself, the fallback used for derivable patterns missing from pruned
-// lattices, and the subroutine of the pruning algorithm.
+// lattices, and the subroutine of the pruning algorithm. It recurses over
+// canonical keys and sizes: a sub-twig is a key until the engine must
+// decompose it, and even then LeafSplicer reads its leaves from the key.
 type engine struct {
 	sum      Store
 	voting   bool
@@ -221,34 +254,73 @@ type engine struct {
 	ctx    context.Context
 	ops    int
 	ctxErr error
+
+	// sc is pooled decomposition scratch, taken on the first
+	// decomposition and returned by release.
+	sc *scratch
 }
 
-func (e *engine) estimate(q labeltree.Pattern, depth int) float64 {
-	return e.estimateKeyed(q, q.Key(), depth)
+// scratch is the engine state reused across estimates: the decomposition
+// enumerator, and two stacks on which each recursion level pushes its
+// decompositions and pair estimates and pops them before returning.
+type scratch struct {
+	dec   decomposer
+	ds    []decomposition
+	votes []float64
 }
 
-// estimateKeyed is estimate for callers that already hold q's canonical
-// key (the decomposition enumerator computes every subtree's key for its
-// signature, so recursion never re-encodes a pattern).
-func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int) float64 {
-	if e.ctx != nil {
-		if e.ctxErr != nil {
-			return 0
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns the engine's scratch to the pool. Every level pops what
+// it pushed, cancelled ones included, so the stacks are empty again once
+// the outermost estimateKeyed returns; only a panic can leave entries,
+// and truncating keeps such a scratch reusable.
+func (e *engine) release() {
+	if e.sc == nil {
+		return
+	}
+	e.sc.ds, e.sc.votes = e.sc.ds[:0], e.sc.votes[:0]
+	scratchPool.Put(e.sc)
+	e.sc = nil
+}
+
+func (e *engine) estimate(q labeltree.Pattern) float64 {
+	return e.estimateKeyed(q.Key(), q.Size(), 0)
+}
+
+// stopped counts one unit of work and reports whether the context has
+// expired, polling it every ctxOpsInterval units: the very first unit
+// polls, so an already-expired budget fails fast before any work.
+func (e *engine) stopped() bool {
+	if e.ctx == nil {
+		return false
+	}
+	if e.ctxErr != nil {
+		return true
+	}
+	e.ops++
+	if e.ops%ctxOpsInterval == 1 {
+		if err := e.ctx.Err(); err != nil {
+			e.ctxErr = err
+			return true
 		}
-		e.ops++
-		// ops%interval == 1 so the very first entry polls: an
-		// already-expired budget fails fast before any work.
-		if e.ops%ctxOpsInterval == 1 {
-			if err := e.ctx.Err(); err != nil {
-				e.ctxErr = err
-				return 0
-			}
-		}
+	}
+	return false
+}
+
+// estimateKeyed estimates the sub-twig with canonical key key and size
+// nodes.
+func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
+	if e.stopped() {
+		return 0
 	}
 	if e.tr != nil && depth > e.tr.MaxDepth {
 		e.tr.MaxDepth = depth
 	}
 	if v, ok := e.memo[key]; ok {
+		if e.tr != nil {
+			e.tr.MemoHits++
+		}
 		return v
 	}
 	if c, ok := e.sum.CountKey(key); ok {
@@ -264,7 +336,7 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 	// Missing from the lattice. Sizes 1–2 are never pruned, so a missing
 	// small pattern does not occur in the data at all. The same holds for
 	// any in-range size when the lattice is complete.
-	if q.Size() <= 2 || (q.Size() <= e.sum.K() && !e.sum.Pruned()) {
+	if size <= 2 || (size <= e.sum.K() && !e.sum.Pruned()) {
 		e.memo[key] = 0
 		return 0
 	}
@@ -280,7 +352,7 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 		return v
 	}
 	voting := e.voting
-	if q.Size() <= e.sum.K() {
+	if size <= e.sum.K() {
 		// In range but pruned as derivable: reconstruct with the same
 		// canonical single-pair decomposition the pruning criterion
 		// (Definition 2) was evaluated with, so pruned and full summaries
@@ -291,27 +363,39 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 			e.tr.Reconstructions++
 		}
 	}
-	ds := decompositions(q)
-	if !voting {
-		ds = ds[:1] // canonically smallest decomposition
-	} else if e.maxPairs > 0 && len(ds) > e.maxPairs {
+	if e.sc == nil {
+		e.sc = scratchPool.Get().(*scratch)
+	}
+	// Push this level's decompositions; deeper levels push above them and
+	// pop back before returning, so ds stays intact across the loop.
+	base := len(e.sc.ds)
+	if voting {
+		e.sc.ds = e.sc.dec.appendAll(e.sc.ds, key)
+	} else {
+		e.sc.ds = append(e.sc.ds, e.sc.dec.first(key)) // canonically smallest
+	}
+	ds := e.sc.ds[base:]
+	if voting && e.maxPairs > 0 && len(ds) > e.maxPairs {
 		ds = ds[:e.maxPairs]
 	}
 	saved := e.voting
 	e.voting = voting
-	votes := make([]float64, len(ds))
-	for i, d := range ds {
-		votes[i] = Augment(
-			e.estimateKeyed(d.t1, d.t1Key, depth+1),
-			e.estimateKeyed(d.t2, d.t2Key, depth+1),
-			e.estimateKeyed(d.common, d.commonKey, depth+1),
+	vbase := len(e.sc.votes)
+	for _, d := range ds {
+		v := Augment(
+			e.estimateKeyed(d.lo, size-1, depth+1),
+			e.estimateKeyed(d.hi, size-1, depth+1),
+			e.estimateKeyed(d.common, size-2, depth+1),
 		)
+		e.sc.votes = append(e.sc.votes, v)
 		if e.tr != nil {
 			e.tr.Augmentations++
 		}
 	}
 	e.voting = saved
-	est := aggregate(votes, e.scheme)
+	est := aggregate(e.sc.votes[vbase:], e.scheme)
+	e.sc.votes = e.sc.votes[:vbase]
+	e.sc.ds = e.sc.ds[:base]
 	e.memo[key] = est
 	// A cancelled recursion unwinds with zero placeholders; only fully
 	// evaluated results may enter the shared cache.
@@ -356,80 +440,105 @@ func aggregate(votes []float64, scheme VotingScheme) float64 {
 	return sum / float64(len(votes))
 }
 
-// decomposition is one leaf-pair removal: T1 and T2 are the query minus
-// one leaf each, common is the query minus both. The canonical keys of
-// all three subtrees ride along so recursion and memoization never
-// re-encode them.
+// decomposition is one leaf-pair removal, as canonical keys: the pattern
+// minus one leaf of the pair (lo) and minus the other (hi), ordered so
+// lo ≤ hi, and the common part minus both. The fields are also its
+// signature, compared field-wise: the order is invariant under isomorphic
+// renumbering, and which leaf of the pair is T1 does not matter, since
+// Theorem 1's product is symmetric in T1 and T2.
 type decomposition struct {
-	t1, t2, common          labeltree.Pattern
-	t1Key, t2Key, commonKey labeltree.Key
-	sig                     decompSig
-}
-
-// decompSig orders decompositions canonically: the unordered {T1, T2} key
-// pair (lo ≤ hi) then the common part's key, compared field-wise. A
-// comparable struct of keys — no per-pair string building.
-type decompSig struct {
 	lo, hi, common labeltree.Key
 }
 
-func (a decompSig) less(b decompSig) bool {
-	if a.lo != b.lo {
-		return a.lo < b.lo
+func compareDecompositions(a, b decomposition) int {
+	if c := strings.Compare(string(a.lo), string(b.lo)); c != 0 {
+		return c
 	}
-	if a.hi != b.hi {
-		return a.hi < b.hi
+	if c := strings.Compare(string(a.hi), string(b.hi)); c != 0 {
+		return c
 	}
-	return a.common < b.common
+	return strings.Compare(string(a.common), string(b.common))
 }
 
-// decompositions enumerates every admissible leaf-pair decomposition of q,
-// ordered by a canonical signature. The order — and in particular the
-// first element, which the non-voting estimator uses — is invariant under
-// isomorphic renumbering of q's nodes. That invariance matters: δ-derivable
-// pruning verifies a pattern against the deterministic decomposition, and
-// query-time reconstruction encounters the same pattern under a different
-// numbering; both must pick the same decomposition.
-func decompositions(q labeltree.Pattern) []decomposition {
-	leaves := q.Leaves()
-	out := make([]decomposition, 0, len(leaves)*(len(leaves)-1)/2)
-	for i := 0; i < len(leaves); i++ {
+// decomposer enumerates the leaf-pair decompositions of a pattern given
+// by its key. Its order matters: δ-derivable pruning verifies a pattern
+// against the canonically first decomposition, and query-time
+// reconstruction meets the same pattern under another numbering; both
+// must pick the same one. Every enumeration completes before the engine
+// descends, so one decomposer serves a whole recursion.
+type decomposer struct {
+	ls      labeltree.LeafSplicer
+	removed []labeltree.Key // removed[i]: the pattern minus its i-th leaf
+}
+
+// reset reads the pattern keyed k and derives each single-leaf removal
+// key once, returning the leaves.
+func (d *decomposer) reset(k labeltree.Key) []int32 {
+	d.ls.Reset(k)
+	leaves := d.ls.Leaves()
+	d.removed = d.removed[:0]
+	for _, l := range leaves {
+		d.removed = append(d.removed, d.ls.RemoveKey(l))
+	}
+	return leaves
+}
+
+// appendAll appends every admissible leaf-pair decomposition of the
+// pattern keyed k to ds, in canonical signature order.
+func (d *decomposer) appendAll(ds []decomposition, k labeltree.Key) []decomposition {
+	leaves := d.reset(k)
+	base := len(ds)
+	for i := range leaves {
 		for j := i + 1; j < len(leaves); j++ {
-			t1 := q.RemoveLeaf(leaves[i])
-			t2 := q.RemoveLeaf(leaves[j])
-			common := removeTwo(q, leaves[i], leaves[j])
-			d := decomposition{
-				t1: t1, t2: t2, common: common,
-				t1Key: t1.Key(), t2Key: t2.Key(), commonKey: common.Key(),
-			}
-			lo, hi := d.t1Key, d.t2Key
+			lo, hi := d.removed[i], d.removed[j]
 			if hi < lo {
 				lo, hi = hi, lo
 			}
-			d.sig = decompSig{lo: lo, hi: hi, common: d.commonKey}
-			out = append(out, d)
+			ds = append(ds, decomposition{lo: lo, hi: hi, common: d.ls.RemoveTwoKey(leaves[i], leaves[j])})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].sig.less(out[b].sig) })
-	return out
+	slices.SortFunc(ds[base:], compareDecompositions)
+	return ds
 }
 
-// removeTwo removes two degree-1 nodes from q at once.
-func removeTwo(q labeltree.Pattern, u, v int32) labeltree.Pattern {
-	keep := make([]int32, 0, q.Size()-2)
-	for i := int32(0); int(i) < q.Size(); i++ {
-		if i != u && i != v {
-			keep = append(keep, i)
+// first returns the canonically smallest decomposition of the pattern
+// keyed k: appendAll's first element. Common keys only break ties on
+// (lo, hi), so only tied pairs derive one.
+func (d *decomposer) first(k labeltree.Key) decomposition {
+	leaves := d.reset(k)
+	var best decomposition
+	bi, bj := -1, -1
+	for i := range leaves {
+		for j := i + 1; j < len(leaves); j++ {
+			lo, hi := d.removed[i], d.removed[j]
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			switch {
+			case bi < 0 || lo < best.lo || (lo == best.lo && hi < best.hi):
+				best, bi, bj = decomposition{lo: lo, hi: hi}, i, j
+			case lo == best.lo && hi == best.hi:
+				if best.common == "" {
+					best.common = d.ls.RemoveTwoKey(leaves[bi], leaves[bj])
+				}
+				if c := d.ls.RemoveTwoKey(leaves[i], leaves[j]); c < best.common {
+					best.common, bi, bj = c, i, j
+				}
+			}
 		}
 	}
-	return q.Subpattern(keep)
+	if best.common == "" {
+		best.common = d.ls.RemoveTwoKey(leaves[bi], leaves[bj])
+	}
+	return best
 }
 
 // lookup resolves a pattern count against the lattice, falling back to
 // recursive decomposition when the lattice is pruned (Lemma 5: δ-derivable
 // patterns can be removed without changing estimates because they are
 // reconstructed on demand).
-func lookup(sum Store, q labeltree.Pattern, memo map[labeltree.Key]float64) float64 {
+func lookup(sum Store, key labeltree.Key, size int, memo map[labeltree.Key]float64) float64 {
 	e := engine{sum: sum, memo: memo}
-	return e.estimate(q, 0)
+	defer e.release()
+	return e.estimateKeyed(key, size, 0)
 }

@@ -367,7 +367,7 @@ func TestVotingSchemes(t *testing.T) {
 		`</root>`)
 	sum := mineK(t, tr, 3)
 	q := labeltree.MustParsePattern("a(b,c,d)", dict)
-	iv := EstimateInterval(sum, q)
+	iv := mustInterval(t, sum, q)
 	var values []float64
 	for _, scheme := range []VotingScheme{Mean, Median, TrimmedMean} {
 		r := &Recursive{Sum: sum, Voting: true, Scheme: scheme}

@@ -1,6 +1,7 @@
 package estimate_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -52,7 +53,10 @@ func ExampleEstimateInterval() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	iv := estimate.EstimateInterval(sum, labeltree.MustParsePattern("root(a(b,c,d))", dict))
+	iv, err := estimate.EstimateInterval(context.Background(), sum, labeltree.MustParsePattern("root(a(b,c,d))", dict))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("[%.0f, %.0f]\n", iv.Lo, iv.Hi)
 	// Output: [4, 4]
 }

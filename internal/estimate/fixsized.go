@@ -40,6 +40,7 @@ func (f *FixSized) estimate(ctx context.Context, q labeltree.Pattern) (float64, 
 	// per-call memo map was, and the context poll counter spans the whole
 	// telescoping product.
 	e := engine{sum: f.Sum, memo: make(map[labeltree.Key]float64), cache: f.Cache, ctx: ctx}
+	defer e.release()
 	if ctx != nil {
 		// Fail fast: the direct-hit path below never polls.
 		if err := ctx.Err(); err != nil {
@@ -55,14 +56,14 @@ func (f *FixSized) estimate(ctx context.Context, q labeltree.Pattern) (float64, 
 	if q.Size() <= f.Sum.K() {
 		// In range but missing: absent (count 0) for a complete lattice,
 		// derivable for a pruned one.
-		est := e.estimate(q, 0)
+		est := e.estimate(q)
 		if e.ctxErr != nil {
 			return 0, e.ctxErr
 		}
 		return est, nil
 	}
 	cover := Cover(q, f.Sum.K())
-	est := e.estimate(q.Subpattern(cover[0]), 0)
+	est := e.estimate(q.Subpattern(cover[0]))
 	if e.ctxErr != nil {
 		return 0, e.ctxErr
 	}
@@ -71,14 +72,14 @@ func (f *FixSized) estimate(ctx context.Context, q labeltree.Pattern) (float64, 
 	}
 	for _, step := range cover[1:] {
 		overlap := step[:len(step)-1] // all but the newly covered node
-		num := e.estimate(q.Subpattern(step), 0)
+		num := e.estimate(q.Subpattern(step))
 		if num == 0 {
 			if e.ctxErr != nil {
 				return 0, e.ctxErr
 			}
 			return 0, nil
 		}
-		den := e.estimate(q.Subpattern(overlap), 0)
+		den := e.estimate(q.Subpattern(overlap))
 		if den == 0 {
 			if e.ctxErr != nil {
 				return 0, e.ctxErr

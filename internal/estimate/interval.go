@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 
 	"treelattice/internal/labeltree"
@@ -30,12 +31,20 @@ func (iv Interval) Contains(v float64) bool {
 // EstimateInterval computes the decomposition-choice interval of q against
 // sum. Patterns answered directly by the lattice get point intervals;
 // reconstruction of pruned in-range patterns is deterministic and also a
-// point.
-func EstimateInterval(sum Store, q labeltree.Pattern) Interval {
+// point. The recursion polls ctx at the estimators' interval and returns
+// ctx.Err() once it is done.
+func EstimateInterval(ctx context.Context, sum Store, q labeltree.Pattern) (Interval, error) {
+	// One engine resolves every in-range point and counts the recursion's
+	// steps between context polls.
+	e := engine{sum: sum, memo: make(map[labeltree.Key]float64), ctx: ctx}
+	defer e.release()
 	memo := make(map[labeltree.Key]Interval)
-	scalar := make(map[labeltree.Key]float64)
-	var rec func(p labeltree.Pattern, key labeltree.Key) Interval
-	rec = func(p labeltree.Pattern, key labeltree.Key) Interval {
+	var dec decomposer
+	var rec func(key labeltree.Key, size int) Interval
+	rec = func(key labeltree.Key, size int) Interval {
+		if e.stopped() {
+			return Interval{}
+		}
 		if iv, ok := memo[key]; ok {
 			return iv
 		}
@@ -44,17 +53,17 @@ func EstimateInterval(sum Store, q labeltree.Pattern) Interval {
 			memo[key] = iv
 			return iv
 		}
-		if p.Size() <= sum.K() {
+		if size <= sum.K() {
 			// Absent (complete summary) or deterministically
 			// reconstructed (pruned summary): a point either way.
-			v := lookup(sum, p, scalar)
+			v := e.estimateKeyed(key, size, 0)
 			iv := Interval{v, v}
 			memo[key] = iv
 			return iv
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, d := range decompositions(p) {
-			iv1, iv2, ivc := rec(d.t1, d.t1Key), rec(d.t2, d.t2Key), rec(d.common, d.commonKey)
+		for _, d := range dec.appendAll(nil, key) {
+			iv1, iv2, ivc := rec(d.lo, size-1), rec(d.hi, size-1), rec(d.common, size-2)
 			plo := 0.0
 			if ivc.Hi > 0 {
 				plo = iv1.Lo * iv2.Lo / ivc.Hi
@@ -81,5 +90,9 @@ func EstimateInterval(sum Store, q labeltree.Pattern) Interval {
 		memo[key] = iv
 		return iv
 	}
-	return rec(q, q.Key())
+	iv := rec(q.Key(), q.Size())
+	if e.ctxErr != nil {
+		return Interval{}, e.ctxErr
+	}
+	return iv, nil
 }

@@ -35,7 +35,7 @@ func PruneDerivable(sum *lattice.Summary, delta float64) *lattice.Summary {
 	for level := 3; level <= sum.K(); level++ {
 		for _, e := range sum.Entries(level) {
 			memo := make(map[labeltree.Key]float64)
-			est := lookup(out, e.Pattern, memo)
+			est := lookup(out, e.Pattern.Key(), e.Pattern.Size(), memo)
 			if relErr(float64(e.Count), est) > delta {
 				mustAdd(out, e)
 			}

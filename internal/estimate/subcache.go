@@ -17,7 +17,9 @@ import (
 // The cache is sharded by key hash to keep lock contention off the hot
 // path and bounded per shard with FIFO replacement: sub-estimate values
 // are cheap to recompute, so replacement recency is not worth an LRU's
-// extra bookkeeping under contention.
+// extra bookkeeping under contention. Each shard's map and FIFO ring grow
+// with use up to the bound, so a new cache (every epoch publishes one)
+// costs its first reads only what they store.
 //
 // A SubCache must only be shared by estimators with the same store and
 // configuration: cached values are deterministic for a (store, config)
@@ -101,7 +103,9 @@ func (c *SubCache) put(key labeltree.Key, v float64) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if s.m == nil {
-		s.m = make(map[labeltree.Key]float64, c.shardCap)
+		// No capacity hint: the map and its ring grow with use, so a
+		// fresh cache costs only what it stores.
+		s.m = make(map[labeltree.Key]float64)
 	}
 	if _, ok := s.m[key]; ok {
 		s.m[key] = v

@@ -2,15 +2,19 @@ package estimate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"treelattice/internal/datagen"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
 	"treelattice/internal/mine"
 	"treelattice/internal/obs"
 	"treelattice/internal/treetest"
+	"treelattice/internal/workload"
 )
 
 var testKeyDict = labeltree.NewDict()
@@ -256,5 +260,53 @@ func TestTraceCountsCacheHits(t *testing.T) {
 	_, warm := est.EstimateWithTrace(q)
 	if warm.CacheHits == 0 {
 		t.Fatal("warm trace has no cache hits")
+	}
+}
+
+// TestFreshSubCacheAllocBytes: every ingest read is the first estimate on
+// a newly published epoch, whose SubCache starts empty. Filling it must
+// cost about what the estimate itself allocates, not a preallocated table
+// per shard touched: cold size-8 voting estimates with a fresh cache each
+// may allocate at most twice the bytes of the same estimates without one.
+// Each side takes the least of three passes, so a pass whose pooled
+// scratch a GC dropped does not count.
+func TestFreshSubCacheAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	dict := labeltree.NewDict()
+	tree, err := datagen.Generate(datagen.Config{Profile: datagen.XMark, Scale: 2000, Seed: 1}, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := lattice.Freeze(mineK(t, tree, 4))
+	qs, err := workload.Positive(tree, workload.Options{Sizes: []int{8}, PerSize: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs[8]) == 0 {
+		t.Fatal("no size-8 queries")
+	}
+	allocated := func(fresh bool) uint64 {
+		least := uint64(math.MaxUint64)
+		for pass := 0; pass < 3; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, q := range qs[8] {
+				r := &Recursive{Sum: sum, Voting: true}
+				if fresh {
+					r.Cache = NewSubCache(0)
+				}
+				r.Estimate(q.Pattern)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	none, fresh := allocated(false), allocated(true)
+	t.Logf("%d size-8 estimates: %d B without a cache, %d B with a fresh one", len(qs[8]), none, fresh)
+	if fresh > 2*none {
+		t.Fatalf("fresh-cache estimates allocate %d B, over twice the %d B of uncached ones", fresh, none)
 	}
 }

@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,6 +42,25 @@ func TestEstimateWithTraceDecomposed(t *testing.T) {
 	}
 }
 
+// TestTraceMemoHits: a voting estimate's leaf pairs share sub-twigs, so
+// the memo answers repeats, and every lookup is exactly one of a memo hit,
+// a lattice hit or a lattice miss: one for the query plus three per
+// augmentation.
+func TestTraceMemoHits(t *testing.T) {
+	tr, dict := uniformDoc(t, 5)
+	sum := mineK(t, tr, 3)
+	q := labeltree.MustParsePattern("root(a(b,c,d))", dict) // size 5, K=3
+	for _, voting := range []bool{false, true} {
+		_, trace := NewRecursive(sum, voting).EstimateWithTrace(q)
+		if lookups := trace.MemoHits + trace.LatticeHits + trace.LatticeMisses; lookups != 1+3*trace.Augmentations {
+			t.Fatalf("voting=%v: %d lookups for %d augmentations: %+v", voting, lookups, trace.Augmentations, trace)
+		}
+		if voting && trace.MemoHits == 0 {
+			t.Fatalf("voting trace has no memo hits though its pairs share sub-twigs: %+v", trace)
+		}
+	}
+}
+
 func TestEstimateWithTraceReconstructions(t *testing.T) {
 	dict, alphabet := treetest.Alphabet(3)
 	_ = dict
@@ -69,7 +89,7 @@ func TestIntervalPointForLatticePatterns(t *testing.T) {
 	tr, dict := uniformDoc(t, 5)
 	sum := mineK(t, tr, 3)
 	q := labeltree.MustParsePattern("a(b,c)", dict)
-	iv := EstimateInterval(sum, q)
+	iv := mustInterval(t, sum, q)
 	if iv.Lo != iv.Hi || iv.Lo != 5 {
 		t.Fatalf("interval = %+v, want point 5", iv)
 	}
@@ -91,7 +111,7 @@ func TestIntervalBracketsEstimators(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 200; trial++ {
 		q := treetest.RandomPattern(rng, 4+rng.Intn(4), alphabet)
-		iv := EstimateInterval(sum, q)
+		iv := mustInterval(t, sum, q)
 		if iv.Lo > iv.Hi {
 			t.Fatalf("inverted interval %+v for %s", iv, q.String(dict))
 		}
@@ -117,7 +137,7 @@ func TestIntervalZeroWidthUnderUniformity(t *testing.T) {
 	tr, dict := uniformDoc(t, 6)
 	sum := mineK(t, tr, 3)
 	q := labeltree.MustParsePattern("root(a(b,c,d))", dict)
-	iv := EstimateInterval(sum, q)
+	iv := mustInterval(t, sum, q)
 	if math.Abs(iv.Width()) > 1e-9 {
 		t.Fatalf("interval not a point under uniformity: %+v", iv)
 	}
@@ -130,8 +150,18 @@ func TestIntervalZeroForImpossibleQueries(t *testing.T) {
 	tr, dict := uniformDoc(t, 4)
 	sum := mineK(t, tr, 3)
 	q := labeltree.MustParsePattern("root(zzz(b,c,d))", dict)
-	iv := EstimateInterval(sum, q)
+	iv := mustInterval(t, sum, q)
 	if iv.Lo != 0 || iv.Hi != 0 {
 		t.Fatalf("interval for impossible query = %+v", iv)
 	}
+}
+
+// mustInterval is EstimateInterval without a deadline, failing t on error.
+func mustInterval(t *testing.T, sum Store, q labeltree.Pattern) Interval {
+	t.Helper()
+	iv, err := EstimateInterval(context.Background(), sum, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return iv
 }

@@ -176,7 +176,10 @@ func queryRecord(ctx context.Context, t *testing.T, e *Env, pruned *lattice.Summ
 			fmt.Fprintf(&b, " %s=%s", m, hexFloat(de.Estimate))
 		}
 	}
-	iv := estimate.EstimateInterval(e.Summary.Lattice(), q.Pattern)
+	iv, err := estimate.EstimateInterval(ctx, e.Summary.Lattice(), q.Pattern)
+	if err != nil {
+		t.Fatalf("%s: interval: %v", head, err)
+	}
 	fmt.Fprintf(&b, " interval=%s,%s", hexFloat(iv.Lo), hexFloat(iv.Hi))
 	fmt.Fprintf(&b, " pruned-recursive=%s pruned-voting=%s",
 		hexFloat(estimate.NewRecursive(pruned, false).Estimate(q.Pattern)),

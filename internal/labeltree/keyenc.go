@@ -319,3 +319,185 @@ func (kb *KeyBuilder) AppendChildKey(dst []byte, at int32, label LabelID) []byte
 	kb.cur, kb.next = cur, next // retain capacity across calls
 	return dst
 }
+
+// LeafSplicer is KeyBuilder's counterpart for leaf deletion: it derives
+// the canonical keys of a pattern minus one or two degree-1 nodes without
+// building those patterns. Reset reads the per-node encodings straight out
+// of a canonical key (every node's encoding is a span of it, children in
+// canonical order), numbering nodes in key preorder as DecodeKey does.
+// RemoveKey and RemoveTwoKey then re-emit only the nodes on the removed
+// leaves' root paths and copy every other child's span byte for byte.
+// Removing a degree-1 root leaves its child's span as the whole key, a
+// substring that costs no allocation.
+//
+// The recursive decomposition estimator enumerates every leaf pair of
+// every pattern it cannot look up this way, so per-pair keying costs the
+// two removed leaves' paths, not two patterns' worth of encoding.
+//
+// A LeafSplicer owns its scratch state and is not safe for concurrent use.
+type LeafSplicer struct {
+	key Key
+	kb  []byte // key's bytes, for comparisons against scratch encodings
+	// start, labelEnd and end delimit node i's encoding kb[start:end] and
+	// its label varint kb[start:labelEnd]; next[i] is the first node after
+	// i's subtree, so i's children are i+1, next[i+1], ... below next[i].
+	start, labelEnd, end, next []int32
+	parent                     []int32
+	leaves                     []int32
+	dirty                      []bool
+	buf                        []byte
+}
+
+// Reset reads k, which must be a canonical key (from Key, or one DecodeKey
+// accepts), as the base for subsequent removals.
+func (ls *LeafSplicer) Reset(k Key) {
+	ls.key = k
+	ls.kb = append(ls.kb[:0], k...)
+	ls.start, ls.labelEnd, ls.end, ls.next = ls.start[:0], ls.labelEnd[:0], ls.end[:0], ls.next[:0]
+	ls.parent, ls.leaves = ls.parent[:0], ls.leaves[:0]
+	b := ls.kb
+	open := ls.leaves // the open-node stack; leaves is filled only after the walk
+	kids := 0         // children seen by the root, for its degree
+	for pos := 0; ; {
+		idx := int32(len(ls.start))
+		par := int32(-1)
+		if len(open) > 0 {
+			par = open[len(open)-1]
+		}
+		if par == 0 {
+			kids++
+		}
+		_, n := binary.Uvarint(b[pos:])
+		ls.start = append(ls.start, int32(pos))
+		ls.labelEnd = append(ls.labelEnd, int32(pos+n))
+		ls.end = append(ls.end, 0)
+		ls.next = append(ls.next, 0)
+		ls.parent = append(ls.parent, par)
+		open = append(open, idx)
+		pos += n
+		for b[pos] == keyEndMark {
+			pos++
+			top := open[len(open)-1]
+			open = open[:len(open)-1]
+			ls.end[top] = int32(pos)
+			ls.next[top] = int32(len(ls.start))
+			if len(open) == 0 {
+				ls.leaves = open[:0]
+				ls.collectLeaves(kids)
+				return
+			}
+		}
+		pos++ // a child marker: the next node starts here
+	}
+}
+
+// collectLeaves fills leaves with the degree-1 nodes in ascending order:
+// every childless non-root node, and the root when it has one child.
+func (ls *LeafSplicer) collectLeaves(rootKids int) {
+	n := int32(len(ls.start))
+	if rootKids == 1 {
+		ls.leaves = append(ls.leaves, 0)
+	}
+	for i := int32(1); i < n; i++ {
+		if ls.next[i] == i+1 {
+			ls.leaves = append(ls.leaves, i)
+		}
+	}
+	if cap(ls.dirty) < int(n) {
+		ls.dirty = make([]bool, n)
+	}
+	ls.dirty = ls.dirty[:n]
+}
+
+// Leaves returns the base pattern's degree-1 nodes in ascending key
+// preorder: the same nodes DecodeKey(k).Leaves() returns. The slice is
+// valid until the next Reset.
+func (ls *LeafSplicer) Leaves() []int32 { return ls.leaves }
+
+// RemoveKey returns the key of the base pattern minus degree-1 node v: it
+// equals DecodeKey(k).RemoveLeaf(v).Key().
+func (ls *LeafSplicer) RemoveKey(v int32) Key {
+	if v == 0 {
+		return ls.key[ls.start[1]:ls.end[1]]
+	}
+	return ls.splice(0, v, -1)
+}
+
+// RemoveTwoKey returns the key of the base pattern minus the distinct
+// degree-1 nodes u and v, which must leave at least one node: it equals
+// the Key of DecodeKey(k).Subpattern over every other node.
+func (ls *LeafSplicer) RemoveTwoKey(u, v int32) Key {
+	if u == 0 || v == 0 {
+		// The root's only child becomes the root; the other leaf's path
+		// ends there.
+		if u == 0 {
+			u = v
+		}
+		return ls.splice(1, u, -1)
+	}
+	return ls.splice(0, u, v)
+}
+
+// splice emits the subtree under top without u and v (v may be -1),
+// re-encoding the nodes from their parents up to top.
+func (ls *LeafSplicer) splice(top, u, v int32) Key {
+	ls.mark(top, u, true)
+	ls.mark(top, v, true)
+	ls.buf = ls.buf[:0]
+	s, e := ls.emit(top, u, v)
+	ls.mark(top, u, false)
+	ls.mark(top, v, false)
+	return Key(ls.buf[s:e])
+}
+
+// mark sets dirty to on for every node from r's parent up to top.
+func (ls *LeafSplicer) mark(top, r int32, on bool) {
+	if r < 0 {
+		return
+	}
+	for n := ls.parent[r]; ; n = ls.parent[n] {
+		ls.dirty[n] = on
+		if n == top {
+			return
+		}
+	}
+}
+
+// emit appends node i's encoding without the removed nodes u and v to buf
+// and returns its span there. Clean children keep their canonical order;
+// the at most two dirty ones, encoded first, merge in at their sorted
+// positions.
+func (ls *LeafSplicer) emit(i, u, v int32) (int, int) {
+	var ds [2][2]int
+	nd := 0
+	for c := i + 1; c < ls.next[i]; c = ls.next[c] {
+		if ls.dirty[c] {
+			ds[nd][0], ds[nd][1] = ls.emit(c, u, v)
+			nd++
+		}
+	}
+	if nd == 2 && bytes.Compare(ls.buf[ds[1][0]:ds[1][1]], ls.buf[ds[0][0]:ds[0][1]]) < 0 {
+		ds[0], ds[1] = ds[1], ds[0]
+	}
+	s := len(ls.buf)
+	ls.buf = append(ls.buf, ls.kb[ls.start[i]:ls.labelEnd[i]]...)
+	j := 0
+	for c := i + 1; c < ls.next[i]; c = ls.next[c] {
+		if c == u || c == v || ls.dirty[c] {
+			continue
+		}
+		span := ls.kb[ls.start[c]:ls.end[c]]
+		for ; j < nd && bytes.Compare(ls.buf[ds[j][0]:ds[j][1]], span) <= 0; j++ {
+			ls.buf = append(ls.buf, keyChildMark)
+			ls.buf = append(ls.buf, ls.buf[ds[j][0]:ds[j][1]]...)
+		}
+		ls.buf = append(ls.buf, keyChildMark)
+		ls.buf = append(ls.buf, span...)
+	}
+	for ; j < nd; j++ {
+		ls.buf = append(ls.buf, keyChildMark)
+		ls.buf = append(ls.buf, ls.buf[ds[j][0]:ds[j][1]]...)
+	}
+	ls.buf = append(ls.buf, keyEndMark)
+	return s, len(ls.buf)
+}

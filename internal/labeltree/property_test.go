@@ -101,3 +101,47 @@ func TestQuickPreorderIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQuickLeafSplicerMatchesPatterns checks every single and pairwise
+// leaf removal LeafSplicer derives against building the smaller pattern
+// and encoding it, over random patterns under random renumbering.
+func TestQuickLeafSplicerMatchesPatterns(t *testing.T) {
+	_, alphabet := treetest.Alphabet(3)
+	var ls labeltree.LeafSplicer
+	f := func(seed int64, sizeRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		size := 2 + int(sizeRaw%11)
+		key := treetest.ShufflePattern(rng, treetest.RandomPattern(rng, size, alphabet)).Key()
+		p, err := labeltree.DecodeKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls.Reset(key)
+		leaves := p.Leaves()
+		for a, u := range leaves {
+			if ls.RemoveKey(u) != p.RemoveLeaf(u).Key() {
+				t.Logf("seed %d: minus node %d differs", seed, u)
+				return false
+			}
+			for _, v := range leaves[a+1:] {
+				if size < 3 {
+					break
+				}
+				keep := make([]int32, 0, size-2)
+				for n := int32(0); int(n) < size; n++ {
+					if n != u && n != v {
+						keep = append(keep, n)
+					}
+				}
+				if ls.RemoveTwoKey(u, v) != p.Subpattern(keep).Key() || ls.RemoveTwoKey(v, u) != p.Subpattern(keep).Key() {
+					t.Logf("seed %d: minus nodes %d, %d differs", seed, u, v)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

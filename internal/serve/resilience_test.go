@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +117,44 @@ func TestEstimateDisableFallback(t *testing.T) {
 	code, out := do(t, "GET", srv.URL+"/v1/estimate?q=laptop(brand,price)&method=recursive", "")
 	if code != http.StatusGatewayTimeout || out["code"] != "deadline_exceeded" {
 		t.Fatalf("fallback-disabled estimate: %d %v, want 504 deadline_exceeded", code, out)
+	}
+}
+
+// TestExplainDeadline504: /v1/explain runs both of its recursions, the
+// traced estimate and the decomposition interval, under the route's
+// estimate budget. Over one <r> holding 16 distinct leaves, the star
+// query r(a0,…,a15) has about 2^16 sub-twigs to decompose; under a 100 ms
+// budget it answers 504 promptly, while a small query still answers 200.
+func TestExplainDeadline504(t *testing.T) {
+	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandlerOptions(c, Options{Resilience: ResilienceOptions{EstimateBudget: 100 * time.Millisecond}}))
+	t.Cleanup(srv.Close)
+	leaves := make([]string, 16)
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := range leaves {
+		leaves[i] = fmt.Sprintf("a%d", i)
+		fmt.Fprintf(&doc, "<%s/>", leaves[i])
+	}
+	doc.WriteString("</r>")
+	if code, out := do(t, "POST", srv.URL+"/v1/docs/star", doc.String()); code != http.StatusCreated {
+		t.Fatalf("adding the star document: %d %v", code, out)
+	}
+
+	start := time.Now()
+	code, out := do(t, "GET", srv.URL+"/v1/explain?q=r("+strings.Join(leaves, ",")+")", "")
+	if code != http.StatusGatewayTimeout || out["code"] != "deadline_exceeded" {
+		t.Fatalf("explain of the 16-leaf star: %d %v, want 504 deadline_exceeded", code, out)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("504 took %v; the deadline did not interrupt the recursion", d)
+	}
+	code, out = do(t, "GET", srv.URL+"/v1/explain?q=r(a0,a1,a2,a3)", "")
+	if code != http.StatusOK || out["estimate"] != 1.0 {
+		t.Fatalf("explain of a small query under the same budget: %d %v, want 200 with estimate 1", code, out)
 	}
 }
 

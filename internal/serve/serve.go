@@ -514,12 +514,18 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
-	est, trace, err := sum.EstimateWithTrace(q, core.MethodRecursiveVoting)
+	// Both recursions run under the route's estimate budget; an expired
+	// one answers 504 like /v1/estimate past its last fallback.
+	est, trace, err := sum.EstimateWithTraceContext(r.Context(), q, core.MethodRecursiveVoting)
 	if err != nil {
-		writeCoreError(w, err)
+		h.coreError(w, err)
 		return
 	}
-	iv := sum.EstimateInterval(q)
+	iv, err := sum.EstimateInterval(r.Context(), q)
+	if err != nil {
+		h.coreError(w, err)
+		return
+	}
 	writeJSON(w, explainResponse{
 		Query:    qs,
 		Estimate: est,
