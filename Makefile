@@ -9,6 +9,8 @@
 # outside the check gate: they measure. `make fuzz` runs the
 # coverage-guided fuzzers for FUZZTIME each (longer runs: make fuzz
 # FUZZTIME=5m). `make loc` counts non-test Go lines per package.
+# `make experiments` regenerates EXPERIMENTS.txt, twigbench's report of
+# record, and `make experiments-check` reruns twigbench against it.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -30,9 +32,9 @@ FUZZ_TARGETS = \
 # The packages FUZZ_TARGETS names, each once.
 FUZZ_PKGS = $(sort $(foreach t,$(FUZZ_TARGETS),$(firstword $(subst :, ,$(t)))))
 
-.PHONY: check fmt vet build test race fuzz fuzz-short perfbench bench benchcore microbench loc
+.PHONY: check fmt vet build orphans test race fuzz fuzz-short perfbench bench benchcore microbench loc experiments experiments-check
 
-check: fmt vet build race fuzz-short perfbench
+check: fmt vet build orphans race fuzz-short perfbench
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
@@ -58,6 +60,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# orphans fails on, and names, every module package that no command, no
+# example and not the root package imports: code that would ship while
+# nothing runs it. internal/treetest, the random trees and patterns the
+# tests share, is the one package that is imported only by tests.
+orphans:
+	@deps=$$($(GO) list -deps ./cmd/... ./examples/... .) && pkgs=$$($(GO) list ./...) || exit 1; \
+	bad=$$(echo "$$pkgs" | grep -vxF -e "$$deps" -e treelattice/internal/treetest); \
+	if [ -n "$$bad" ]; then echo "no command, example or the root package imports:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -93,22 +104,24 @@ microbench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # loc prints the non-test Go lines of every package directory, then
-# their total, over tracked files outside perfbench/ (its own module).
-# With BASE=<rev> (make loc BASE=HEAD~1) it prints, per package and in
-# total, the lines at BASE (read from git objects), the lines in the
-# work tree, and the difference: a change's net line count in one run.
+# their total, over the work tree as it is (tracked files still present
+# and untracked ones .gitignore does not exclude) outside perfbench/ (its
+# own module). With BASE=<rev> (make loc BASE=HEAD~1) it prints, per
+# package and in total, the lines at BASE (read from git objects), the
+# lines in the work tree, and the difference: a change's net line count
+# in one run.
 LOC_FILES = -- '*.go' ':!:*_test.go' ':!:perfbench/'
+LOC_WORK = git grep --untracked -c -e '' $(LOC_FILES)
 
 loc:
 ifeq ($(BASE),)
-	@git ls-files -z $(LOC_FILES) | xargs -0 awk ' \
-		FNR == 1 { d = FILENAME; if (!sub("/[^/]*$$", "", d)) d = "." } \
-		{ n[d]++; total++ } \
-		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
+	@$(LOC_WORK) | awk ' \
+		{ n = $$0; sub(/.*:/, "", n); d = $$0; sub(/:[0-9]+$$/, "", d); if (!sub("/[^/]*$$", "", d)) d = "."; c[d] += n; total += n } \
+		END { for (d in c) printf "%7d  %s\n", c[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", total }'
 else
 	@git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null || { echo "loc: BASE=$(BASE) names no commit"; exit 1; }
 	@{ git grep -c -e '' '$(BASE)' $(LOC_FILES) | sed 's/^/b:/'; \
-	   git grep -c -e '' $(LOC_FILES) | sed 's/^/w:/'; } | awk -v base='$(BASE)' ' \
+	   $(LOC_WORK) | sed 's/^/w:/'; } | awk -v base='$(BASE)' ' \
 		{ side = substr($$0, 1, 1); p = substr($$0, 3); if (side == "b") p = substr(p, length(base) + 2); \
 		  n = p; sub(/.*:/, "", n); sub(/:[0-9]+$$/, "", p); \
 		  d = p; if (!sub("/[^/]*$$", "", d)) d = "."; c[side, d] += n; t[side] += n; dirs[d] = 1 } \
@@ -116,3 +129,23 @@ else
 		  for (d in dirs) printf "%7d  %7d  %+7d  %s\n", c["b", d], c["w", d], c["w", d] - c["b", d], d | "sort -k4"; \
 		  close("sort -k4"); printf "%7d  %7d  %+7d  total\n", t["b"], t["w"], t["w"] - t["b"] }'
 endif
+
+# experiments writes twigbench's report at the documented configuration
+# (scale 20,000, K = 4, seed 42; about 70 s on one core) to
+# EXPERIMENTS.txt, the record EXPERIMENTS.md and README quote.
+# experiments-check reruns twigbench and diffs its report against the
+# record with wall-clock values masked on both sides: durations and
+# Table 3's speedups. Both stay out of check because of their run time; a
+# change that moves an estimate (the golden file) reruns experiments.
+TWIGBENCH = $(GO) run ./cmd/twigbench -scale 20000 -k 4 -seed 42
+MASK_TIMING = sed -E 's/([0-9]+h)?([0-9]+m)?[0-9]+(\.[0-9]+)?(ns|µs|ms|s|x)( |$$)/T\5/g; s/ +/ /g'
+
+experiments:
+	@run=$$(mktemp) || exit 1; trap 'rm -f "$$run"' EXIT; \
+	$(TWIGBENCH) > "$$run" && cat "$$run" > EXPERIMENTS.txt
+
+experiments-check:
+	@d=$$(mktemp -d) || exit 1; trap 'rm -rf "$$d"' EXIT; \
+	$(TWIGBENCH) > "$$d/run" || exit 1; \
+	$(MASK_TIMING) EXPERIMENTS.txt > "$$d/EXPERIMENTS.txt"; $(MASK_TIMING) "$$d/run" > "$$d/twigbench"; \
+	cd "$$d" && diff -u EXPERIMENTS.txt twigbench && echo "experiments-check: twigbench matches EXPERIMENTS.txt apart from timing"

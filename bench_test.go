@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (see DESIGN.md's experiment index), plus ablations of the
 // design choices: voting, lattice level K, the hash-vs-trie summary
-// store, the sparse matcher, and δ-derivable pruning.
+// store (the trie lives in trie_test.go), the product counter, and
+// δ-derivable pruning.
 //
 // Accuracy experiments report their headline numbers via b.ReportMetric
 // (err%/… columns); time experiments are ordinary Go benchmarks. The
@@ -21,7 +22,6 @@ import (
 	"testing"
 
 	"treelattice/internal/core"
-	"treelattice/internal/cst"
 	"treelattice/internal/datagen"
 	"treelattice/internal/estimate"
 	"treelattice/internal/experiments"
@@ -515,7 +515,7 @@ func BenchmarkAblationLatticeK(b *testing.B) {
 func BenchmarkAblationStore(b *testing.B) {
 	e := benchEnv(b, datagen.NASA)
 	lat := e.Summary.Lattice()
-	trie := lattice.FromSummary(lat)
+	trie := trieFromSummary(lat)
 	keys := make([]labeltree.Key, 0, lat.Len())
 	for _, entry := range lat.Entries(0) {
 		keys = append(keys, entry.Pattern.Key())
@@ -631,35 +631,6 @@ func BenchmarkAblationVotingScheme(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCST compares the CST baseline (set-hashing signatures)
-// against the TreeLattice voting estimator on the same workload.
-func BenchmarkAblationCST(b *testing.B) {
-	e := benchEnv(b, datagen.NASA)
-	c := cst.Build(e.Tree, cst.Options{MaxPathLen: benchConfig().K})
-	vote := estimate.NewRecursive(e.Summary.Lattice(), true)
-	run := func(b *testing.B, f func(labeltree.Pattern) float64) {
-		var sumErr float64
-		n := 0
-		for i := 0; i < b.N; i++ {
-			sumErr, n = 0, 0
-			for _, size := range []int{5, 6} {
-				for _, q := range e.Positive[size] {
-					truth := float64(q.TrueCount)
-					if truth > 0 {
-						sumErr += abs(f(q.Pattern)-truth) / truth
-						n++
-					}
-				}
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(100*sumErr/float64(n), "avg-err%")
-		}
-	}
-	b.Run("treelattice", func(b *testing.B) { run(b, vote.Estimate) })
-	b.Run("cst", func(b *testing.B) { run(b, c.Estimate) })
-}
-
 // BenchmarkTwigJoinExecution counts matches on the XMark document with
 // the counter and by enumeration, per axis flavor.
 func BenchmarkTwigJoinExecution(b *testing.B) {
@@ -724,44 +695,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// BenchmarkPathLineage compares the path-selectivity lineage (Markov vs
-// path tree vs Bloom histogram vs CST) on paths of length 5 — beyond the
-// stored length, where the Markov extension is the differentiator.
-func BenchmarkPathLineage(b *testing.B) {
-	s := benchSuite(b)
-	benchEnv(b, datagen.NASA)
-	var rows []experiments.PathLineageRow
-	for i := 0; i < b.N; i++ {
-		r, err := s.PathLineage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = r
-	}
-	for _, r := range rows {
-		if r.Dataset == datagen.NASA && r.Length == 5 {
-			b.ReportMetric(r.AvgErrPct, r.Estimator+"-err%")
-		}
-	}
-}
-
-// BenchmarkExtendedBaselines runs the full twig-baseline lineage.
-func BenchmarkExtendedBaselines(b *testing.B) {
-	s := benchSuite(b)
-	benchEnv(b, datagen.XMark)
-	var rows []experiments.ExtendedRow
-	for i := 0; i < b.N; i++ {
-		r, err := s.ExtendedBaselines()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = r
-	}
-	for _, r := range rows {
-		if r.Dataset == datagen.XMark && r.Size == 7 {
-			b.ReportMetric(r.AvgErrPct, r.Estimator+"-err%")
-		}
-	}
 }

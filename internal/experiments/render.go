@@ -40,12 +40,6 @@ func (s *Suite) RunAll(w io.Writer) error {
 	if err := s.renderNegative(w); err != nil {
 		return err
 	}
-	if err := s.renderExtended(w); err != nil {
-		return err
-	}
-	if err := s.renderPathLineage(w); err != nil {
-		return err
-	}
 	if err := s.renderMethods(w); err != nil {
 		return err
 	}
@@ -86,74 +80,6 @@ func (s *Suite) renderAdaptation(w io.Writer) error {
 		fmt.Fprintf(t, "%s\t%d\t%.1f\t%d\t%d\n", r.Dataset, r.Pass, r.AvgErrPct, r.Corrections, r.UsedBytes)
 	}
 	t.Flush()
-	fmt.Fprintln(w)
-	return nil
-}
-
-func (s *Suite) renderPathLineage(w io.Writer) error {
-	rows, err := s.PathLineage()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "== Path lineage (beyond the paper): avg error (%) on path queries by length ==")
-	for _, p := range s.Cfg.Profiles {
-		fmt.Fprintf(w, "-- %s --\n", p)
-		t := tw(w)
-		fmt.Fprint(t, "length")
-		for _, n := range PathEstimatorNames {
-			fmt.Fprintf(t, "\t%s", n)
-		}
-		fmt.Fprintln(t)
-		for _, length := range []int{2, 3, 4, 5, 6} {
-			printed := false
-			for _, n := range PathEstimatorNames {
-				for _, r := range rows {
-					if r.Dataset == p && r.Length == length && r.Estimator == n {
-						if !printed {
-							fmt.Fprintf(t, "%d", length)
-							printed = true
-						}
-						fmt.Fprintf(t, "\t%.1f", r.AvgErrPct)
-					}
-				}
-			}
-			if printed {
-				fmt.Fprintln(t)
-			}
-		}
-		t.Flush()
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-func (s *Suite) renderExtended(w io.Writer) error {
-	rows, err := s.ExtendedBaselines()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "== Extended baselines (beyond the paper): avg error (%) by query size ==")
-	for _, p := range s.Cfg.Profiles {
-		fmt.Fprintf(w, "-- %s --\n", p)
-		t := tw(w)
-		fmt.Fprint(t, "size")
-		for _, n := range ExtendedEstimatorNames {
-			fmt.Fprintf(t, "\t%s", n)
-		}
-		fmt.Fprintln(t)
-		for _, size := range s.Cfg.Sizes {
-			fmt.Fprintf(t, "%d", size)
-			for _, n := range ExtendedEstimatorNames {
-				for _, r := range rows {
-					if r.Dataset == p && r.Size == size && r.Estimator == n {
-						fmt.Fprintf(t, "\t%.1f", r.AvgErrPct)
-					}
-				}
-			}
-			fmt.Fprintln(t)
-		}
-		t.Flush()
-	}
 	fmt.Fprintln(w)
 	return nil
 }

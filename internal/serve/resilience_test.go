@@ -13,13 +13,12 @@ import (
 	"time"
 
 	"treelattice/internal/corpus"
-	"treelattice/internal/faultinject"
 )
 
 // newResilientServer builds a corpus-backed server with the given
 // resilience options and an optional fault injector wrapped around the
 // corpus.
-func newResilientServer(t *testing.T, res ResilienceOptions, inj *faultinject.Injector) (*httptest.Server, *Handler) {
+func newResilientServer(t *testing.T, res ResilienceOptions, inj *faultInjector) (*httptest.Server, *Handler) {
 	t.Helper()
 	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
 	if err != nil {
@@ -27,7 +26,7 @@ func newResilientServer(t *testing.T, res ResilienceOptions, inj *faultinject.In
 	}
 	var backend Backend = c
 	if inj != nil {
-		backend = faultinject.WrapCorpus(c, inj)
+		backend = &faultCorpus{Backend: c, inj: inj}
 	}
 	h := NewHandlerOptions(backend, Options{Resilience: res})
 	srv := httptest.NewServer(h)
@@ -44,7 +43,7 @@ func newResilientServer(t *testing.T, res ResilienceOptions, inj *faultinject.In
 // TestExactDeadline504: a /v1/exact whose budget expires mid-count answers
 // 504 deadline_exceeded, promptly.
 func TestExactDeadline504(t *testing.T) {
-	inj := faultinject.New(faultinject.Options{Latency: 5 * time.Second})
+	inj := newFaultInjector(faultOptions{Latency: 5 * time.Second})
 	srv, _ := newResilientServer(t, ResilienceOptions{ExactBudget: 30 * time.Millisecond}, inj)
 
 	start := time.Now()
@@ -161,7 +160,7 @@ func TestExplainDeadline504(t *testing.T) {
 // TestAdmissionShed429: with the limiter saturated by slow exact scans,
 // excess arrivals get 429 + Retry-After and the shed counter moves.
 func TestAdmissionShed429(t *testing.T) {
-	inj := faultinject.New(faultinject.Options{Latency: 300 * time.Millisecond})
+	inj := newFaultInjector(faultOptions{Latency: 300 * time.Millisecond})
 	srv, _ := newResilientServer(t, ResilienceOptions{
 		AdmissionLimit: 1,
 		AdmissionQueue: 1,
@@ -247,8 +246,8 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("seed: %d", code)
 	}
 
-	inj := faultinject.New(faultinject.Options{PanicEvery: 1})
-	h := NewHandlerOptions(faultinject.WrapCorpus(c, inj), Options{})
+	inj := newFaultInjector(faultOptions{PanicEvery: 1})
+	h := NewHandlerOptions(&faultCorpus{Backend: c, inj: inj}, Options{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 
@@ -284,7 +283,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		maxWait  = 25 * time.Millisecond
 		p99Bound = 0.5 // seconds: budget + queue wait + generous scheduling slack
 	)
-	inj := faultinject.New(faultinject.Options{
+	inj := newFaultInjector(faultOptions{
 		Latency:    latency,
 		PanicEvery: 17,
 		Seed:       1,

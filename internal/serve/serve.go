@@ -116,8 +116,8 @@ import (
 const MaxDocumentBytes = 64 << 20
 
 // Backend is the corpus surface the handler serves. *corpus.Corpus is the
-// production implementation; internal/faultinject wraps one with injectable
-// latency, errors, and panics for resilience testing.
+// production implementation; the resilience tests wrap one with injectable
+// latency, errors, and panics (faultinject_test.go).
 type Backend interface {
 	Summary() *core.Summary
 	Docs() []string
