@@ -1,5 +1,6 @@
 # Stdlib-only Go module; no codegen. `make check` is the full gate the
-# test suite is expected to pass: gofmt over every tracked Go file, vet,
+# test suite is expected to pass: gofmt over every Go file in the work
+# tree that is tracked or not ignored, vet,
 # build, the race detector (the concurrent build pipeline and the HTTP
 # server are exercised under -race), a short pass over each fuzz target's
 # seed corpus, and the benchmark module in perfbench/ (its own go.mod),
@@ -49,11 +50,13 @@ fuzz:
 fuzz-short:
 	$(GO) test -run='^Fuzz' $(FUZZ_PKGS)
 
-# fmt fails when gofmt would rewrite any tracked Go file.
+# fmt fails when gofmt would rewrite, or cannot read or parse, a Go file
+# in the work tree that is tracked or not ignored: the files make loc
+# reads. A tracked file deleted without git rm is not in that set.
 fmt:
-	@files=$$(git ls-files '*.go') || exit 1; \
-	bad=$$(gofmt -l $$files); \
-	if [ -n "$$bad" ]; then echo "gofmt -l lists:"; echo "$$bad"; exit 1; fi
+	@files=$$(git grep --untracked -l -e '' -- '*.go') || exit 1; \
+	out=$$(gofmt -l $$files 2>&1); status=$$?; \
+	if [ $$status -ne 0 ] || [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -94,8 +97,9 @@ bench:
 # the canonical-keying microbenchmarks (BenchmarkKey and the
 # pre-optimization string-encoder reference), the store probes, the
 # paper macro benchmarks (Table 3 lattice construction, Figure 9
-# response time per backend, cold and warm, plus fresh on the frozen
-# store) and twig execution, and
+# response time per backend: the bare estimators cold, and the two
+# recursive methods warm through a summary's answer cache) and twig
+# execution, and
 # writes BENCH_core.json with ns/op, B/op, and allocs/op per result.
 benchcore:
 	$(GO) run ./cmd/benchcore -benchtime 1s -scale 2000 -out BENCH_core.json

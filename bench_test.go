@@ -235,68 +235,70 @@ func BenchmarkFigure8ErrorCDF(b *testing.B) {
 // BenchmarkFigure9ResponseTime times one estimate per iteration over
 // the XMark positive workload of each size, cycling its queries.
 //
-// The lattice methods run on each store backend in two states, one row
-// per backend/state/method/size: cold rows share no cache across
-// estimates (each starts from an empty per-query memo), and warm rows
-// give the row its own SubCache, filled by one pass over the row's
-// queries before the timer starts. On the frozen store a third state,
-// fresh, gives every estimate a new SubCache, as the first read on a
-// newly published epoch gets one: it prices filling an empty cache. The document-backed methods run once
-// per size: treesketches on the suite's synopsis; markov, sampling and
-// ensemble through Summary.EstimateStrict with Prepare paid before the
-// timer, so the ensemble's recursive+voting half uses the summary's
-// shared cache as it does when serving. An estimate that exhausts its
-// budget is counted in exhausted/op instead of failing the benchmark.
+// The three decomposition methods run cold on each store backend, one
+// row per backend/method/size: the bare estimator, each estimate
+// starting from an empty per-query memo as a first-time query does.
+// Warm rows time the two recursive methods through a summary's method
+// table on the same backend, after one pass over the row's queries has
+// filled the summary's answer cache: the price of a repeat. Fix-sized
+// keeps no answer cache, so it has no warm row. The document-backed
+// methods run once per size: treesketches on the suite's synopsis;
+// markov, sampling and ensemble through Summary.EstimateStrict with
+// Prepare paid before the timer, so the ensemble's recursive+voting half
+// uses the summary's answer cache as it does when serving. An estimate
+// that exhausts its budget is counted in exhausted/op instead of failing
+// the benchmark.
 func BenchmarkFigure9ResponseTime(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
 	lat := e.Summary.Lattice()
 	sizes := []int{4, 6, 8}
 	stores := []struct {
 		name string
+		sum  *core.Summary
 		st   estimate.Store
 	}{
-		{"map", lat},
-		{"frozen", lattice.Freeze(lat)},
-		{"compressed", lattice.Compress(lat)},
+		{"map", e.Summary, lat},
+		{"frozen", e.Summary.Freeze(), lattice.Freeze(lat)},
+		{"compressed", e.Summary.Compress(), lattice.Compress(lat)},
 	}
-	newEstimator := func(method core.Method, st estimate.Store, c *estimate.SubCache) estimate.Estimator {
-		if method == core.MethodFixSized {
-			return &estimate.FixSized{Sum: st, Cache: c}
-		}
-		return &estimate.Recursive{Sum: st, Voting: method == core.MethodRecursiveVoting, Cache: c}
-	}
+	ctx := context.Background()
 	for _, store := range stores {
-		for _, state := range []string{"cold", "warm", "fresh"} {
-			if state == "fresh" && store.name != "frozen" {
-				continue
+		for _, m := range core.Methods() {
+			var est estimate.Estimator = &estimate.Recursive{Sum: store.st, Voting: m == core.MethodRecursiveVoting}
+			if m == core.MethodFixSized {
+				est = &estimate.FixSized{Sum: store.st}
 			}
-			for _, m := range core.Methods() {
-				for _, size := range sizes {
-					qs := e.Positive[size]
-					if len(qs) == 0 {
-						continue
-					}
-					b.Run(fmt.Sprintf("%s/%s/%s/size%d", store.name, state, m, size), func(b *testing.B) {
-						var cache *estimate.SubCache
-						if state == "warm" {
-							cache = estimate.NewSubCache(0)
-						}
-						est := newEstimator(m, store.st, cache)
-						if state == "warm" {
-							for _, q := range qs {
-								est.Estimate(q.Pattern)
-							}
-						}
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							if state == "fresh" {
-								est = newEstimator(m, store.st, estimate.NewSubCache(0))
-							}
-							est.Estimate(qs[i%len(qs)].Pattern)
-						}
-					})
+			for _, size := range sizes {
+				qs := e.Positive[size]
+				if len(qs) == 0 {
+					continue
 				}
+				b.Run(fmt.Sprintf("%s/cold/%s/size%d", store.name, m, size), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						est.Estimate(qs[i%len(qs)].Pattern)
+					}
+				})
+			}
+		}
+		for _, m := range []core.Method{core.MethodRecursive, core.MethodRecursiveVoting} {
+			for _, size := range sizes {
+				qs := e.Positive[size]
+				if len(qs) == 0 {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/warm/%s/size%d", store.name, m, size), func(b *testing.B) {
+					for _, q := range qs {
+						if _, err := store.sum.EstimateContext(ctx, q.Pattern, m); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						store.sum.EstimateContext(ctx, qs[i%len(qs)].Pattern, m)
+					}
+				})
 			}
 		}
 	}
@@ -313,7 +315,6 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 			}
 		})
 	}
-	ctx := context.Background()
 	for _, m := range []core.Method{core.MethodMarkov, core.MethodSampling, core.MethodEnsemble} {
 		for _, size := range sizes {
 			qs := e.Positive[size]

@@ -47,36 +47,34 @@ const DefaultEnsembleThreshold = 4.0
 // ---- decomposition methods (the paper's estimators) ----
 
 // The decomposition methods answer with exactly the estimator a direct
-// caller would build, sharing the method's sub-estimate cache, so
-// table-routed estimates are bit-identical to direct calls.
+// caller would build, so table-routed estimates are bit-identical to
+// direct calls. The two recursive methods answer repeats from the
+// summary's answer cache (cache.go). Fix-sized keeps none: its cover
+// terms are stored patterns, so it never answered from a cache.
 
 func prepareRecursive(_ context.Context, s *Summary) (Prepared, error) {
-	return decomposition(s.recursive(MethodRecursive)), nil
+	return cachedRecursive(s.recursive(MethodRecursive), &s.recursiveAnswers), nil
 }
 
 func prepareRecursiveVoting(_ context.Context, s *Summary) (Prepared, error) {
-	return decomposition(s.recursive(MethodRecursiveVoting)), nil
+	return cachedRecursive(s.recursive(MethodRecursiveVoting), &s.votingAnswers), nil
 }
 
 func prepareFixSized(_ context.Context, s *Summary) (Prepared, error) {
-	return decomposition(&estimate.FixSized{Sum: s.st, Cache: s.SubCache(MethodFixSized)}), nil
-}
-
-// recursive returns the recursive estimator of MethodRecursive or
-// MethodRecursiveVoting over the summary's store and the method's
-// sub-estimate cache.
-func (s *Summary) recursive(m Method) *estimate.Recursive {
-	return &estimate.Recursive{Sum: s.st, Voting: m == MethodRecursiveVoting, Cache: s.SubCache(m)}
-}
-
-func decomposition(est estimate.ContextEstimator) Prepared {
+	fix := &estimate.FixSized{Sum: s.st}
 	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
-		v, err := est.EstimateContext(ctx, q)
+		v, err := fix.EstimateContext(ctx, q)
 		if err != nil {
 			return Aggregate{}, err
 		}
 		return Aggregate{Estimate: v}, nil
-	})
+	}), nil
+}
+
+// recursive returns the recursive estimator of MethodRecursive or
+// MethodRecursiveVoting over the summary's store.
+func (s *Summary) recursive(m Method) *estimate.Recursive {
+	return &estimate.Recursive{Sum: s.st, Voting: m == MethodRecursiveVoting}
 }
 
 // ---- markov ----
@@ -168,7 +166,7 @@ func prepareSampling(_ context.Context, s *Summary) (Prepared, error) {
 // ---- ensemble ----
 
 // prepareEnsemble resolves both delegates through the summary's prepared
-// cache, so an ensemble shares its primary's sub-estimate cache and its
+// cache, so an ensemble shares its primary's answer cache and its
 // cross-checker's probe indexes with direct uses of those methods.
 func prepareEnsemble(ctx context.Context, s *Summary) (Prepared, error) {
 	primary, err := s.preparedFor(ctx, MethodRecursiveVoting, prepareRecursiveVoting)

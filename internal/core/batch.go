@@ -37,10 +37,9 @@ type BatchResult struct {
 }
 
 // EstimateBatchContext estimates every query in one call, fanning the
-// batch across a worker pool. All workers share the summary's per-method
-// sub-estimate cache, so structurally overlapping queries — the common
-// case for optimizer-generated batches — decompose shared sub-twigs once
-// instead of once per query.
+// batch across a worker pool. All workers share the summary's answer
+// caches, so a query a recursive method has already answered is not
+// decomposed again.
 //
 // Results are positional: results[i] answers queries[i], with per-item
 // errors (an expired budget fails the not-yet-evaluated items

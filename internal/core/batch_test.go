@@ -166,8 +166,8 @@ func TestFrozenSummaryEstimates(t *testing.T) {
 	}
 }
 
-// TestBatchSharesCache: a batch of duplicated structurally-overlapping
-// queries hits the shared cache.
+// TestBatchSharesCache: a batch of one query repeated hits the shared
+// answer cache.
 func TestBatchSharesCache(t *testing.T) {
 	sum, _, _ := buildSample(t, 2)
 	q, err := sum.ParseQuery("computer(laptops(laptop(brand,price)))")
@@ -181,7 +181,7 @@ func TestBatchSharesCache(t *testing.T) {
 	if _, err := sum.EstimateBatchContext(context.Background(), batch, MethodRecursive, BatchOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	st := sum.SubCacheStats()
+	st := sum.CacheStats()
 	if st.Hits == 0 {
 		t.Fatalf("no shared-cache hits across a duplicated batch: %+v", st)
 	}

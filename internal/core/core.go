@@ -13,7 +13,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
@@ -69,11 +68,6 @@ type BuildOptions struct {
 	Timings *metrics.BuildTimings
 }
 
-// EstimateObserver receives the wall-clock latency of each estimate, keyed
-// by method. Implementations must be safe for concurrent use; the serving
-// layer feeds these into per-method obs histograms.
-type EstimateObserver func(method Method, d time.Duration)
-
 // Summary is an immutable TreeLattice summary of one or more documents:
 // a read view over exactly one estimate.Store. The store is the
 // map-backed lattice a build mines, a frozen snapshot (flat arena + open
@@ -85,21 +79,11 @@ type EstimateObserver func(method Method, d time.Duration)
 type Summary struct {
 	st   estimate.Store
 	dict *labeltree.Dict
-	// observe, when non-nil, is called with the latency of every estimate
-	// issued through Estimator or EstimateWithTrace. Set once via
-	// Instrument before the summary sees concurrent traffic.
-	observe EstimateObserver
 
-	// Per-method shared sub-estimate caches, created on first use. Cached
-	// values depend on the estimator configuration (voting changes
-	// out-of-range sub-estimates), so each method gets its own cache; the
-	// store never changes under them.
-	cacheMu   sync.Mutex
-	subCaches map[Method]*estimate.SubCache
-	// subCacheNew, when non-nil, runs for each per-method cache as it is
-	// created — the serving layer's way to instrument caches on epoch
-	// summaries it never saw at construction time.
-	subCacheNew func(Method, *estimate.SubCache)
+	// The whole-answer caches of the recursive and recursive+voting
+	// methods (cache.go). Answers differ between the two, so each has
+	// its own; the store never changes under them.
+	recursiveAnswers, votingAnswers answerCache
 
 	// prepMu guards source and the prepared-method cache; the cache
 	// empties whenever the summary rebinds its source (see registry.go).
@@ -112,14 +96,9 @@ type Summary struct {
 	indexer *twigjoin.Indexer
 }
 
-// Instrument installs an estimate-latency observer on the summary. Call
-// before serving; a nil observer disables instrumentation.
-func (s *Summary) Instrument(obs EstimateObserver) { s.observe = obs }
-
 // methodEstimator adapts a method to the estimate.Estimator /
 // estimate.ContextEstimator shape callers hold — every call routes through
-// EstimateContext, so it sees the same prepared methods, caches, and
-// instrumentation.
+// EstimateContext, so it sees the same prepared methods and caches.
 type methodEstimator struct {
 	s      *Summary
 	method Method
@@ -253,18 +232,11 @@ type sized interface {
 	Len() int
 }
 
-// derive returns a summary over st that keeps this summary's serving
-// configuration (instrumentation, cache creation hook) and bound
+// derive returns a summary over st that keeps this summary's bound
 // document source. Caches and prepared methods start empty: they
 // belong to the store they were built against.
 func (s *Summary) derive(st estimate.Store) *Summary {
-	return &Summary{
-		st:          st,
-		dict:        s.dict,
-		observe:     s.observe,
-		subCacheNew: s.subCacheNew,
-		source:      s.Source(),
-	}
+	return &Summary{st: st, dict: s.dict, source: s.Source()}
 }
 
 // Freeze returns a summary over a read-optimized frozen snapshot of this
@@ -287,59 +259,6 @@ func (s *Summary) Compress() *Summary {
 		return s
 	}
 	return s.derive(lattice.Compress(lat))
-}
-
-// SubCache returns the shared sub-estimate cache for method, creating it
-// on first use. Safe for concurrent use; the cache is dedicated to this
-// summary's store and method configuration, which is what keeps cached
-// estimates bit-identical to uncached ones.
-func (s *Summary) SubCache(method Method) *estimate.SubCache {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	c, ok := s.subCaches[method]
-	if !ok {
-		if s.subCaches == nil {
-			s.subCaches = make(map[Method]*estimate.SubCache, 3)
-		}
-		c = estimate.NewSubCache(0)
-		s.subCaches[method] = c
-		if s.subCacheNew != nil {
-			s.subCacheNew(method, c)
-		}
-	}
-	return c
-}
-
-// OnSubCacheCreate registers fn to run for every per-method
-// sub-estimate cache, existing ones immediately and future ones as they
-// are created. Epoch publication carries the hook forward, so a serving
-// layer that instruments caches here keeps its metrics flowing through
-// every epoch swap. Call before the summary sees concurrent traffic.
-func (s *Summary) OnSubCacheCreate(fn func(Method, *estimate.SubCache)) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	s.subCacheNew = fn
-	if fn != nil {
-		for m, c := range s.subCaches {
-			fn(m, c)
-		}
-	}
-}
-
-// SubCacheStats aggregates hit/miss/eviction counters and occupancy
-// across the per-method sub-estimate caches.
-func (s *Summary) SubCacheStats() estimate.SubCacheStats {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	var total estimate.SubCacheStats
-	for _, c := range s.subCaches {
-		st := c.Stats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-		total.Entries += st.Entries
-	}
-	return total
 }
 
 // K returns the lattice level.
@@ -373,8 +292,7 @@ func (s *Summary) Patterns() int {
 
 // Estimator returns an estimator handle for method over this summary,
 // validated against the method table. Every call on the handle routes
-// through EstimateContext, sharing prepared methods and instrumentation
-// with it.
+// through EstimateContext, sharing prepared methods and caches with it.
 func (s *Summary) Estimator(method Method) (estimate.Estimator, error) {
 	if _, err := lookupMethod(method); err != nil {
 		return nil, err
@@ -382,10 +300,7 @@ func (s *Summary) Estimator(method Method) (estimate.Estimator, error) {
 	return methodEstimator{s: s, method: method}, nil
 }
 
-// estimateVia answers one estimate with the method's prepared instance,
-// reporting its latency to the instrumentation observer. Failed (canceled
-// or budget-blown) estimates are still observed: their latency is exactly
-// the budget burned.
+// estimateVia answers one estimate with the method's prepared instance.
 func (s *Summary) estimateVia(ctx context.Context, q labeltree.Pattern, method Method) (Aggregate, error) {
 	row, err := lookupMethod(method)
 	if err != nil {
@@ -395,12 +310,7 @@ func (s *Summary) estimateVia(ctx context.Context, q labeltree.Pattern, method M
 	if err != nil {
 		return Aggregate{}, err
 	}
-	start := time.Now()
-	agg, err := p.Estimate(ctx, q)
-	if s.observe != nil {
-		s.observe(method, time.Since(start))
-	}
-	return agg, err
+	return p.Estimate(ctx, q)
 }
 
 // Estimate returns the estimated selectivity of q under method.
@@ -516,10 +426,12 @@ func parseError(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
-// EstimateWithTrace estimates q and returns the work record: lattice
-// hits/misses, reconstruction count, and the recursion depth over which
-// independence assumptions compounded. Only the recursive methods
-// support it.
+// EstimateWithTrace estimates q and returns the work record: memo and
+// lattice hits, lattice misses, reconstructions, and the recursion
+// depth over which independence assumptions compounded. It always runs
+// the full decomposition, never the answer cache, so the record
+// describes the estimate's own work. Only the recursive methods support
+// it.
 func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
 	return s.EstimateWithTraceContext(context.Background(), q, method)
 }
@@ -534,13 +446,7 @@ func (s *Summary) EstimateWithTraceContext(ctx context.Context, q labeltree.Patt
 		}
 		return 0, estimate.Trace{}, fmt.Errorf("core: method %q does not support traces", method)
 	}
-	r := s.recursive(method)
-	start := time.Now()
-	est, tr, err := r.EstimateWithTraceContext(ctx, q)
-	if s.observe != nil {
-		s.observe(method, time.Since(start))
-	}
-	return est, tr, err
+	return s.recursive(method).EstimateWithTraceContext(ctx, q)
 }
 
 // EstimateInterval returns the decomposition-choice spread [Lo, Hi] of

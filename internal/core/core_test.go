@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"treelattice/internal/labeltree"
 	"treelattice/internal/twigjoin"
@@ -306,56 +304,5 @@ func TestValuePredicateEstimation(t *testing.T) {
 	}
 	if got2 != 2 {
 		t.Fatalf("combined predicate estimate = %v, want 2", got2)
-	}
-}
-
-// TestInstrumentObservesEstimates checks the latency observer fires once
-// per estimate with the issuing method, through both the estimator and the
-// trace paths.
-func TestInstrumentObservesEstimates(t *testing.T) {
-	sum, _, _ := buildSample(t, 3)
-	var mu sync.Mutex
-	calls := map[Method]int{}
-	sum.Instrument(func(m Method, d time.Duration) {
-		if d < 0 {
-			t.Errorf("negative latency observed: %v", d)
-		}
-		mu.Lock()
-		calls[m]++
-		mu.Unlock()
-	})
-	for _, m := range Methods() {
-		if _, err := sum.EstimateQuery("laptop(brand,price)", m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := sum.ParseQuery("laptop(brand)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sum.EstimateWithTrace(q, MethodRecursiveVoting); err != nil {
-		t.Fatal(err)
-	}
-	if calls[MethodRecursive] != 1 || calls[MethodFixSized] != 1 {
-		t.Fatalf("observer calls = %v", calls)
-	}
-	if calls[MethodRecursiveVoting] != 2 {
-		t.Fatalf("voting observer calls = %d, want 2 (estimate + trace)", calls[MethodRecursiveVoting])
-	}
-
-	// A nil observer disables instrumentation: further estimates add no
-	// observations.
-	sum.Instrument(nil)
-	est, err := sum.Estimator(MethodRecursive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := sum.ParseQuery("laptop(price)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	est.Estimate(q2)
-	if calls[MethodRecursive] != 1 {
-		t.Fatalf("nil observer still observes: calls = %v", calls)
 	}
 }

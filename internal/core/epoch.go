@@ -19,7 +19,7 @@ import (
 // readers load the pointer once per request and finish against that
 // epoch even if a dozen more are published meanwhile. Nothing in an
 // epoch ever mutates, so there is no read-side locking anywhere — and
-// because every epoch carries a fresh Summary, its sub-estimate and
+// because every epoch carries a fresh Summary, its answer and
 // prepared-method caches are per-epoch by construction: publishing a
 // new epoch is the cache invalidation.
 
@@ -88,29 +88,14 @@ func (h *EpochHandle) Current() *Epoch { return h.cur.Load() }
 
 // Publish builds the next epoch over base merged with delta and swaps
 // it in. An epoch whose delta is nil or empty serves the base store
-// directly. The serving configuration (instrumentation observer and
-// sub-cache creation hook) is inherited from the base summary when set
-// there, else from the previous epoch's summary —
-// so a handler that instrumented epoch 1 keeps its metrics flowing
-// through every later epoch. docs/names must be sorted by name and
-// positionally aligned; the new epoch's summary binds them as its
-// TreeSource.
+// directly. docs/names must be sorted by name and positionally aligned;
+// the new epoch's summary binds them as its TreeSource.
 func (h *EpochHandle) Publish(base *Summary, delta *lattice.Delta, docs []*labeltree.Tree, names []string) *Epoch {
-	prev := h.cur.Load()
 	st := base.st
 	if delta != nil && !delta.Empty() {
 		st = &estimate.Merged{Base: base.st, Delta: delta}
 	}
 	sum := base.derive(st)
-	if prev != nil {
-		ps := prev.Summary
-		if sum.observe == nil {
-			sum.observe = ps.observe
-		}
-		if sum.subCacheNew == nil {
-			sum.subCacheNew = ps.subCacheNew
-		}
-	}
 	e := &Epoch{ID: h.seq.Add(1), Summary: sum, Docs: docs, Names: names, indexer: h.indexer}
 	sum.BindSource(e)
 	h.cur.Store(e)

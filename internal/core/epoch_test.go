@@ -302,11 +302,11 @@ func TestEpochSwapStress(t *testing.T) {
 	}
 }
 
-// TestSubCacheInvalidatedOnMutation: cached sub-estimates must not
-// survive a change to the counts. Summaries never mutate; a change
-// publishes a new epoch, whose summary starts with empty caches.
+// TestSubCacheInvalidatedOnMutation: cached answers must not survive a
+// change to the counts. Summaries never mutate; a change publishes a
+// new epoch, whose summary starts with empty caches.
 func TestSubCacheInvalidatedOnMutation(t *testing.T) {
-	sum, _, dict := buildSample(t, 2) // K=2 forces decomposition (and caching) early
+	sum, _, dict := buildSample(t, 2) // K=2 forces decomposition early
 	base := sum.Freeze()
 	handle := &EpochHandle{}
 	ep := handle.Publish(base, nil, nil, nil)
@@ -318,16 +318,16 @@ func TestSubCacheInvalidatedOnMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.Summary.SubCacheStats().Entries == 0 {
-		t.Fatal("no sub-estimates cached")
+	if ep.Summary.CacheStats().Entries == 0 {
+		t.Fatal("no answer cached")
 	}
 	extra, err := xmlparse.Parse(strings.NewReader("<computer><laptops><laptop><brand/><price/></laptop></laptops></computer>"), dict, xmlparse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := handle.Publish(base, mineDelta(t, 2, dict, []*labeltree.Tree{extra}), nil, nil)
-	if got := next.Summary.SubCacheStats().Entries; got != 0 {
-		t.Fatalf("%d cached sub-estimates carried into the next epoch", got)
+	if got := next.Summary.CacheStats().Entries; got != 0 {
+		t.Fatalf("%d cached answers carried into the next epoch", got)
 	}
 	after, err := next.Summary.Estimate(q, MethodRecursive)
 	if err != nil {

@@ -33,10 +33,12 @@ type TreeSliceSource []*labeltree.Tree
 func (s TreeSliceSource) Trees() []*labeltree.Tree { return s }
 
 // Aggregate is one estimate's answer. Estimate is always meaningful;
-// the remaining fields are the ensemble's cross-check verdict and stay
-// zero for every other method.
+// Cached marks an answer the method's answer cache held (only the
+// recursive methods keep one), and the remaining fields are the
+// ensemble's cross-check verdict and stay zero for every other method.
 type Aggregate struct {
 	Estimate float64
+	Cached   bool
 	// Checked reports that an independent cross-estimate completed.
 	Checked bool
 	// CrossEstimate is the cross-checking method's answer.

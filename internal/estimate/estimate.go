@@ -113,9 +113,6 @@ type Trace struct {
 	// MaxDepth is the deepest decomposition recursion reached — the
 	// number of independence assumptions compounded on the worst path.
 	MaxDepth int
-	// CacheHits counts sub-estimates answered from the shared SubCache
-	// instead of being decomposed.
-	CacheHits int
 }
 
 // VotingScheme selects how the voting extension aggregates the estimates
@@ -157,14 +154,6 @@ type Recursive struct {
 	Voting bool
 	// Scheme selects the voting aggregate (default Mean, the paper's).
 	Scheme VotingScheme
-	// MaxVotingPairs caps the number of leaf pairs considered per level
-	// when voting (0 = all pairs). The paper's voting scheme considers
-	// all decompositions; the cap bounds worst-case latency.
-	MaxVotingPairs int
-	// Cache, when non-nil, shares decomposed sub-estimates across
-	// queries (and goroutines). It must be dedicated to estimators with
-	// this estimator's store and configuration; see SubCache.
-	Cache *SubCache
 }
 
 // NewRecursive returns a recursive decomposition estimator over sum.
@@ -182,7 +171,7 @@ func (r *Recursive) Name() string {
 
 // Estimate implements Estimator.
 func (r *Recursive) Estimate(q labeltree.Pattern) float64 {
-	est, _ := r.run(nil, q, nil)
+	est, _ := r.run(nil, q.Key(), q.Size(), nil)
 	return est
 }
 
@@ -190,13 +179,20 @@ func (r *Recursive) Estimate(q labeltree.Pattern) float64 {
 // polls ctx every ctxOpsInterval memo operations and unwinds with ctx.Err()
 // once the context is done.
 func (r *Recursive) EstimateContext(ctx context.Context, q labeltree.Pattern) (float64, error) {
-	return r.run(ctx, q, nil)
+	return r.run(ctx, q.Key(), q.Size(), nil)
+}
+
+// EstimateKeyContext is EstimateContext for a query given by its
+// canonical key and size, for callers that already keyed it (a cache in
+// front of the estimator).
+func (r *Recursive) EstimateKeyContext(ctx context.Context, key labeltree.Key, size int) (float64, error) {
+	return r.run(ctx, key, size, nil)
 }
 
 // EstimateWithTrace is Estimate plus a record of the work performed.
 func (r *Recursive) EstimateWithTrace(q labeltree.Pattern) (float64, Trace) {
 	var tr Trace
-	est, _ := r.run(nil, q, &tr)
+	est, _ := r.run(nil, q.Key(), q.Size(), &tr)
 	return est, tr
 }
 
@@ -204,20 +200,20 @@ func (r *Recursive) EstimateWithTrace(q labeltree.Pattern) (float64, Trace) {
 // cooperative cancellation.
 func (r *Recursive) EstimateWithTraceContext(ctx context.Context, q labeltree.Pattern) (float64, Trace, error) {
 	var tr Trace
-	est, err := r.run(ctx, q, &tr)
+	est, err := r.run(ctx, q.Key(), q.Size(), &tr)
 	if err != nil {
 		return 0, Trace{}, err
 	}
 	return est, tr, nil
 }
 
-// run estimates q, polling ctx when it is non-nil and recording into tr
-// when it is non-nil.
-func (r *Recursive) run(ctx context.Context, q labeltree.Pattern, tr *Trace) (float64, error) {
-	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme, maxPairs: r.MaxVotingPairs,
-		memo: make(map[labeltree.Key]float64), cache: r.Cache, tr: tr, ctx: ctx}
+// run estimates the query keyed key of size nodes, polling ctx when it
+// is non-nil and recording into tr when it is non-nil.
+func (r *Recursive) run(ctx context.Context, key labeltree.Key, size int, tr *Trace) (float64, error) {
+	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme,
+		memo: make(map[labeltree.Key]float64), tr: tr, ctx: ctx}
 	defer e.release()
-	est := e.estimate(q)
+	est := e.estimateKeyed(key, size, 0)
 	if e.ctxErr != nil {
 		return 0, e.ctxErr
 	}
@@ -236,17 +232,11 @@ const ctxOpsInterval = 64
 // canonical keys and sizes: a sub-twig is a key until the engine must
 // decompose it, and even then LeafSplicer reads its leaves from the key.
 type engine struct {
-	sum      Store
-	voting   bool
-	scheme   VotingScheme
-	maxPairs int
-	memo     map[labeltree.Key]float64
-	// cache, when non-nil, shares decomposed sub-estimates across engine
-	// runs. The memo stays authoritative within a run; the cache is
-	// consulted on memo misses and fed on decompositions, never on
-	// cancelled (partially evaluated) results.
-	cache *SubCache
-	tr    *Trace
+	sum    Store
+	voting bool
+	scheme VotingScheme
+	memo   map[labeltree.Key]float64
+	tr     *Trace
 
 	// ctx, when non-nil, is polled every ctxOpsInterval estimateKeyed
 	// entries; on cancellation ctxErr latches and the recursion unwinds
@@ -340,17 +330,6 @@ func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
 		e.memo[key] = 0
 		return 0
 	}
-	// The shared cache sits below the memo and above decomposition: its
-	// values were produced by this same deterministic evaluation (for
-	// this store and configuration), so a hit is bit-identical to
-	// recomputing.
-	if v, ok := e.cache.get(key); ok {
-		if e.tr != nil {
-			e.tr.CacheHits++
-		}
-		e.memo[key] = v
-		return v
-	}
 	voting := e.voting
 	if size <= e.sum.K() {
 		// In range but pruned as derivable: reconstruct with the same
@@ -375,9 +354,6 @@ func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
 		e.sc.ds = append(e.sc.ds, e.sc.dec.first(key)) // canonically smallest
 	}
 	ds := e.sc.ds[base:]
-	if voting && e.maxPairs > 0 && len(ds) > e.maxPairs {
-		ds = ds[:e.maxPairs]
-	}
 	saved := e.voting
 	e.voting = voting
 	vbase := len(e.sc.votes)
@@ -397,11 +373,6 @@ func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
 	e.sc.votes = e.sc.votes[:vbase]
 	e.sc.ds = e.sc.ds[:base]
 	e.memo[key] = est
-	// A cancelled recursion unwinds with zero placeholders; only fully
-	// evaluated results may enter the shared cache.
-	if e.ctxErr == nil {
-		e.cache.put(key, est)
-	}
 	return est
 }
 

@@ -200,17 +200,6 @@ func TestEstimateIsomorphismInvariant(t *testing.T) {
 	}
 }
 
-func TestMaxVotingPairsCaps(t *testing.T) {
-	tr, dict := uniformDoc(t, 3)
-	sum := mineK(t, tr, 3)
-	q := labeltree.MustParsePattern("root(a(b,c,d))", dict)
-	r := &Recursive{Sum: sum, Voting: true, MaxVotingPairs: 1}
-	// With a cap of 1 the estimator still returns a sane estimate.
-	if got := r.Estimate(q); got <= 0 {
-		t.Fatalf("capped voting estimate = %v", got)
-	}
-}
-
 func TestCoverProperties(t *testing.T) {
 	dict, alphabet := treetest.Alphabet(4)
 	_ = dict

@@ -11,9 +11,6 @@ import (
 // telescoping product of Lemma 3.
 type FixSized struct {
 	Sum Store
-	// Cache, when non-nil, shares decomposed sub-estimates across
-	// queries; see Recursive.Cache and SubCache.
-	Cache *SubCache
 }
 
 // NewFixSized returns a fix-sized decomposition estimator over sum.
@@ -39,7 +36,7 @@ func (f *FixSized) estimate(ctx context.Context, q labeltree.Pattern) (float64, 
 	// One engine across all cover terms: the memo is shared exactly as the
 	// per-call memo map was, and the context poll counter spans the whole
 	// telescoping product.
-	e := engine{sum: f.Sum, memo: make(map[labeltree.Key]float64), cache: f.Cache, ctx: ctx}
+	e := engine{sum: f.Sum, memo: make(map[labeltree.Key]float64), ctx: ctx}
 	defer e.release()
 	if ctx != nil {
 		// Fail fast: the direct-hit path below never polls.

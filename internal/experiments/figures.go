@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -124,7 +126,15 @@ type Figure9Row struct {
 	AvgTime   time.Duration
 }
 
-// Figure9 measures per-query estimation latency.
+// figure9Passes is how many timed passes Figure 9 takes over each cell's
+// queries; a cell reports the median pass.
+const figure9Passes = 5
+
+// Figure9 measures per-query estimation latency. Each cell collects
+// garbage first, so no collection the earlier sections started is still
+// marking, runs its queries once untimed, which fills pooled scratch,
+// then reports the median of figure9Passes timed passes, so a GC cycle
+// or scheduler stall during one pass does not move the cell.
 func (s *Suite) Figure9() ([]Figure9Row, error) {
 	var rows []Figure9Row
 	for _, p := range s.Cfg.Profiles {
@@ -140,13 +150,22 @@ func (s *Suite) Figure9() ([]Figure9Row, error) {
 			}
 			for _, name := range EstimatorNames {
 				fn := ests[name]
-				start := time.Now()
+				runtime.GC()
 				for _, q := range qs {
 					fn(q.Pattern)
 				}
+				passes := make([]time.Duration, figure9Passes)
+				for i := range passes {
+					start := time.Now()
+					for _, q := range qs {
+						fn(q.Pattern)
+					}
+					passes[i] = time.Since(start)
+				}
+				slices.Sort(passes)
 				rows = append(rows, Figure9Row{
 					Dataset: p, Size: size, Estimator: name,
-					AvgTime: time.Since(start) / time.Duration(len(qs)),
+					AvgTime: passes[len(passes)/2] / time.Duration(len(qs)),
 				})
 			}
 		}

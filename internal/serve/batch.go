@@ -82,7 +82,7 @@ type batchResponse struct {
 
 // estimateBatch serves POST /v1/estimate/batch: many twig queries, one
 // admission slot, one worker-pool fan-out sharing the summary's
-// sub-estimate cache. Results are positional with per-item error
+// answer caches. Results are positional with per-item error
 // envelopes — one unparseable query does not fail its neighbors.
 func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
@@ -194,7 +194,7 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 				items[i].Divergence = res.Divergence
 				items[i].Divergent = &div
 			}
-			h.observeEnsemble(res.DegradedEstimate)
+			h.observeAnswer(res.DegradedEstimate)
 		}
 	}
 	writeJSON(w, batchResponse{Method: string(method), Results: items})

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"treelattice/internal/core"
-	"treelattice/internal/estimate"
 	"treelattice/internal/obs"
 )
 
@@ -92,36 +91,46 @@ func (h *Handler) endpointSummaries() map[string]endpointSummary {
 	return out
 }
 
-// instrumentCorpus wires the corpus-side metrics: per-method estimate
-// latency histograms and sub-estimate cache counters.
-func (h *Handler) instrumentCorpus() {
-	registered := core.RegisteredMethods()
-	hists := make(map[core.Method]*obs.Histogram, len(registered))
-	for _, m := range registered {
-		hists[m] = h.reg.Histogram("estimate."+string(m)+".latency_seconds", nil)
+// methodMetrics are one estimation method's served-estimate metrics: the
+// latency of the /v1/estimate and /v1/t/{tenant}/estimate calls it
+// answered, and, for the methods whose answers core caches, how often
+// the cache held an answer. A method without an answer cache has nil
+// counters.
+type methodMetrics struct {
+	latency      *obs.Histogram
+	hits, misses *obs.Counter
+}
+
+// newMethodMetrics registers every method's metrics. Core keeps an
+// answer cache for the two recursive methods only, so only they count
+// subcache.<method>.hits and .misses.
+func newMethodMetrics(reg *obs.Registry) map[core.Method]*methodMetrics {
+	out := make(map[core.Method]*methodMetrics)
+	for _, m := range core.RegisteredMethods() {
+		out[m] = &methodMetrics{latency: reg.Histogram("estimate."+string(m)+".latency_seconds", nil)}
 	}
-	// Mirror each decomposition method's sub-estimate cache into the
-	// registry so /v1/metrics shows which estimator's workload shares
-	// structure. Only the decomposition methods keep sub-caches; the
-	// sampling, markov, and sketch backends have none to report. The
-	// creation hook (rather than eager SubCache calls) makes the wiring
-	// survive epoch swaps: every published epoch builds fresh per-epoch
-	// sub-caches, inherits the hook, and instruments them with the same
-	// registry counters — which are deduplicated by name, so the series
-	// accumulate across epochs.
-	h.c.Summary().OnSubCacheCreate(func(m core.Method, c *estimate.SubCache) {
-		c.Instrument(
-			h.reg.Counter("subcache."+string(m)+".hits"),
-			h.reg.Counter("subcache."+string(m)+".misses"),
-			h.reg.Counter("subcache."+string(m)+".evictions"),
-		)
-	})
-	for _, m := range core.Methods() {
-		h.c.Summary().SubCache(m) // create now; creation fires the hook
+	for _, m := range []core.Method{core.MethodRecursive, core.MethodRecursiveVoting} {
+		out[m].hits = reg.Counter("subcache." + string(m) + ".hits")
+		out[m].misses = reg.Counter("subcache." + string(m) + ".misses")
 	}
-	h.c.Summary().Instrument(func(m core.Method, d time.Duration) {
-		if hist, ok := hists[m]; ok {
-			hist.ObserveDuration(d)
+	return out
+}
+
+// observeAnswer counts one answered estimate: under its method's
+// subcache counters when the method caches answers, and under the
+// ensemble counters when it carries a completed cross-check.
+func (h *Handler) observeAnswer(res core.DegradedEstimate) {
+	if m := h.perMethod[res.Method]; m != nil && m.hits != nil {
+		if res.Cached {
+			m.hits.Inc()
+		} else {
+			m.misses.Inc()
 		}
-	})
+	}
+	if res.Checked {
+		h.ensembleChecked.Inc()
+		if res.Divergent {
+			h.ensembleDivergent.Inc()
+		}
+	}
 }

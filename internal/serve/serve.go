@@ -67,10 +67,9 @@
 // envelopes: one unparseable query fails alone, not the batch. A batch
 // entry may also be an object {"q": <twig>, "method": <name>} overriding
 // the batch-level method for that item; every item's envelope echoes the
-// method that answered it. The whole
-// batch occupies a single admission slot and fans out across a worker
-// pool sharing the summary's sub-estimate cache, so structurally
-// overlapping queries decompose shared sub-twigs once.
+// method that answered it. The whole batch occupies a single admission
+// slot and fans out across a worker pool sharing the summary's answer
+// caches.
 //
 // Document uploads are mined into a private lattice bounded by the
 // request context, so a client disconnect abandons the work without
@@ -78,10 +77,14 @@
 // published as a new epoch. Removals land the same way, as a negative
 // increment. The handler takes no lock: every request loads the corpus's
 // current epoch once and finishes against it. The one cache between a
-// request and the lattice is the summary's sub-estimate cache
-// (estimate.SubCache), which also answers a repeated query by its
-// whole-query key; a new epoch is a new summary with fresh caches, so
-// publishing is the invalidation.
+// request and the lattice is the summary's answer cache, which core's
+// recursive methods keep per summary and which answers a repeated query
+// by its canonical key; a new epoch is a new summary with empty caches,
+// so publishing is the invalidation.
+//
+// The handler times and counts the estimates it answers itself, on the
+// corpus and tenant routes alike (estimate.<method>.latency_seconds,
+// subcache.<method>.hits and .misses; DESIGN.md §8).
 //
 // Resilience (see Options.Resilience and internal/resilience): the
 // work-bearing endpoints sit behind admission control (shed requests get
@@ -98,6 +101,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -204,6 +208,14 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// endpoint is one row of the handler's route table: a verb on a path,
+// the metric name its requests count under, and its handler with its
+// middleware applied.
+type endpoint struct {
+	verb, path, route string
+	fn                http.HandlerFunc
+}
+
 // Handler serves a corpus. It holds no lock of its own: the backend
 // publishes immutable epochs and serializes its writers.
 type Handler struct {
@@ -223,6 +235,8 @@ type Handler struct {
 	deltaDocsG        *obs.Gauge
 	deltaBytesG       *obs.Gauge
 	routes            map[string]*routeMetrics
+	endpoints         []endpoint
+	perMethod         map[core.Method]*methodMetrics
 	limiter           *resilience.Limiter
 	panics            *obs.Counter
 	degraded          *obs.Counter
@@ -265,6 +279,7 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 		deltaDocsG:  reg.Gauge("ingest.delta_docs"),
 		deltaBytesG: reg.Gauge("ingest.delta_bytes"),
 		routes:      make(map[string]*routeMetrics),
+		perMethod:   newMethodMetrics(reg),
 		panics:      reg.Counter("http.panics"),
 		degraded:    reg.Counter("estimate.degraded"),
 		timeouts:    reg.Counter("http.deadline_exceeded"),
@@ -291,7 +306,6 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 		h.limiter.Instrument(reg, "resilience")
 	}
 	h.quota.Instrument(reg, "resilience.tenant_quota")
-	h.instrumentCorpus()
 
 	// Middleware assembly, innermost first: the deadline budget must be on
 	// the context the handler sees; admission runs before the budget starts
@@ -303,53 +317,47 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 		return recov(admit(resilience.Deadline(budget)(fn)))
 	}
 
+	h.endpoints = []endpoint{
+		{"GET", "/v1/estimate", "estimate", guarded(h.res.EstimateBudget, h.estimate)},
+		{"POST", "/v1/estimate/batch", "estimate_batch", guarded(h.res.EstimateBudget, h.estimateBatch)},
+		{"GET", "/v1/exact", "exact", guarded(h.res.ExactBudget, h.exact)},
+		{"GET", "/v1/query", "query", guarded(h.res.QueryBudget, h.query)},
+		{"POST", "/v1/query", "query", guarded(h.res.QueryBudget, h.query)},
+		{"GET", "/v1/explain", "explain", guarded(h.res.EstimateBudget, h.explain)},
+		{"GET", "/v1/methods", "methods", recov(h.methods)},
+		{"GET", "/v1/stats", "stats", recov(h.stats)},
+		{"GET", "/v1/metrics", "metrics", recov(h.metricsEndpoint)},
+		{"POST", "/v1/docs/{name}", "doc_add", guarded(h.res.BuildBudget, h.addDoc)},
+		{"DELETE", "/v1/docs/{name}", "doc_remove", guarded(0, h.removeDoc)},
+		// Multi-tenant routes: the same estimate pipeline, routed by
+		// tenant through the fleet registry.
+		{"GET", "/v1/t/{tenant}/estimate", "tenant_estimate", guarded(h.res.EstimateBudget, h.tenantEstimate)},
+		{"GET", "/v1/t/{tenant}/query", "tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)},
+		{"POST", "/v1/t/{tenant}/query", "tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)},
+		{"GET", "/v1/t/{tenant}/stats", "tenant_stats", recov(h.tenantStatsEndpoint)},
+		{"POST", "/v1/t/{tenant}/reload", "tenant_reload", guarded(0, h.tenantReload)},
+		{"GET", "/v1/tenants", "tenants", recov(h.tenantsEndpoint)},
+		// Health probes stay outside admission control: a load balancer
+		// must be able to ask an overloaded replica how it is doing —
+		// readyz reports the saturation instead of queueing behind it.
+		{"GET", "/v1/healthz", "healthz", recov(h.healthz)},
+		{"GET", "/v1/readyz", "readyz", recov(h.readyz)},
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/estimate", h.instrument("estimate", guarded(h.res.EstimateBudget, h.estimate)))
-	mux.HandleFunc("POST /v1/estimate/batch", h.instrument("estimate_batch", guarded(h.res.EstimateBudget, h.estimateBatch)))
-	mux.HandleFunc("GET /v1/exact", h.instrument("exact", guarded(h.res.ExactBudget, h.exact)))
-	mux.HandleFunc("GET /v1/query", h.instrument("query", guarded(h.res.QueryBudget, h.query)))
-	mux.HandleFunc("POST /v1/query", h.instrument("query", guarded(h.res.QueryBudget, h.query)))
-	mux.HandleFunc("GET /v1/explain", h.instrument("explain", guarded(h.res.EstimateBudget, h.explain)))
-	mux.HandleFunc("GET /v1/methods", h.instrument("methods", recov(h.methods)))
-	mux.HandleFunc("GET /v1/stats", h.instrument("stats", recov(h.stats)))
-	mux.HandleFunc("GET /v1/metrics", h.instrument("metrics", recov(h.metricsEndpoint)))
-	mux.HandleFunc("POST /v1/docs/{name}", h.instrument("doc_add", guarded(h.res.BuildBudget, h.addDoc)))
-	mux.HandleFunc("DELETE /v1/docs/{name}", h.instrument("doc_remove", guarded(0, h.removeDoc)))
-	// Multi-tenant routes: the same estimate pipeline, routed by tenant
-	// through the fleet registry.
-	mux.HandleFunc("GET /v1/t/{tenant}/estimate", h.instrument("tenant_estimate", guarded(h.res.EstimateBudget, h.tenantEstimate)))
-	mux.HandleFunc("GET /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))
-	mux.HandleFunc("POST /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))
-	mux.HandleFunc("GET /v1/t/{tenant}/stats", h.instrument("tenant_stats", recov(h.tenantStatsEndpoint)))
-	mux.HandleFunc("POST /v1/t/{tenant}/reload", h.instrument("tenant_reload", guarded(0, h.tenantReload)))
-	mux.HandleFunc("GET /v1/tenants", h.instrument("tenants", recov(h.tenantsEndpoint)))
-	// Health probes stay outside admission control: a load balancer must
-	// be able to ask an overloaded replica how it is doing — readyz
-	// reports the saturation instead of queueing behind it.
-	mux.HandleFunc("GET /v1/healthz", h.instrument("healthz", recov(h.healthz)))
-	mux.HandleFunc("GET /v1/readyz", h.instrument("readyz", recov(h.readyz)))
-	// Method-less fallbacks: a matching path with the wrong verb gets the
-	// JSON envelope instead of the mux's plain-text 405. They share one
-	// "other" metric with the 404 fallback: per-endpoint histograms are
-	// for traffic that reached an endpoint.
-	other := func(fn http.HandlerFunc) http.HandlerFunc { return h.instrument("other", fn) }
-	mux.HandleFunc("/v1/estimate", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/estimate/batch", other(methodNotAllowed("POST")))
-	mux.HandleFunc("/v1/methods", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/exact", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/query", other(methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v1/explain", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/stats", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/metrics", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/docs/{name}", other(methodNotAllowed("POST, DELETE")))
-	mux.HandleFunc("/v1/t/{tenant}/estimate", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/t/{tenant}/query", other(methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v1/t/{tenant}/stats", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/t/{tenant}/reload", other(methodNotAllowed("POST")))
-	mux.HandleFunc("/v1/tenants", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/healthz", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/readyz", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/", other(func(w http.ResponseWriter, r *http.Request) {
+	allow := make(map[string][]string)
+	for _, e := range h.endpoints {
+		mux.HandleFunc(e.verb+" "+e.path, h.instrument(e.route, e.fn))
+		allow[e.path] = append(allow[e.path], e.verb)
+	}
+	// A registered path with the wrong verb gets the JSON envelope
+	// instead of the mux's plain-text 405, with Allow listing the table's
+	// verbs for the path. The fallbacks share one "other" metric with the
+	// 404 fallback: per-endpoint histograms are for traffic that reached
+	// an endpoint.
+	for path, verbs := range allow {
+		mux.HandleFunc(path, h.instrument("other", methodNotAllowed(strings.Join(verbs, ", "))))
+	}
+	mux.HandleFunc("/", h.instrument("other", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no such endpoint")
 	}))
 	h.mux = mux
@@ -424,7 +432,13 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 	if h.res.DisableFallback {
 		run = sum.EstimateStrict
 	}
+	start := time.Now()
 	res, err := run(r.Context(), q, method)
+	answered := method
+	if err == nil {
+		answered = res.Method
+	}
+	h.perMethod[answered].latency.ObserveSince(start)
 	if err != nil {
 		h.coreError(w, err)
 		return
@@ -433,7 +447,7 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 		h.degraded.Inc()
 		resp["degraded"] = true
 	}
-	h.observeEnsemble(res)
+	h.observeAnswer(res)
 	resp["estimate"] = res.Estimate
 	resp["method"] = string(res.Method)
 	if res.Checked {
@@ -465,18 +479,6 @@ func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
 		"default": string(core.MethodRecursiveVoting),
 		"methods": out,
 	})
-}
-
-// observeEnsemble feeds an estimate's cross-check outcome into the obs
-// counters behind /v1/stats' ensemble section.
-func (h *Handler) observeEnsemble(res core.DegradedEstimate) {
-	if !res.Checked {
-		return
-	}
-	h.ensembleChecked.Inc()
-	if res.Divergent {
-		h.ensembleDivergent.Inc()
-	}
 }
 
 func (h *Handler) exact(w http.ResponseWriter, r *http.Request) {
@@ -561,8 +563,8 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 		// Resilience headline: is the server shedding, degrading, timing
 		// out, or eating panics right now?
 		"resilience": h.resilienceSummary(),
-		// Shared sub-estimate cache effectiveness across the estimator
-		// worker pool: the one cache in front of the lattice.
+		// The recursive methods' answer caches: the one cache in front
+		// of the decomposition engine.
 		"subcache": h.subcacheSummary(s),
 		// Ensemble cross-check outcomes: how many estimates carried a
 		// completed sampling cross-check, and how many of those diverged
@@ -611,10 +613,10 @@ func (h *Handler) resilienceSummary() map[string]any {
 	return out
 }
 
-// subcacheSummary condenses the summary's shared sub-estimate cache
-// counters (aggregated across the per-method caches) for /v1/stats.
+// subcacheSummary condenses the summary's answer-cache counters
+// (summed over the two recursive methods' caches) for /v1/stats.
 func (h *Handler) subcacheSummary(s *core.Summary) map[string]any {
-	st := s.SubCacheStats()
+	st := s.CacheStats()
 	ratio := 0.0
 	if st.Hits+st.Misses > 0 {
 		ratio = float64(st.Hits) / float64(st.Hits+st.Misses)

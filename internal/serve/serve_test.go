@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -105,6 +106,85 @@ func TestExplain(t *testing.T) {
 	lo, hi := out["spread_lo"].(float64), out["spread_hi"].(float64)
 	if lo > hi {
 		t.Fatalf("inverted spread: %v %v", lo, hi)
+	}
+}
+
+// TestExplainTraceStable: /v1/explain always runs the full
+// decomposition, never the answer cache, so a decomposed query's trace is
+// the same on the first call, on a repeat, and after /v1/estimate has
+// cached the query's answer.
+func TestExplainTraceStable(t *testing.T) {
+	srv, _ := newServer(t)
+	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
+	const q = "computer(laptops(laptop(brand,price)))" // size 6, K = 3
+	trace := func(when string) map[string]any {
+		t.Helper()
+		code, out := do(t, "GET", srv.URL+"/v1/explain?q="+q, "")
+		if code != 200 {
+			t.Fatalf("explain %s: %d %v", when, code, out)
+		}
+		return out["trace"].(map[string]any)
+	}
+	first := trace("first")
+	augs := first["Augmentations"].(float64)
+	if augs == 0 || first["MaxDepth"].(float64) == 0 {
+		t.Fatalf("first trace did not decompose: %v", first)
+	}
+	if lookups := first["MemoHits"].(float64) + first["LatticeHits"].(float64) + first["LatticeMisses"].(float64); lookups != 1+3*augs {
+		t.Fatalf("%v lookups for %v augmentations: %v", lookups, augs, first)
+	}
+	if again := trace("again"); !reflect.DeepEqual(again, first) {
+		t.Fatalf("repeated explain traced %v, first %v", again, first)
+	}
+	if code, out := do(t, "GET", srv.URL+"/v1/estimate?q="+q, ""); code != 200 {
+		t.Fatalf("estimate: %d %v", code, out)
+	}
+	if after := trace("after an estimate"); !reflect.DeepEqual(after, first) {
+		t.Fatalf("explain after an estimate traced %v, first %v", after, first)
+	}
+}
+
+// TestRouteTable405: every path in the route table answers each verb it
+// does not register with the JSON 405 envelope, and its Allow header
+// lists the verbs the table registers on that path.
+func TestRouteTable405(t *testing.T) {
+	c, err := corpus.Create(t.TempDir(), corpus.Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(c)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	allow := make(map[string][]string)
+	for _, e := range h.endpoints {
+		allow[e.path] = append(allow[e.path], e.verb)
+	}
+	concrete := strings.NewReplacer("{name}", "x", "{tenant}", "acme")
+	for path, verbs := range allow {
+		for _, verb := range []string{"GET", "POST", "PUT", "DELETE", "PATCH"} {
+			if slices.Contains(verbs, verb) {
+				continue
+			}
+			req, err := http.NewRequest(verb, srv.URL+concrete.Replace(path), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: decoding: %v", verb, path, err)
+			}
+			want := strings.Join(verbs, ", ")
+			if resp.StatusCode != http.StatusMethodNotAllowed || out["code"] != "method_not_allowed" || resp.Header.Get("Allow") != want {
+				t.Errorf("%s %s: %d %v, Allow %q; want 405 method_not_allowed, Allow %q",
+					verb, path, resp.StatusCode, out, resp.Header.Get("Allow"), want)
+			}
+		}
 	}
 }
 

@@ -129,8 +129,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // tenantStatsEndpoint serves GET /v1/t/{tenant}/stats: the tenant's
-// summary shape, traffic counters, and sub-estimate cache
-// effectiveness. Its "epoch" is the corpus's RCU epoch for the default
+// summary shape, traffic counters, and answer-cache effectiveness. Its "epoch" is the corpus's RCU epoch for the default
 // tenant and the registry generation for a fleet tenant, whose
 // snapshot publishes no epochs.
 func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
@@ -211,7 +210,7 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // tenantsSummary is the /v1/stats "tenants" section: per-tenant request
-// and shed totals plus sub-estimate cache hit ratio, for every tenant
+// and shed totals plus answer-cache hit ratio, for every tenant
 // that has seen traffic. The default tenant's summary is the live
 // corpus; other tenants report their caches only while resident.
 func (h *Handler) tenantsSummary() map[string]any {

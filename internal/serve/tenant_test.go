@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -374,4 +375,52 @@ func TestCorpusSnapshotServesAsTenant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTenantEstimateMetrics: a fleet tenant's estimates feed the same
+// per-method metrics as the corpus's. Each served estimate moves
+// estimate.recursive+voting.latency_seconds by one; the first moves
+// subcache.recursive+voting.misses and its repeats move .hits. Batch
+// items move the cache counters alike but not the latency histogram.
+func TestTenantEstimateMetrics(t *testing.T) {
+	srv, _ := newFleetServer(t, Options{})
+	const (
+		lat    = "estimate.recursive+voting.latency_seconds"
+		hits   = "subcache.recursive+voting.hits"
+		misses = "subcache.recursive+voting.misses"
+	)
+	prev := decodeMetrics(t, srv.URL)
+	check := func(when string, dLat, dHits, dMisses uint64) {
+		t.Helper()
+		s := decodeMetrics(t, srv.URL)
+		got := [3]uint64{s.Histograms[lat].Count - prev.Histograms[lat].Count,
+			s.Counters[hits] - prev.Counters[hits], s.Counters[misses] - prev.Counters[misses]}
+		if want := [3]uint64{dLat, dHits, dMisses}; got != want {
+			t.Fatalf("%s moved latency, hits, misses by %v, want %v", when, got, want)
+		}
+		prev = s
+	}
+	for i := 0; i < 3; i++ {
+		if code, out := do(t, "GET", srv.URL+"/v1/t/acme/estimate?q=l0(l1(l2,l3))", ""); code != 200 {
+			t.Fatalf("tenant estimate %d: %d %v", i, code, out)
+		}
+		if i == 0 {
+			check("the first tenant estimate", 1, 0, 1)
+		} else {
+			check(fmt.Sprintf("repeat %d", i), 1, 1, 0)
+		}
+	}
+
+	if code, out := do(t, "POST", srv.URL+"/v1/docs/sample", doc); code != http.StatusCreated {
+		t.Fatalf("upload: %d %v", code, out)
+	}
+	const q = "laptops(laptop(brand,price))"
+	if code, out := do(t, "GET", srv.URL+"/v1/estimate?q="+q, ""); code != 200 {
+		t.Fatalf("estimate: %d %v", code, out)
+	}
+	check("a corpus estimate", 1, 0, 1)
+	if code, out := postBatch(t, srv.URL, `{"queries": ["`+q+`", "`+q+`", "computer(laptops(laptop(brand,price)))"]}`); code != 200 {
+		t.Fatalf("batch: %d %v", code, out)
+	}
+	check("a batch of two repeats and one new query", 0, 2, 1)
 }
