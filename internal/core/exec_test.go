@@ -41,8 +41,8 @@ func TestSamplingSharesEpochIndexes(t *testing.T) {
 // TestExecuteQueryCountsAndMaterializes pins ExecuteQueryContext against
 // enumeration: for every limit, the count is the enumerated total, the
 // materialized tuples are the first min(limit, count) in enumeration
-// order, and only queries with a "//" edge and a repeated label report
-// the enumeration fallback.
+// order, and only queries whose repeated labels can bind one data node
+// (Counter.Fallback) report the enumeration fallback.
 func TestExecuteQueryCountsAndMaterializes(t *testing.T) {
 	dict := labeltree.NewDict()
 	trees := epochTrees(t, dict, 0, 5)
@@ -58,7 +58,8 @@ func TestExecuteQueryCountsAndMaterializes(t *testing.T) {
 		{"//site(//name,//price)", false},
 		{"//items(item,item(name))", false},
 		{"//site(//item(name),//name)", true},
-		{"//people(//name,//name)", true},
+		{"//people(//name,//name)", false},
+		{"//people(//name,person(name))", true},
 	} {
 		q, err := sum.ParseTwigQuery(tc.q)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"treelattice/internal/metrics"
 	"treelattice/internal/treesketch"
 	"treelattice/internal/twigjoin"
+	"treelattice/internal/workload"
 	"treelattice/internal/xmlparse"
 )
 
@@ -130,11 +131,14 @@ type Figure9Row struct {
 // queries; a cell reports the median pass.
 const figure9Passes = 5
 
-// Figure9 measures per-query estimation latency. Each cell collects
-// garbage first, so no collection the earlier sections started is still
-// marking, runs its queries once untimed, which fills pooled scratch,
-// then reports the median of figure9Passes timed passes, so a GC cycle
-// or scheduler stall during one pass does not move the cell.
+// Figure9 measures per-query estimation latency. Per profile it runs
+// every (size, estimator) cell's queries once untimed, which fills pooled
+// scratch, and collects garbage, so no collection the earlier sections
+// started is still marking. Then it takes figure9Passes timed rounds,
+// each timing one pass of every cell, and each cell reports its median
+// pass: a cell's passes are spread over the whole run, so one slow
+// stretch of the host, a GC cycle or a scheduler stall moves at most one
+// of them.
 func (s *Suite) Figure9() ([]Figure9Row, error) {
 	var rows []Figure9Row
 	for _, p := range s.Cfg.Profiles {
@@ -143,31 +147,41 @@ func (s *Suite) Figure9() ([]Figure9Row, error) {
 			return nil, err
 		}
 		ests := e.estimators()
+		type cell struct {
+			fn     func(labeltree.Pattern) float64
+			qs     []workload.Query
+			passes [figure9Passes]time.Duration
+		}
+		var cells []cell
+		first := len(rows)
 		for _, size := range s.Cfg.Sizes {
-			qs := e.Positive[size]
-			if len(qs) == 0 {
-				continue
-			}
-			for _, name := range EstimatorNames {
-				fn := ests[name]
-				runtime.GC()
-				for _, q := range qs {
-					fn(q.Pattern)
+			if qs := e.Positive[size]; len(qs) > 0 {
+				for _, name := range EstimatorNames {
+					cells = append(cells, cell{fn: ests[name], qs: qs})
+					rows = append(rows, Figure9Row{Dataset: p, Size: size, Estimator: name})
 				}
-				passes := make([]time.Duration, figure9Passes)
-				for i := range passes {
-					start := time.Now()
-					for _, q := range qs {
-						fn(q.Pattern)
-					}
-					passes[i] = time.Since(start)
-				}
-				slices.Sort(passes)
-				rows = append(rows, Figure9Row{
-					Dataset: p, Size: size, Estimator: name,
-					AvgTime: passes[len(passes)/2] / time.Duration(len(qs)),
-				})
 			}
+		}
+		pass := func(c *cell) time.Duration {
+			start := time.Now()
+			for _, q := range c.qs {
+				c.fn(q.Pattern)
+			}
+			return time.Since(start)
+		}
+		for i := range cells {
+			pass(&cells[i])
+		}
+		runtime.GC()
+		for round := range figure9Passes {
+			for i := range cells {
+				cells[i].passes[round] = pass(&cells[i])
+			}
+		}
+		for i := range cells {
+			c := &cells[i]
+			slices.Sort(c.passes[:])
+			rows[first+i].AvgTime = c.passes[figure9Passes/2] / time.Duration(len(c.qs))
 		}
 	}
 	return rows, nil

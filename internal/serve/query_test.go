@@ -152,8 +152,14 @@ func TestQueryStatsSection(t *testing.T) {
 	if qs["fallback"].(float64) != 0 {
 		t.Fatalf("fallback = %v after a child-axis query, want 0", qs["fallback"])
 	}
-	// A "//" edge with a repeated label is counted by enumeration.
+	// Same-label "//" siblings are one group of the product, but a "//"
+	// brand that can also be the laptop's child brand is counted by
+	// enumeration.
 	code, out = do(t, "GET", srv.URL+"/v1/query?count=1&q=//laptops(//brand,//brand)", "")
+	if code != http.StatusOK || out["count"].(float64) != 2 {
+		t.Fatalf("group query: %d %v", code, out)
+	}
+	code, out = do(t, "GET", srv.URL+"/v1/query?count=1&q=//laptops(//brand,laptop(brand))", "")
 	if code != http.StatusOK || out["count"].(float64) != 2 {
 		t.Fatalf("fallback query: %d %v", code, out)
 	}

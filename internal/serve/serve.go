@@ -59,8 +59,8 @@
 // planned execution records measured/predicted candidates in the
 // query.calibration_ratio histogram surfaced under /v1/stats' "query"
 // section — the cost model's live validation signal — next to
-// query.fallback, the queries counted by enumeration because they have
-// a "//" edge and a repeated label.
+// query.fallback, the queries counted by enumeration because two of
+// their same-label nodes could bind one data node (twigjoin.Counter).
 //
 // POST /v1/estimate/batch accepts {"queries": [...], "method": <name>}
 // (up to MaxBatchQueries queries) and answers positionally with per-item

@@ -33,11 +33,16 @@ var ErrSiblingGroup = errors.New("twigjoin: too many same-label siblings")
 // a label form one factor, resolved by a subset DP over their shared
 // probe. Sums and products saturate at math.MaxInt64.
 //
-// The product is exact when every edge is child-axis (only same-label
-// siblings can then collide, and the subset DP keeps them apart) or when
-// all query labels are distinct (nothing can collide). Any other query
-// has a "//" edge and a repeated label; Fallback reports it, and the
-// counter then counts by enumeration.
+// The product is exact unless two same-label query nodes can bind one
+// data node: neither is the other's ancestor (an ancestor binds a proper
+// ancestor), they are not in one sibling group (the subset DP keeps those
+// apart), and a "//" edge lies on the path from their lowest common
+// ancestor to one of them. Without such an edge both paths are "/" edges,
+// so binding the two nodes to one data node would bind the two children
+// of the common ancestor that lead to them to one node too, and those
+// children share a label and the "/" axis: one sibling group. Fallback
+// reports a query with such a pair, such as //a(b,//b) or
+// //a(//b(//c),//b(//c)), and the counter then counts it by enumeration.
 //
 // A Counter is prepared once per query and reused across documents;
 // counting a document without same-label groups allocates nothing. It is
@@ -60,8 +65,8 @@ type Counter struct {
 	err    error
 }
 
-// factor is one child of a query node, or a group of same-label children
-// on the child axis.
+// factor is one child of a query node, or a group of its children that
+// share a label and an axis.
 type factor struct {
 	label labeltree.LabelID
 	axis  Axis
@@ -95,26 +100,22 @@ func NewCounter(q Query, order []int32) (*Counter, error) {
 	validateOrder(p, order, pos)
 	copy(c.order, order)
 
-	// Sorting by (label, parent, plan position) makes each same-label
-	// sibling group a contiguous run, first-bound member first.
+	// Sorting by (label, parent, axis, plan position) makes each sibling
+	// group a contiguous run, first-bound member first.
 	for i := range byLabel {
 		byLabel[i] = int32(i)
 	}
 	slices.SortFunc(byLabel, func(a, b int32) int {
-		if la, lb := p.Label(a), p.Label(b); la != lb {
-			return cmp.Compare(la, lb)
-		}
-		if pa, pb := p.Parent(a), p.Parent(b); pa != pb {
-			return cmp.Compare(pa, pb)
-		}
-		return cmp.Compare(pos[a], pos[b])
+		return cmp.Or(cmp.Compare(p.Label(a), p.Label(b)), cmp.Compare(p.Parent(a), p.Parent(b)),
+			cmp.Compare(q.Axes[a], q.Axes[b]), cmp.Compare(pos[a], pos[b]))
 	})
 	distinct := true
 	c.factors = make([]factor, 0, n-1)
 	for s := 0; s < n; {
 		lead := byLabel[s]
 		e := s + 1
-		for e < n && p.Label(byLabel[e]) == p.Label(lead) && p.Parent(byLabel[e]) == p.Parent(lead) {
+		for e < n && p.Label(byLabel[e]) == p.Label(lead) && p.Parent(byLabel[e]) == p.Parent(lead) &&
+			q.Axes[byLabel[e]] == q.Axes[lead] {
 			e++
 		}
 		if e < n && p.Label(byLabel[e]) == p.Label(lead) || e-s > 1 {
@@ -129,7 +130,7 @@ func NewCounter(q Query, order []int32) (*Counter, error) {
 		}
 		s = e
 	}
-	c.fallback = !distinct && !q.ChildOnly()
+	c.fallback = !distinct && !q.ChildOnly() && collides(q, c.factors)
 	slices.SortFunc(c.factors, func(a, b factor) int {
 		if pa, pb := p.Parent(a.nodes[0]), p.Parent(b.nodes[0]); pa != pb {
 			return cmp.Compare(pa, pb)
@@ -149,6 +150,64 @@ func NewCounter(q Query, order []int32) (*Counter, error) {
 // Fallback reports that the product is not exact for the query, so the
 // counter counts by enumeration.
 func (c *Counter) Fallback() bool { return c.fallback }
+
+// collides reports whether two same-label nodes of q can bind one data
+// node under the product (see Counter), given q's sibling groups. Call a
+// node's top the highest node it reaches over "/" edges alone. Two nodes
+// with one top are joined by "/" paths through their common ancestor, so
+// a pair collides exactly when its tops differ, neither node is the
+// other's ancestor and the two are not in one group. A preorder walk
+// meets each pair of non-ancestors once, when it enters the later node;
+// the earlier one has then been left. So the query collides when some
+// node, on entry, finds a left node of its label with another top that
+// is not an earlier member of its own group. Counting the left nodes per
+// label and per (label, top) finds that in linear time.
+func collides(q Query, groups []factor) bool {
+	p := q.Pattern
+	n := p.Size()
+	buf := make([]int32, 4*n+len(groups))
+	group, top, first, next, entered := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
+	for k, f := range groups {
+		for _, u := range f.nodes {
+			group[u] = int32(k)
+		}
+	}
+	// Child lists as first-child and next-sibling links; 0, the root,
+	// ends a list, since it is no node's child.
+	for u := int32(n) - 1; u > 0; u-- {
+		next[u] = first[p.Parent(u)]
+		first[p.Parent(u)] = u
+	}
+	type labelTop struct{ label, top int32 }
+	left := make(map[labeltree.LabelID]int32)
+	leftIn := make(map[labelTop]int32)
+	var walk func(u int32) bool
+	walk = func(u int32) bool {
+		l := p.Label(u)
+		top[u] = u
+		var mates int32 // earlier members of u's group, all left by now
+		if u > 0 {
+			if q.Axes[u] == Child {
+				top[u] = top[p.Parent(u)]
+			} else {
+				mates = entered[group[u]]
+			}
+			entered[group[u]]++
+		}
+		if left[l]-leftIn[labelTop{l, top[u]}]-mates > 0 {
+			return true
+		}
+		for w := first[u]; w != 0; w = next[w] {
+			if walk(w) {
+				return true
+			}
+		}
+		left[l]++
+		leftIn[labelTop{l, top[u]}]++
+		return false
+	}
+	return walk(0)
+}
 
 // CountContext counts the matches of the query in x's document. The
 // count's work is one unit per candidate visit — each data node a probe

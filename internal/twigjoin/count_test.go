@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,6 +255,90 @@ func TestSiblingGroupGuard(t *testing.T) {
 		if got := Count(x, q); got != 0 {
 			t.Fatalf("%q: oversized group counted %d, want 0", sep, got)
 		}
+	}
+}
+
+// TestDescendantGroupCounts: a label repeated only among "//" siblings of
+// one parent is one group of the product, and a label repeated down one
+// root path cannot collide, so neither query enumerates. Over one <a>
+// with 24 <b/>, six "//b" count 24·23·…·19 from one probe of 24 nodes,
+// where enumeration visits about 128.8 M candidates.
+func TestDescendantGroupCounts(t *testing.T) {
+	tr, dict := parseDoc(t, "<a>"+strings.Repeat("<b/>", 24)+"</a>")
+	x := NewIndex(tr)
+	c, err := NewCounter(MustParseQuery("//a(//b,//b,//b,//b,//b,//b)", dict), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.CountContext(context.Background(), x, nil)
+	if err != nil || c.Fallback() || st.Matches != 96_909_120 || st.Candidates >= 1000 {
+		t.Fatalf("six //b: fallback %v, %+v, %v; want no fallback, 96909120 matches, < 1000 candidates",
+			c.Fallback(), st, err)
+	}
+	tr, dict = parseDoc(t, "<a><a><a/></a><b><a/></b></a>")
+	x = NewIndex(tr)
+	c, err = NewCounter(MustParseQuery("//a(//a)", dict), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.CountContext(context.Background(), x, nil); err != nil || c.Fallback() || st.Matches != 4 {
+		t.Fatalf("//a(//a): fallback %v, %+v, %v; want no fallback, 4 matches", c.Fallback(), st, err)
+	}
+}
+
+// TestCollidesAgainstPairs checks the linear-time fallback test against
+// its definition, pair by pair, on random queries over two labels with
+// random axes: a query collides when two same-label nodes are neither
+// ancestor and descendant nor one sibling group, and a "//" edge lies on
+// the path from their lowest common ancestor to one of them.
+func TestCollidesAgainstPairs(t *testing.T) {
+	dict, alphabet := treetest.Alphabet(2)
+	rng := rand.New(rand.NewSource(17))
+	path := func(p labeltree.Pattern, u int32) []int32 {
+		var up []int32
+		for ; u >= 0; u = p.Parent(u) {
+			up = append(up, u)
+		}
+		return up
+	}
+	seen := map[bool]int{}
+	for trial := 0; trial < 3000; trial++ {
+		p := treetest.RandomPattern(rng, 1+rng.Intn(8), alphabet)
+		axes := make([]Axis, p.Size())
+		for i := range axes {
+			axes[i] = Axis(rng.Intn(2))
+		}
+		q := MustQuery(p, axes)
+		want := false
+		for u := int32(1); int(u) < p.Size(); u++ {
+			for v := int32(0); v < u; v++ {
+				if p.Label(u) != p.Label(v) {
+					continue
+				}
+				pu, pv := path(p, u), path(p, v)
+				if slices.Contains(pu, v) || p.Parent(u) == p.Parent(v) && axes[u] == axes[v] {
+					continue
+				}
+				// Strip the shared root path down to the common ancestor.
+				for len(pu) > 0 && len(pv) > 0 && pu[len(pu)-1] == pv[len(pv)-1] {
+					pu, pv = pu[:len(pu)-1], pv[:len(pv)-1]
+				}
+				for _, w := range append(pu, pv...) {
+					want = want || axes[w] == Descendant
+				}
+			}
+		}
+		c, err := NewCounter(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Fallback(); got != want {
+			t.Fatalf("%s: Fallback() = %v, pairwise rule says %v", q.String(dict), got, want)
+		}
+		seen[want]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("trials drew only one verdict: %v", seen)
 	}
 }
 

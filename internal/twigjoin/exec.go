@@ -28,29 +28,38 @@ type Stats struct {
 }
 
 // execScratch is the per-execution working set, pooled so steady-state
-// executions allocate nothing: the bind order and assignment slices are
-// sized to the query, the used bitmap to the data tree (cleared lazily
-// through usedStack, so reuse costs O(marks), not O(tree)).
+// executions allocate nothing: the bind order, assignment and region
+// slices are sized to the query, the used bitmap to the data tree
+// (cleared lazily through usedStack, so reuse costs O(marks), not
+// O(tree)).
 type execScratch struct {
 	order     []int32
 	assigned  []int32
-	pos       []int32 // validateOrder scratch
-	used      []bool  // indexed by data node id
-	usedStack []int32 // nodes currently marked, stack-disciplined
+	pos       []int32         // validateOrder scratch
+	regions   []*labelRegions // per query node, resolved once per execution
+	used      []bool          // indexed by data node id
+	usedStack []int32         // nodes currently marked, stack-disciplined
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
-func acquireScratch(querySize, treeSize int) *execScratch {
+// acquireScratch readies a working set for q over x's document.
+func acquireScratch(x *Index, q Query) *execScratch {
 	s := scratchPool.Get().(*execScratch)
+	querySize, treeSize := q.Pattern.Size(), x.tree.Size()
 	if cap(s.order) < querySize {
 		s.order = make([]int32, querySize)
 		s.assigned = make([]int32, querySize)
 		s.pos = make([]int32, querySize)
+		s.regions = make([]*labelRegions, querySize)
 	}
 	s.order = s.order[:querySize]
 	s.assigned = s.assigned[:querySize]
 	s.pos = s.pos[:querySize]
+	s.regions = s.regions[:querySize]
+	for i := range s.regions {
+		s.regions[i] = x.regions[q.Pattern.Label(int32(i))]
+	}
 	if cap(s.used) < treeSize {
 		s.used = make([]bool, treeSize)
 	}
@@ -65,6 +74,7 @@ func releaseScratch(s *execScratch) {
 		s.used[v] = false
 	}
 	s.usedStack = s.usedStack[:0]
+	clear(s.regions) // keep no index alive from the pool
 	scratchPool.Put(s)
 }
 
@@ -91,7 +101,7 @@ func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32,
 			return Stats{}, err
 		}
 	}
-	scratch := acquireScratch(q.Pattern.Size(), x.tree.Size())
+	scratch := acquireScratch(x, q)
 	defer releaseScratch(scratch)
 	if bindOrder == nil {
 		for i := range scratch.order {
@@ -115,7 +125,7 @@ const budgetPollInterval = 256
 // enumerateAnchored counts by enumeration the matches of q whose root
 // binds to root: the fallback of Counter.CountAnchoredContext.
 func enumerateAnchored(ctx context.Context, x *Index, q Query, root int32, nodeBudget *int64) (int64, error) {
-	scratch := acquireScratch(q.Pattern.Size(), x.tree.Size())
+	scratch := acquireScratch(x, q)
 	defer releaseScratch(scratch)
 	for i := range scratch.order {
 		scratch.order[i] = int32(i)
@@ -191,7 +201,7 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 	if par := e.q.Pattern.Parent(qn); par < 0 {
 		candidates = e.x.roots(e.q)
 	} else {
-		candidates = e.x.probe(e.x.regions[e.q.Pattern.Label(qn)], e.scratch.assigned[par], e.q.Axes[qn])
+		candidates = e.x.probe(e.scratch.regions[qn], e.scratch.assigned[par], e.q.Axes[qn])
 	}
 	for _, v := range candidates {
 		e.stats.Candidates++

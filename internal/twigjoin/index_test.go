@@ -3,39 +3,96 @@ package twigjoin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"treelattice/internal/datagen"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/treetest"
 )
 
-// TestChildrenByLabelAgainstWalk checks the level-partitioned range probe
-// against a direct walk of the child list, for every node and label of
-// random trees.
+// TestChildrenByLabelAgainstWalk checks the child index's probe against a
+// direct walk of the child list, for every node and label of random
+// trees, of a node with thousands of children under interleaved labels,
+// and of one tree per datagen profile.
 func TestChildrenByLabelAgainstWalk(t *testing.T) {
+	type tc struct {
+		name string
+		tr   *labeltree.Tree
+	}
+	var cases []tc
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dict, labels := treetest.Alphabet(4)
-		tr := treetest.RandomTree(rng, 200, labels, dict)
+		cases = append(cases, tc{fmt.Sprintf("random seed %d", seed), treetest.RandomTree(rng, 200, labels, dict)})
+	}
+	rng := rand.New(rand.NewSource(9))
+	dict, labels := treetest.Alphabet(4)
+	b := labeltree.NewBuilder(dict)
+	b.AddRoot(dict.Name(labels[3]))
+	for i := 0; i < 6000; i++ {
+		c := b.AddChildID(0, labels[rng.Intn(3)])
+		if i%100 == 0 {
+			b.AddChildID(c, labels[rng.Intn(4)])
+		}
+	}
+	cases = append(cases, tc{"wide node", b.Build()})
+	for _, profile := range datagen.AllProfiles() {
+		tr, err := datagen.Generate(datagen.Config{Profile: profile, Scale: 5000, Seed: 5}, labeltree.NewDict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{string(profile), tr})
+	}
+	for _, c := range cases {
+		tr := c.tr
 		x := NewIndex(tr)
+		probed := append(tr.DistinctLabels(), -1) // -1 labels no node
 		for i := int32(0); int(i) < tr.Size(); i++ {
-			for _, l := range labels {
+			for _, l := range probed {
 				var want []int32
-				for _, c := range tr.Children(i) {
-					if tr.Label(c) == l {
-						want = append(want, c)
+				for _, k := range tr.Children(i) {
+					if tr.Label(k) == l {
+						want = append(want, k)
 					}
 				}
-				got := x.ChildrenByLabel(i, l)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d node %d label %d: got %v want %v", seed, i, l, got, want)
+				if got := x.ChildrenByLabel(i, l); !slices.Equal(got, want) {
+					t.Fatalf("%s node %d label %d: got %v want %v", c.name, i, l, got, want)
 				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("seed %d node %d label %d: got %v want %v", seed, i, l, got, want)
-					}
-				}
+			}
+		}
+	}
+}
+
+// TestIndexBuildWideNode: the build does not grow with the square of a
+// node's fan-out. One root holding 200,000 children under two alternating
+// labels indexes in well under a second, and each label's children come
+// back complete and in document order.
+func TestIndexBuildWideNode(t *testing.T) {
+	const n = 200_000
+	dict, labels := treetest.Alphabet(2)
+	b := labeltree.NewBuilder(dict)
+	b.AddRoot(dict.Name(labels[0]))
+	for i := 0; i < n; i++ {
+		b.AddChildID(0, labels[i%2])
+	}
+	tr := b.Build()
+	begin := time.Now()
+	x := NewIndex(tr)
+	if took := time.Since(begin); took > time.Second {
+		t.Fatalf("index over %d children took %v", n, took)
+	}
+	for k, l := range labels {
+		got := x.ChildrenByLabel(0, l)
+		if len(got) != n/2 {
+			t.Fatalf("label %d: %d children, want %d", l, len(got), n/2)
+		}
+		for j, v := range got {
+			if v != int32(1+k+2*j) {
+				t.Fatalf("label %d: child %d is node %d, want %d", l, j, v, 1+k+2*j)
 			}
 		}
 	}

@@ -16,19 +16,20 @@
 //
 // Matching is 1-1 (injective) in both cases, matching Definition 1.
 //
-// Data access goes through an Index: a region (start, end, level)
-// encoding from one DFS and an inverted label-region index — per label,
-// the (start, end, level) region list in document order plus a
-// level-partitioned view of the same list. Both structural axes then
-// become binary-searched range probes that return shared subslices:
-// descendant steps probe the label's full region list within
-// (start, end), and child steps probe the label's level[v]+1 partition
-// within the same bounds (a descendant exactly one level deeper is
-// necessarily a child). Neither probe walks the subtree or allocates.
+// Data access goes through an Index: a region (start, end) encoding from
+// one DFS, an inverted label-region index — per label, the nodes carrying
+// it and their preorder starts, in document order — and a child index
+// holding every node's children sorted stably by label. Descendant steps
+// binary-search the label's starts for the parent's (start, end) window;
+// child steps search only the parent's own children for the label. Both
+// probes return shared subslices in document order; neither walks the
+// tree or allocates. The build is one DFS plus one fill pass over the
+// nodes in (label, document) order, O(n + L log L) for n nodes and L
+// distinct labels, however many children one node has.
 package twigjoin
 
 import (
-	"sort"
+	"slices"
 
 	"treelattice/internal/labeltree"
 )
@@ -39,112 +40,98 @@ type Index struct {
 	tree  *labeltree.Tree
 	start []int32 // preorder rank
 	end   []int32 // start of last descendant + 1 (exclusive bound on subtree)
-	level []int32
+
+	// kids holds every node's children, each node's run sorted stably by
+	// label, so the children sharing a label sit together in document
+	// order; node i's run is kids[kidOff[i]:kidOff[i+1]].
+	kids   []int32
+	kidOff []int32
 
 	regions map[labeltree.LabelID]*labelRegions
 }
 
 // labelRegions is one label's slice of the inverted region index: every
 // node carrying the label, in document order, with the preorder starts
-// copied alongside so range probes binary-search a dense array instead of
-// chasing node ids back into the tree-wide start table; plus the same
-// list partitioned by level for child-axis probes.
+// copied alongside so descendant probes binary-search a dense array
+// instead of chasing node ids back into the tree-wide start table.
 type labelRegions struct {
+	label  labeltree.LabelID
 	nodes  []int32 // document order (ascending start)
 	starts []int32 // starts[i] == Index.start[nodes[i]]
-
-	levels    []int32 // distinct levels present, ascending
-	levOff    []int32 // len(levels)+1 offsets into levNodes/levStarts
-	levNodes  []int32 // nodes grouped by level, document order within a group
-	levStarts []int32 // aligned starts for levNodes
 }
 
-// NewIndex region-encodes t and builds the label-region index.
+// NewIndex region-encodes t and builds the label-region and child indexes.
 func NewIndex(t *labeltree.Tree) *Index {
 	n := t.Size()
 	idx := &Index{
 		tree:    t,
 		start:   make([]int32, n),
 		end:     make([]int32, n),
-		level:   make([]int32, n),
+		kids:    make([]int32, n-1),
+		kidOff:  make([]int32, n+1),
 		regions: make(map[labeltree.LabelID]*labelRegions),
 	}
-	// Iterative DFS assigning preorder starts and subtree ends.
+	// Carve every label's lists from two shared arrays, laid out by
+	// ascending label, so that the arrays end up holding all nodes sorted
+	// by (label, document order).
+	counts := make(map[labeltree.LabelID]int32)
+	for i := int32(0); int(i) < n; i++ {
+		counts[t.Label(i)]++
+	}
+	labels := make([]labeltree.LabelID, 0, len(counts))
+	for l := range counts {
+		labels = append(labels, l)
+	}
+	slices.Sort(labels)
+	nodes, starts := make([]int32, n), make([]int32, n)
+	var off int32
+	for _, l := range labels {
+		end := off + counts[l]
+		idx.regions[l] = &labelRegions{label: l, nodes: nodes[off:off:end], starts: starts[off:off:end]}
+		off = end
+	}
+	// Iterative DFS assigning preorder starts and subtree ends, appending
+	// each node to its label's lists as it is reached: document order.
 	type frame struct {
 		node  int32
 		child int // next child index to visit
 	}
 	var counter int32
+	visit := func(v int32) {
+		idx.start[v] = counter
+		r := idx.regions[t.Label(v)]
+		r.nodes = append(r.nodes, v)
+		r.starts = append(r.starts, counter)
+		counter++
+	}
 	stack := []frame{{node: 0}}
-	idx.start[0] = counter
-	counter++
+	visit(0)
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		kids := t.Children(f.node)
 		if f.child < len(kids) {
 			c := kids[f.child]
 			f.child++
-			idx.start[c] = counter
-			idx.level[c] = idx.level[f.node] + 1
-			counter++
+			visit(c)
 			stack = append(stack, frame{node: c})
 			continue
 		}
 		idx.end[f.node] = counter
 		stack = stack[:len(stack)-1]
 	}
-	for i := int32(0); int(i) < n; i++ {
-		l := t.Label(i)
-		r := idx.regions[l]
-		if r == nil {
-			r = &labelRegions{}
-			idx.regions[l] = r
-		}
-		r.nodes = append(r.nodes, i)
+	// Compressed-row child index: kidOff[p+1] starts as the offset of p's
+	// run and, as the runs fill in (label, document) order, advances to
+	// its end, which is where p+1's run starts.
+	for i := 1; i < n; i++ {
+		idx.kidOff[i+1] = idx.kidOff[i] + int32(len(t.Children(int32(i-1))))
 	}
-	for _, r := range idx.regions {
-		// Document order within a region list = ascending start; node
-		// indices are assigned parent-before-child but not in DFS order,
-		// so sort, then build the aligned starts and the level partition.
-		sort.Slice(r.nodes, func(a, b int) bool { return idx.start[r.nodes[a]] < idx.start[r.nodes[b]] })
-		r.starts = make([]int32, len(r.nodes))
-		for i, v := range r.nodes {
-			r.starts[i] = idx.start[v]
+	for _, v := range nodes {
+		if p := t.Parent(v); p >= 0 {
+			idx.kids[idx.kidOff[p+1]] = v
+			idx.kidOff[p+1]++
 		}
-		idx.buildLevels(r)
 	}
 	return idx
-}
-
-// buildLevels groups r.nodes by level (stably, preserving document order
-// within a level) and records the group offsets.
-func (x *Index) buildLevels(r *labelRegions) {
-	counts := make(map[int32]int32)
-	for _, v := range r.nodes {
-		counts[x.level[v]]++
-	}
-	r.levels = make([]int32, 0, len(counts))
-	for l := range counts {
-		r.levels = append(r.levels, l)
-	}
-	sort.Slice(r.levels, func(a, b int) bool { return r.levels[a] < r.levels[b] })
-	r.levOff = make([]int32, len(r.levels)+1)
-	at := make(map[int32]int32, len(r.levels))
-	var off int32
-	for i, l := range r.levels {
-		r.levOff[i] = off
-		at[l] = off
-		off += counts[l]
-	}
-	r.levOff[len(r.levels)] = off
-	r.levNodes = make([]int32, len(r.nodes))
-	r.levStarts = make([]int32, len(r.nodes))
-	for _, v := range r.nodes {
-		p := at[x.level[v]]
-		at[x.level[v]] = p + 1
-		r.levNodes[p] = v
-		r.levStarts[p] = x.start[v]
-	}
 }
 
 // Tree returns the indexed document.
@@ -155,9 +142,6 @@ func (x *Index) Start(i int32) int32 { return x.start[i] }
 
 // End returns the exclusive preorder bound of node i's subtree.
 func (x *Index) End(i int32) int32 { return x.end[i] }
-
-// Level returns the depth of node i (root = 0).
-func (x *Index) Level(i int32) int32 { return x.level[i] }
 
 // Stream returns all nodes with the given label in document order. The
 // slice is shared and must not be modified.
@@ -222,12 +206,10 @@ func (x *Index) descendants(r *labelRegions, i int32) []int32 {
 }
 
 // ChildrenByLabel returns the children of node i carrying label, in
-// document order, as a shared subslice of the label's level-partitioned
-// region list. A descendant of i at level(i)+1 is necessarily a child
-// (depth grows by exactly one per edge), so the probe binary-searches the
-// label's level(i)+1 partition for starts in (start(i), end(i)) instead
-// of walking i's child list. The result must not be modified; iteration
-// allocates nothing.
+// document order, as a shared subslice of i's run in the child index,
+// which keeps i's children sorted by label: two binary searches over i's
+// children alone. The result must not be modified; iteration allocates
+// nothing.
 func (x *Index) ChildrenByLabel(i int32, label labeltree.LabelID) []int32 {
 	return x.children(x.regions[label], i)
 }
@@ -236,15 +218,26 @@ func (x *Index) children(r *labelRegions, i int32) []int32 {
 	if r == nil {
 		return nil
 	}
-	want := x.level[i] + 1
-	k := searchAtOrAbove(r.levels, want)
-	if k == len(r.levels) || r.levels[k] != want {
-		return nil
+	kids := x.kids[x.kidOff[i]:x.kidOff[i+1]]
+	lo, hi := 0, len(kids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x.tree.Label(kids[mid]) < r.label {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	starts := r.levStarts[r.levOff[k]:r.levOff[k+1]]
-	lo := searchAbove(starts, x.start[i])
-	hi := searchAtOrAbove(starts[lo:], x.end[i]) + lo
-	return r.levNodes[int(r.levOff[k])+lo : int(r.levOff[k])+hi]
+	end := lo
+	for hi = len(kids); end < hi; {
+		mid := int(uint(end+hi) >> 1)
+		if x.tree.Label(kids[mid]) <= r.label {
+			end = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return kids[lo:end]
 }
 
 // probe returns the nodes of r's label in the given axis relation below

@@ -68,8 +68,8 @@ func TestIndexRegions(t *testing.T) {
 	}
 	b, _ := dict.Lookup("b")
 	bn := x.Stream(b)[0]
-	if x.Level(bn) != 1 {
-		t.Fatalf("level(b) = %d", x.Level(bn))
+	if x.Start(bn) != 1 || x.End(bn) != 3 {
+		t.Fatalf("region(b) = [%d,%d)", x.Start(bn), x.End(bn))
 	}
 	c, _ := dict.Lookup("c")
 	cn := x.Stream(c)[0]
