@@ -134,6 +134,7 @@ func (s *Suite) renderTable3(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "== Table 3: summary construction time and memory utilization ==")
+	fmt.Fprintf(w, "(lattice time: the median of %d builds per profile, interleaved across profiles; sketch time: one build per profile)\n", table3Builds)
 	t := tw(w)
 	fmt.Fprintln(t, "dataset\tlattice time\tsketch time\tspeedup\tlattice(KB)\tsketch(KB)")
 	for _, r := range rows {

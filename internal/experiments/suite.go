@@ -15,8 +15,8 @@ import (
 )
 
 // Env bundles everything built for one dataset: the document, the
-// TreeLattice summary, the TreeSketches synopsis, workloads, and build
-// timings. Envs are built lazily and cached by the Suite.
+// TreeLattice summary, the TreeSketches synopsis and its build time, and
+// workloads. Envs are built lazily and cached by the Suite.
 type Env struct {
 	Profile datagen.Profile
 	Dict    *labeltree.Dict
@@ -24,10 +24,9 @@ type Env struct {
 	// Index region-encodes Tree for exact counts.
 	Index *twigjoin.Index
 
-	Summary      *core.Summary // K-lattice
-	SummaryBuild time.Duration
-	Sketch       *treesketch.Synopsis
-	SketchBuild  time.Duration
+	Summary     *core.Summary // K-lattice
+	Sketch      *treesketch.Synopsis
+	SketchBuild time.Duration
 
 	Positive map[int][]workload.Query
 	Negative map[int][]workload.Query
@@ -58,14 +57,12 @@ func (s *Suite) Env(profile datagen.Profile) (*Env, error) {
 	}
 	e := &Env{Profile: profile, Dict: dict, Tree: tree, Index: twigjoin.NewIndex(tree)}
 
-	start := time.Now()
 	e.Summary, err = core.Build(tree, core.BuildOptions{K: s.Cfg.K})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s summary: %w", profile, err)
 	}
-	e.SummaryBuild = time.Since(start)
 
-	start = time.Now()
+	start := time.Now()
 	e.Sketch = treesketch.Build(tree, treesketch.Options{BudgetBytes: s.Cfg.SketchBudget})
 	e.SketchBuild = time.Since(start)
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
+	"treelattice/internal/core"
 	"treelattice/internal/datagen"
 	"treelattice/internal/mine"
 )
@@ -79,22 +82,45 @@ type Table3Row struct {
 	SketchKB    float64
 }
 
+// table3Builds is how many times Table 3 builds each profile's lattice;
+// a row reports the median build.
+const table3Builds = 5
+
 // Table3 reports construction time and memory utilization for TreeLattice
-// (K-lattice) versus TreeSketches (fixed budget).
+// (K-lattice) versus TreeSketches (fixed budget). It times table3Builds
+// lattice builds per profile in rounds, each round building every
+// profile's once, so one slow stretch of the host moves at most one of a
+// profile's builds; each row reports its median build. Each sketch is
+// built once, with its environment, and that build is its time.
 func (s *Suite) Table3() ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, p := range s.Cfg.Profiles {
+	envs := make([]*Env, len(s.Cfg.Profiles))
+	for i, p := range s.Cfg.Profiles {
 		e, err := s.Env(p)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table3Row{
-			Dataset:     p,
-			LatticeTime: e.SummaryBuild,
+		envs[i] = e
+	}
+	builds := make([][table3Builds]time.Duration, len(envs))
+	for round := range table3Builds {
+		for i, e := range envs {
+			start := time.Now()
+			if _, err := core.Build(e.Tree, core.BuildOptions{K: s.Cfg.K}); err != nil {
+				return nil, fmt.Errorf("experiments: %s summary: %w", e.Profile, err)
+			}
+			builds[i][round] = time.Since(start)
+		}
+	}
+	rows := make([]Table3Row, len(envs))
+	for i, e := range envs {
+		slices.Sort(builds[i][:])
+		rows[i] = Table3Row{
+			Dataset:     e.Profile,
+			LatticeTime: builds[i][table3Builds/2],
 			SketchTime:  e.SketchBuild,
 			LatticeKB:   float64(e.Summary.SizeBytes()) / 1024,
 			SketchKB:    float64(e.Sketch.SizeBytes()) / 1024,
-		})
+		}
 	}
 	return rows, nil
 }

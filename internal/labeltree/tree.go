@@ -5,14 +5,19 @@ import (
 	"math"
 )
 
-// Tree is a large rooted node-labeled data tree stored in an index arena.
-// Node 0 is the root. Trees are immutable once built; construct them with
-// a Builder or via xmlparse.
+// Tree is a large rooted node-labeled data tree held in flat, pointer-free
+// arrays: per node a label, a parent and an offset, plus one child array
+// that lists every node's children as one run, in document order. Node
+// 0 is the root. Trees are immutable once built; construct them with a
+// Builder, via xmlparse, or with ReadTree.
 type Tree struct {
-	dict     *Dict
-	labels   []LabelID
-	parent   []int32 // parent[i] < i; parent[0] == -1
-	children [][]int32
+	dict   *Dict
+	labels []LabelID
+	parent []int32 // parent[i] < i; parent[0] == -1
+	// kids holds every node's children, grouped by parent in node order;
+	// node i's run is kids[kidOff[i]:kidOff[i+1]].
+	kids   []int32
+	kidOff []int32
 }
 
 // Builder incrementally constructs a Tree. Nodes must be added parents
@@ -60,21 +65,27 @@ func (b *Builder) Len() int { return len(b.labels) }
 
 // Build finalizes the tree. The Builder must not be reused afterwards.
 func (b *Builder) Build() *Tree {
-	t := &Tree{dict: b.dict, labels: b.labels, parent: b.parent}
-	t.children = make([][]int32, len(b.labels))
-	counts := make([]int32, len(b.labels))
-	for i := 1; i < len(b.parent); i++ {
-		counts[b.parent[i]]++
+	return newTree(b.dict, b.labels, b.parent)
+}
+
+// newTree lays out the child runs of the tree that labels and parent
+// describe, and takes ownership of both arrays.
+func newTree(dict *Dict, labels []LabelID, parent []int32) *Tree {
+	n := len(labels)
+	t := &Tree{dict: dict, labels: labels, parent: parent,
+		kids: make([]int32, max(n-1, 0)), kidOff: make([]int32, n+1)}
+	// kidOff[p+1] first counts p's children, then, summed, becomes the
+	// offset of p's run, and advances to the run's end as the run fills.
+	for i := 1; i < n; i++ {
+		t.kidOff[parent[i]+2]++
 	}
-	arena := make([]int32, len(b.labels)-1+1)
-	off := 0
-	for i := range t.children {
-		t.children[i] = arena[off : off : off+int(counts[i])]
-		off += int(counts[i])
+	for i := 2; i <= n; i++ {
+		t.kidOff[i] += t.kidOff[i-1]
 	}
-	for i := 1; i < len(b.parent); i++ {
-		p := b.parent[i]
-		t.children[p] = append(t.children[p], int32(i))
+	for i := 1; i < n; i++ {
+		p := parent[i]
+		t.kids[t.kidOff[p+1]] = int32(i)
+		t.kidOff[p+1]++
 	}
 	return t
 }
@@ -94,9 +105,18 @@ func (t *Tree) LabelName(i int32) string { return t.dict.Name(t.labels[i]) }
 // Parent returns the parent index of node i, or -1 for the root.
 func (t *Tree) Parent(i int32) int32 { return t.parent[i] }
 
-// Children returns the child indices of node i. The slice is shared with
-// the tree and must not be modified.
-func (t *Tree) Children(i int32) []int32 { return t.children[i] }
+// Children returns the child indices of node i in document order. The
+// slice is shared with the tree and must not be modified; its capacity is
+// its length, so an append copies it.
+func (t *Tree) Children(i int32) []int32 {
+	lo, hi := t.kidOff[i], t.kidOff[i+1]
+	return t.kids[lo:hi:hi]
+}
+
+// ChildBounds returns where node i's run sits in the tree's child array:
+// Children(i) covers positions [lo, hi). An array indexed the same way
+// can hold a per-child value beside the tree's own runs.
+func (t *Tree) ChildBounds(i int32) (lo, hi int32) { return t.kidOff[i], t.kidOff[i+1] }
 
 // LabelCount reports how many nodes carry label, by a scan of the tree.
 func (t *Tree) LabelCount(label LabelID) int {
@@ -167,7 +187,7 @@ func (t *Tree) Stats() Stats {
 				s.MaxDepth = int(depth[i])
 			}
 		}
-		if n := len(t.children[i]); n > 0 {
+		if n := len(t.Children(i)); n > 0 {
 			internal++
 			sum += float64(n)
 			sumsq += float64(n) * float64(n)

@@ -1,6 +1,7 @@
 package labeltree
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -128,5 +129,27 @@ func TestSingleNodeTree(t *testing.T) {
 	s := tr.Stats()
 	if s.MaxDepth != 0 || s.MeanFanout != 0 {
 		t.Fatalf("single-node stats = %+v", s)
+	}
+}
+
+// TestChildrenAppendCopies: every node's children sit in one shared
+// array, and Children caps each run at its length, so appending to one
+// node's children copies them instead of writing over the next node's.
+func TestChildrenAppendCopies(t *testing.T) {
+	tr, _ := buildSample(t)
+	before := make([][]int32, tr.Size())
+	for i := range before {
+		before[i] = slices.Clone(tr.Children(int32(i)))
+	}
+	for i := int32(0); int(i) < tr.Size(); i++ {
+		grown := append(tr.Children(i), 99)
+		if got := grown[len(grown)-1]; got != 99 {
+			t.Fatalf("node %d: appended %d, want 99", i, got)
+		}
+		for j := range before {
+			if got := tr.Children(int32(j)); !slices.Equal(got, before[j]) {
+				t.Fatalf("append to node %d's children changed node %d's: %v, want %v", i, j, got, before[j])
+			}
+		}
 	}
 }

@@ -71,7 +71,9 @@ func WriteTree(w io.Writer, t *Tree) (int64, error) {
 }
 
 // ReadTree deserializes a tree written by WriteTree, interning labels
-// into dict.
+// into dict. It reads the labels and then the parents into arrays of the
+// exact node count, the parents' only once every label has been read, and
+// lays the child runs out from them.
 func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(treeMagic)+1)
@@ -124,8 +126,8 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 		}
 		labels[i] = ids[li]
 	}
-	b := NewBuilder(dict)
-	b.AddRoot(dict.Name(labels[0]))
+	parent := make([]int32, nNodes)
+	parent[0] = -1
 	for i := uint64(1); i < nNodes; i++ {
 		pi, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -134,7 +136,7 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 		if pi >= i {
 			return nil, fmt.Errorf("labeltree: node %d has forward parent %d", i, pi)
 		}
-		b.AddChildID(int32(pi), labels[i])
+		parent[i] = int32(pi)
 	}
-	return b.Build(), nil
+	return newTree(dict, labels, parent), nil
 }

@@ -2,7 +2,9 @@ package labeltree_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treelattice/internal/labeltree"
@@ -36,21 +38,46 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 			if got.LabelName(i) != tr.LabelName(i) || got.Parent(i) != tr.Parent(i) {
 				t.Fatalf("node %d differs", i)
 			}
+			// ReadTree lays out the child runs itself, not through a
+			// Builder, so the runs are compared too.
+			if !slices.Equal(got.Children(i), tr.Children(i)) {
+				t.Fatalf("node %d children %v, want %v", i, got.Children(i), tr.Children(i))
+			}
 		}
 	}
 }
 
 func TestReadTreeRejectsGarbage(t *testing.T) {
 	dict := labeltree.NewDict()
+	// stored returns a version-1 header, one label "a", and then vs as
+	// uvarints: the node count, labels and parents.
+	stored := func(vs ...uint64) []byte {
+		b := append([]byte("TLTR\x01\x01\x01"), 'a')
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
 	for _, data := range [][]byte{
 		nil,
 		[]byte("XXXX\x01"),
 		[]byte("TLTR\x02"),     // bad version
 		[]byte("TLTR\x01\x01"), // truncated label table
+		binary.AppendUvarint([]byte("TLTR\x01"), 1<<24+1), // label count
+		stored(0),             // no nodes
+		stored(1<<31 + 1),     // node count
+		stored(2, 0),          // truncated labels
+		stored(1, 1),          // label index out of range
+		stored(2, 0, 0),       // truncated parents
+		stored(3, 0, 0, 0, 2), // forward parent
+		stored(2, 0, 0, 1),    // parent is the node itself
 	} {
 		if _, err := labeltree.ReadTree(bytes.NewReader(data), dict); err == nil {
 			t.Errorf("ReadTree(%q) succeeded", data)
 		}
+	}
+	if _, err := labeltree.ReadTree(bytes.NewReader(stored(3, 0, 0, 0, 0, 1)), dict); err != nil {
+		t.Errorf("ReadTree of a valid path a(a(a)): %v", err)
 	}
 }
 

@@ -19,13 +19,15 @@
 // Data access goes through an Index: a region (start, end) encoding from
 // one DFS, an inverted label-region index — per label, the nodes carrying
 // it and their preorder starts, in document order — and a child index
-// holding every node's children sorted stably by label. Descendant steps
-// binary-search the label's starts for the parent's (start, end) window;
-// child steps search only the parent's own children for the label. Both
-// probes return shared subslices in document order; neither walks the
-// tree or allocates. The build is one DFS plus one fill pass over the
-// nodes in (label, document) order, O(n + L log L) for n nodes and L
-// distinct labels, however many children one node has.
+// holding every node's children sorted stably by label, each node's run
+// at the position the tree's own child array gives it, so the index
+// reads its run bounds from the tree and stores no offsets. Descendant
+// steps binary-search the label's starts for the parent's (start, end)
+// window; child steps search only the parent's own children for the
+// label. Both probes return shared subslices in document order; neither
+// walks the tree or allocates. The build is one DFS plus one fill pass
+// over the nodes in (label, document) order, O(n + L log L) for n nodes
+// and L distinct labels, however many children one node has.
 package twigjoin
 
 import (
@@ -43,9 +45,9 @@ type Index struct {
 
 	// kids holds every node's children, each node's run sorted stably by
 	// label, so the children sharing a label sit together in document
-	// order; node i's run is kids[kidOff[i]:kidOff[i+1]].
-	kids   []int32
-	kidOff []int32
+	// order. Node i's run sits where the tree's holds its children:
+	// kids[lo:hi] for lo, hi := tree.ChildBounds(i).
+	kids []int32
 
 	regions map[labeltree.LabelID]*labelRegions
 }
@@ -68,7 +70,6 @@ func NewIndex(t *labeltree.Tree) *Index {
 		start:   make([]int32, n),
 		end:     make([]int32, n),
 		kids:    make([]int32, n-1),
-		kidOff:  make([]int32, n+1),
 		regions: make(map[labeltree.LabelID]*labelRegions),
 	}
 	// Carve every label's lists from two shared arrays, laid out by
@@ -119,16 +120,16 @@ func NewIndex(t *labeltree.Tree) *Index {
 		idx.end[f.node] = counter
 		stack = stack[:len(stack)-1]
 	}
-	// Compressed-row child index: kidOff[p+1] starts as the offset of p's
-	// run and, as the runs fill in (label, document) order, advances to
-	// its end, which is where p+1's run starts.
-	for i := 1; i < n; i++ {
-		idx.kidOff[i+1] = idx.kidOff[i] + int32(len(t.Children(int32(i-1))))
+	// Fill the child runs in (label, document) order: next[p] starts at
+	// p's run and advances as p's children drop into it.
+	next := make([]int32, n)
+	for p := range next {
+		next[p], _ = t.ChildBounds(int32(p))
 	}
 	for _, v := range nodes {
 		if p := t.Parent(v); p >= 0 {
-			idx.kids[idx.kidOff[p+1]] = v
-			idx.kidOff[p+1]++
+			idx.kids[next[p]] = v
+			next[p]++
 		}
 	}
 	return idx
@@ -218,7 +219,8 @@ func (x *Index) children(r *labelRegions, i int32) []int32 {
 	if r == nil {
 		return nil
 	}
-	kids := x.kids[x.kidOff[i]:x.kidOff[i+1]]
+	from, to := x.tree.ChildBounds(i)
+	kids := x.kids[from:to]
 	lo, hi := 0, len(kids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
