@@ -23,6 +23,7 @@ FUZZ_TARGETS = \
 	./internal/labeltree:FuzzQuerySyntax \
 	./internal/labeltree:FuzzKeyDecode \
 	./internal/labeltree:FuzzLeafSplice \
+	./internal/labeltree:FuzzReadTree \
 	./internal/lattice:FuzzFrozenLoad \
 	./internal/lattice:FuzzCompressedLoad \
 	./internal/lattice:FuzzDeltaMerge \

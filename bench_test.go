@@ -13,7 +13,6 @@ package treelattice_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -243,12 +242,9 @@ func BenchmarkFigure8ErrorCDF(b *testing.B) {
 // table on the same backend, after one pass over the row's queries has
 // filled the summary's answer cache: the price of a repeat. Fix-sized
 // keeps no answer cache, so it has no warm row. The document-backed
-// methods run once per size: treesketches on the suite's synopsis;
-// markov, sampling and ensemble through Summary.EstimateStrict with
-// Prepare paid before the timer, so the ensemble's recursive+voting half
-// uses the summary's answer cache as it does when serving. An estimate
-// that exhausts its budget is counted in exhausted/op instead of failing
-// the benchmark.
+// methods run once per size: treesketches on the suite's synopsis,
+// markov through Summary.EstimateStrict with Prepare paid before the
+// timer.
 func BenchmarkFigure9ResponseTime(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
 	lat := e.Summary.Lattice()
@@ -316,33 +312,21 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 			}
 		})
 	}
-	for _, m := range []core.Method{core.MethodMarkov, core.MethodSampling, core.MethodEnsemble} {
-		for _, size := range sizes {
-			qs := e.Positive[size]
-			if len(qs) == 0 {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/size%d", m, size), func(b *testing.B) {
-				// exhausts estimates q and reports whether it ran out of budget.
-				exhausts := func(q labeltree.Pattern) bool {
-					_, err := e.Summary.EstimateStrict(ctx, q, m)
-					if err != nil && !errors.Is(err, core.ErrBudgetExhausted) {
-						b.Fatal(err)
-					}
-					return err != nil
-				}
-				exhausts(qs[0].Pattern) // pays Prepare
-				exhausted := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if exhausts(qs[i%len(qs)].Pattern) {
-						exhausted++
-					}
-				}
-				b.ReportMetric(float64(exhausted)/float64(b.N), "exhausted/op")
-			})
+	for _, size := range sizes {
+		qs := e.Positive[size]
+		if len(qs) == 0 {
+			continue
 		}
+		b.Run(fmt.Sprintf("%s/size%d", core.MethodMarkov, size), func(b *testing.B) {
+			if _, err := e.Summary.EstimateStrict(ctx, qs[0].Pattern, core.MethodMarkov); err != nil { // pays Prepare
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Summary.EstimateStrict(ctx, qs[i%len(qs)].Pattern, core.MethodMarkov)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"syscall"
 	"time"
 
-	"treelattice/internal/core"
 	"treelattice/internal/corpus"
 	"treelattice/internal/fleet"
 	"treelattice/internal/labeltree"
@@ -42,11 +41,7 @@ func runExplain(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	est, trace, err := sum.EstimateWithTrace(q, core.MethodRecursiveVoting)
-	if err != nil {
-		return err
-	}
-	iv, err := sum.EstimateInterval(context.Background(), q)
+	est, trace, iv, err := sum.Explain(context.Background(), q)
 	if err != nil {
 		return err
 	}

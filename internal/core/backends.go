@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/markov"
-	"treelattice/internal/sampling"
 	"treelattice/internal/treesketch"
 )
 
@@ -22,27 +20,7 @@ const (
 	// MethodTreeSketch estimates from per-document TreeSketches graph
 	// synopses (the comparison baseline).
 	MethodTreeSketch Method = "treesketches"
-	// MethodSampling estimates by bounded random probes through the
-	// twigjoin engine against the corpus documents — the Alley-style
-	// independent cross-check on the synopsis methods.
-	MethodSampling Method = "sampling"
-	// MethodEnsemble runs the primary decomposition estimator and the
-	// sampling estimator concurrently, answers with the primary estimate,
-	// and flags queries where the two diverge.
-	MethodEnsemble Method = "ensemble"
 )
-
-// DefaultSamplingOptions bounds the sampling method: enough probes to
-// stabilize the inverse-fraction scaling, a node budget that keeps one
-// estimate under a few milliseconds on paper-scale documents, and a
-// fixed seed so estimates are reproducible run-to-run.
-var DefaultSamplingOptions = sampling.Options{Probes: 64, MaxNodes: 1 << 20, Seed: 1}
-
-// DefaultEnsembleThreshold is the smoothed divergence ratio
-// (max+1)/(min+1) at which the ensemble flags a query. 4 tolerates the
-// variance a 64-probe sample carries while still catching the
-// order-of-magnitude misses compounded independence assumptions produce.
-const DefaultEnsembleThreshold = 4.0
 
 // ---- decomposition methods (the paper's estimators) ----
 
@@ -136,87 +114,6 @@ func prepareTreeSketch(ctx context.Context, s *Summary) (Prepared, error) {
 		}
 		return Aggregate{Estimate: total}, nil
 	}), nil
-}
-
-// ---- sampling ----
-
-func prepareSampling(_ context.Context, s *Summary) (Prepared, error) {
-	trees, err := s.sourceTrees(MethodSampling)
-	if err != nil {
-		return nil, err
-	}
-	se, err := sampling.New(s.twigIndexer().ForAll(trees), DefaultSamplingOptions)
-	if err != nil {
-		return nil, err
-	}
-	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
-		v, err := se.EstimateContext(ctx, q)
-		if errors.Is(err, sampling.ErrBudgetExhausted) {
-			// Re-class into the core vocabulary so the degradation ladder and
-			// the serve layer can branch without importing sampling.
-			return Aggregate{}, fmt.Errorf("%w: %v", ErrBudgetExhausted, err)
-		}
-		if err != nil {
-			return Aggregate{}, err
-		}
-		return Aggregate{Estimate: v}, nil
-	}), nil
-}
-
-// ---- ensemble ----
-
-// prepareEnsemble resolves both delegates through the summary's prepared
-// cache, so an ensemble shares its primary's answer cache and its
-// cross-checker's probe indexes with direct uses of those methods.
-func prepareEnsemble(ctx context.Context, s *Summary) (Prepared, error) {
-	primary, err := s.preparedFor(ctx, MethodRecursiveVoting, prepareRecursiveVoting)
-	if err != nil {
-		return nil, err
-	}
-	cross, err := s.preparedFor(ctx, MethodSampling, prepareSampling)
-	if err != nil {
-		return nil, err
-	}
-	return ensemble(primary, cross, DefaultEnsembleThreshold), nil
-}
-
-// ensemble answers with primary and cross-checks it with cross on one
-// more goroutine, so the check costs wall-clock max instead of sum. A
-// failed primary fails the estimate; a failed cross-check (a blown
-// sampling budget) leaves the answer unchecked instead.
-func ensemble(primary, cross Prepared, threshold float64) Prepared {
-	return estimateFunc(func(ctx context.Context, q labeltree.Pattern) (Aggregate, error) {
-		var check Aggregate
-		var checkErr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			check, checkErr = cross.Estimate(ctx, q)
-		}()
-		answer, err := primary.Estimate(ctx, q)
-		<-done
-		if err != nil {
-			return Aggregate{}, err
-		}
-		agg := Aggregate{Estimate: answer.Estimate}
-		if checkErr == nil {
-			agg.Checked = true
-			agg.CrossEstimate = check.Estimate
-			agg.Divergence = divergenceRatio(agg.Estimate, agg.CrossEstimate)
-			agg.Divergent = agg.Divergence >= threshold
-		}
-		return agg, nil
-	})
-}
-
-// divergenceRatio is the smoothed ratio (max+1)/(min+1): 1 at perfect
-// agreement, and finite even when one side estimates zero (where a raw
-// q-error would divide by zero).
-func divergenceRatio(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	return (a + 1) / (b + 1)
 }
 
 // sourceTrees fetches the bound document source for a method that needs

@@ -131,7 +131,11 @@ func TestAnswerCacheAllocs(t *testing.T) {
 		})
 		fresh := least(func() func() {
 			sum := base.derive(base.st)
-			if _, err := sum.preparedFor(ctx, MethodRecursiveVoting, prepareRecursiveVoting); err != nil {
+			row, err := lookupMethod(MethodRecursiveVoting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sum.preparedFor(ctx, row); err != nil {
 				t.Fatal(err)
 			}
 			return func() { sum.EstimateContext(ctx, q.Pattern, MethodRecursiveVoting) }

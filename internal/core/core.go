@@ -39,8 +39,8 @@ const (
 )
 
 // Methods returns the paper's estimation methods in presentation order.
-// The full method table (markov, treesketches, sampling, ensemble
-// included) is RegisteredMethods().
+// The full method table (markov and treesketches included) is
+// RegisteredMethods().
 func Methods() []Method {
 	return []Method{MethodRecursive, MethodRecursiveVoting, MethodFixSized}
 }
@@ -91,8 +91,8 @@ type Summary struct {
 	source   TreeSource
 	prepared map[Method]Prepared
 	// indexer is the fallback per-document region-index cache for query
-	// execution and sampling, created lazily when the bound source does
-	// not share one (see exec.go). Guarded by prepMu.
+	// execution, created lazily when the bound source does not share one
+	// (see exec.go). Guarded by prepMu.
 	indexer *twigjoin.Indexer
 }
 
@@ -306,7 +306,7 @@ func (s *Summary) estimateVia(ctx context.Context, q labeltree.Pattern, method M
 	if err != nil {
 		return Aggregate{}, err
 	}
-	p, err := s.preparedFor(ctx, method, row.prepare)
+	p, err := s.preparedFor(ctx, row)
 	if err != nil {
 		return Aggregate{}, err
 	}
@@ -334,10 +334,8 @@ func (s *Summary) EstimateContext(ctx context.Context, q labeltree.Pattern, meth
 }
 
 // DegradedEstimate is the result of EstimateStrict/EstimateDegradable:
-// the answer (with the ensemble's cross-check verdict when the producing
-// method was the ensemble), the method that actually produced it, and
-// whether that method was a budget-forced downgrade from the one
-// requested.
+// the answer, the method that actually produced it, and whether that
+// method was a budget-forced downgrade from the one requested.
 type DegradedEstimate struct {
 	Aggregate
 	Method   Method
@@ -345,8 +343,8 @@ type DegradedEstimate struct {
 }
 
 // EstimateStrict estimates q under exactly the requested method —
-// EstimateContext plus the full result envelope (the ensemble's
-// divergence verdict), without the degradation ladder.
+// EstimateContext plus the result envelope, without the degradation
+// ladder.
 func (s *Summary) EstimateStrict(ctx context.Context, q labeltree.Pattern, method Method) (DegradedEstimate, error) {
 	if err := ctx.Err(); err != nil {
 		return DegradedEstimate{}, err
@@ -359,20 +357,19 @@ func (s *Summary) EstimateStrict(ctx context.Context, q labeltree.Pattern, metho
 }
 
 // EstimateDegradable estimates q under method within ctx's budget; if the
-// budget expires mid-estimate — the deadline passes, or a budgeted
-// method exhausts its internal work budget (ErrBudgetExhausted) — and
-// the method declares a cheaper fallback, it re-runs under the
-// fallback instead of failing. The fallback runs outside the expired
-// deadline (the request already paid for an answer; a degraded one beats
-// a 504) but still honors the caller's cancellation — a client that hung
-// up gets context.Canceled, never a degraded answer it will not read.
+// deadline passes mid-estimate and the method declares a cheaper
+// fallback, it re-runs under the fallback instead of failing. The
+// fallback runs outside the expired deadline (the request already paid
+// for an answer; a degraded one beats a 504) but still honors the
+// caller's cancellation — a client that hung up gets context.Canceled,
+// never a degraded answer it will not read.
 func (s *Summary) EstimateDegradable(ctx context.Context, q labeltree.Pattern, method Method) (DegradedEstimate, error) {
 	res, err := s.EstimateStrict(ctx, q, method)
 	if err == nil {
 		return res, nil
 	}
 	fb, ok := Fallback(method)
-	if !ok || !(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrBudgetExhausted)) {
+	if !ok || !errors.Is(err, context.DeadlineExceeded) {
 		return DegradedEstimate{}, err
 	}
 	// Drop the expired deadline but keep cancellation semantics: parent
@@ -433,28 +430,25 @@ func parseError(err error) error {
 // describes the estimate's own work. Only the recursive methods support
 // it.
 func (s *Summary) EstimateWithTrace(q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
-	return s.EstimateWithTraceContext(context.Background(), q, method)
-}
-
-// EstimateWithTraceContext is EstimateWithTrace with cooperative
-// cancellation: the recursion polls ctx at bounded intervals and fails
-// with ctx.Err() once it is done.
-func (s *Summary) EstimateWithTraceContext(ctx context.Context, q labeltree.Pattern, method Method) (float64, estimate.Trace, error) {
 	if method != MethodRecursive && method != MethodRecursiveVoting {
 		if _, err := lookupMethod(method); err != nil {
 			return 0, estimate.Trace{}, err
 		}
 		return 0, estimate.Trace{}, fmt.Errorf("core: method %q does not support traces", method)
 	}
-	return s.recursive(method).EstimateWithTraceContext(ctx, q)
+	est, tr := s.recursive(method).EstimateWithTrace(q)
+	return est, tr, nil
 }
 
-// EstimateInterval returns the decomposition-choice spread [Lo, Hi] of
-// q's estimate: how much the answer varies across admissible
-// decompositions, an indicator of how hard the conditional-independence
-// assumption is working. It fails with ctx.Err() once ctx is done.
-func (s *Summary) EstimateInterval(ctx context.Context, q labeltree.Pattern) (estimate.Interval, error) {
-	return estimate.EstimateInterval(ctx, s.st, q)
+// Explain is the recursive+voting estimate of q with its work record (as
+// EstimateWithTrace) and its decomposition-choice spread [Lo, Hi]: how
+// much the answer varies across admissible decompositions, an indicator
+// of how hard the conditional-independence assumption is working. One
+// recursion yields all three; like EstimateWithTrace it never reads the
+// answer cache. The recursion polls ctx at bounded intervals and fails
+// with ctx.Err() once it is done.
+func (s *Summary) Explain(ctx context.Context, q labeltree.Pattern) (float64, estimate.Trace, estimate.Interval, error) {
+	return s.recursive(MethodRecursiveVoting).ExplainContext(ctx, q)
 }
 
 // Prune returns a copy of the summary without δ-derivable patterns

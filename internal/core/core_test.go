@@ -256,19 +256,24 @@ func TestEstimateWithTrace(t *testing.T) {
 	}
 }
 
+// TestEstimateIntervalFacade: Summary.Explain's one voting pass returns
+// the served recursive+voting estimate, the trace EstimateWithTrace
+// records, and an interval around the estimate.
 func TestEstimateIntervalFacade(t *testing.T) {
-	sum, tr, dict := buildSample(t, 3)
+	sum, _, dict := buildSample(t, 3)
 	q := labeltree.MustParsePattern("computer(laptops(laptop(brand,price)))", dict)
-	iv, err := sum.EstimateInterval(context.Background(), q)
+	est, trace, iv, err := sum.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := float64(twigjoin.CountPattern(twigjoin.NewIndex(tr), q))
-	est, _ := sum.Estimate(q, MethodRecursiveVoting)
+	want, _ := sum.Estimate(q, MethodRecursiveVoting)
+	_, wantTrace, _ := sum.EstimateWithTrace(q, MethodRecursiveVoting)
+	if est != want || trace != wantTrace {
+		t.Fatalf("explain %v %+v, want %v %+v", est, trace, want, wantTrace)
+	}
 	if !iv.Contains(est) {
 		t.Fatalf("interval %+v does not contain estimate %v", iv, est)
 	}
-	_ = truth // the interval is a decomposition spread, not a truth bound
 }
 
 func TestValuePredicateEstimation(t *testing.T) {

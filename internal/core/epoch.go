@@ -25,14 +25,14 @@ import (
 
 // Epoch is one immutable serving state. Estimates run against Summary;
 // Docs/Names are the sorted document snapshot the summary's
-// document-driven methods (markov, treesketch, sampling) prepare from.
+// document-driven methods (markov, treesketch) prepare from.
 type Epoch struct {
 	// ID is the monotonically increasing epoch number (1 = first publish).
 	ID uint64
 	// Summary is the merged (base + delta) read view for this epoch.
 	Summary *Summary
 	// Docs holds the document trees, sorted by name (stable order keeps
-	// sampling probe selection deterministic).
+	// the document-backed methods' estimates deterministic).
 	Docs []*labeltree.Tree
 	// Names holds the document names, positionally aligned with Docs.
 	Names []string

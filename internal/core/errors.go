@@ -24,13 +24,8 @@ var (
 	// ErrDictMismatch reports trees or summaries that do not share a
 	// label dictionary.
 	ErrDictMismatch = errors.New("treelattice: different label dictionary")
-	// ErrBudgetExhausted reports an estimator that ran out of its internal
-	// work budget (the sampling method's node budget) before producing an
-	// answer. Like a blown deadline, it makes the estimate degradable: the
-	// ladder retries with the method's declared fallback.
-	ErrBudgetExhausted = errors.New("treelattice: estimation budget exhausted")
 	// ErrMethodUnavailable reports a known method that cannot serve
-	// this summary — a document-needing method (markov, treesketch,
-	// sampling, ensemble) with no bound TreeSource or an empty corpus.
+	// this summary — a document-needing method (markov, treesketch)
+	// with no bound TreeSource or an empty corpus.
 	ErrMethodUnavailable = errors.New("treelattice: method unavailable for this summary")
 )

@@ -9,11 +9,11 @@ import (
 	"treelattice/internal/twigjoin"
 )
 
-// TestSamplingSharesEpochIndexes: a published epoch's first sampling
-// estimate probes the region indexes of the shared cache the handle
-// carries, instead of indexing every document privately — so publishing
-// epochs never multiplies the indexes in memory.
-func TestSamplingSharesEpochIndexes(t *testing.T) {
+// TestExecutionSharesEpochIndexes: a published epoch's first query
+// execution counts over the region indexes of the shared cache the
+// handle carries, instead of indexing every document privately — so
+// publishing epochs never multiplies the indexes in memory.
+func TestExecutionSharesEpochIndexes(t *testing.T) {
 	dict := labeltree.NewDict()
 	trees := epochTrees(t, dict, 0, 4)
 	base, err := BuildForestContext(context.Background(), trees, BuildOptions{K: 3})
@@ -25,11 +25,11 @@ func TestSamplingSharesEpochIndexes(t *testing.T) {
 	handle.SetTwigIndexer(ix)
 	for gen := 1; gen <= 2; gen++ {
 		ep := handle.Publish(base.Freeze(), nil, trees, epochNames(len(trees)))
-		q, err := ep.Summary.ParseQuery("person(name)")
+		q, err := ep.Summary.ParseTwigQuery("person(name)")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ep.Summary.Estimate(q, MethodSampling); err != nil {
+		if _, err := ep.Summary.ExecuteQueryContext(context.Background(), q, QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if ix.Len() != len(trees) {

@@ -10,15 +10,14 @@ import (
 )
 
 // This file is the method table: every estimation method — the paper's
-// decomposition estimators, the markov and treesketch baselines,
-// sampling, and the ensemble cross-check — is one row of a fixed,
-// ordered table holding its name, its declared Capabilities and the
-// function that binds it to a summary. A bound method (a Prepared)
-// answers a query in one call. A Method is a table key, not a switch
-// arm: every estimate entry point resolves it here.
+// decomposition estimators and the markov and treesketch baselines — is
+// one row of a fixed, ordered table holding its name, its declared
+// Capabilities and the function that binds it to a summary. A bound
+// method (a Prepared) answers a query in one call. A Method is a table
+// key, not a switch arm: every estimate entry point resolves it here.
 
 // TreeSource supplies the corpus documents to methods that estimate from
-// the trees themselves (markov, treesketch, sampling) rather than from
+// the trees themselves (markov, treesketch) rather than from
 // the lattice summary. Trees must return documents in a stable order.
 // *corpus.Corpus implements it; Build and BuildForestContext bind the
 // built trees automatically.
@@ -32,33 +31,17 @@ type TreeSliceSource []*labeltree.Tree
 // Trees returns the slice.
 func (s TreeSliceSource) Trees() []*labeltree.Tree { return s }
 
-// Aggregate is one estimate's answer. Estimate is always meaningful;
-// Cached marks an answer the method's answer cache held (only the
-// recursive methods keep one), and the remaining fields are the
-// ensemble's cross-check verdict and stay zero for every other method.
+// Aggregate is one estimate's answer: the estimate, and whether the
+// method's answer cache held it (only the recursive methods keep one).
 type Aggregate struct {
 	Estimate float64
 	Cached   bool
-	// Checked reports that an independent cross-estimate completed.
-	Checked bool
-	// CrossEstimate is the cross-checking method's answer.
-	CrossEstimate float64
-	// Divergence is the smoothed ratio (max+1)/(min+1) between the
-	// primary and cross estimates; 1 means perfect agreement.
-	Divergence float64
-	// Divergent flags a divergence at or beyond the ensemble's threshold —
-	// the query's primary estimate deserves suspicion.
-	Divergent bool
 }
 
 // Capabilities describes a method, for the /v1/methods discovery
 // endpoint and the degradation ladder. Every method runs on every store
 // and under the batch endpoint's worker pool.
 type Capabilities struct {
-	// Budgeted: the method enforces an internal work budget (beyond
-	// cooperative context cancellation) and can fail with
-	// ErrBudgetExhausted.
-	Budgeted bool `json:"budgeted"`
 	// NeedsDocuments: preparing the method requires a bound TreeSource.
 	NeedsDocuments bool `json:"needs_documents"`
 	// Fallback names the cheaper method the degradation ladder retries
@@ -116,19 +99,6 @@ var methodTable = [...]methodRow{
 		NeedsDocuments: true,
 		Description:    "TreeSketches graph synopsis per document, estimates summed (comparison baseline)",
 	}, prepareTreeSketch},
-	{MethodSampling, Capabilities{
-		Budgeted:       true,
-		NeedsDocuments: true,
-		Fallback:       MethodFixSized,
-		Description:    "bounded random probes through the twigjoin engine (Alley-style cross-check)",
-	}, prepareSampling},
-	{MethodEnsemble, Capabilities{
-		Budgeted:       true,
-		NeedsDocuments: true,
-		Fallback:       MethodRecursiveVoting,
-		Description: fmt.Sprintf("%s answered, %s cross-checked concurrently; flags divergence ≥ %g",
-			MethodRecursiveVoting, MethodSampling, DefaultEnsembleThreshold),
-	}, prepareEnsemble},
 }
 
 // lookupMethod resolves a method to its table row. Unknown methods fail
@@ -159,9 +129,8 @@ func RegisteredMethods() []Method {
 
 // Fallback names the cheaper method EstimateDegradable retries with when
 // method blows its budget, as the method table declares it: the
-// recursive variants and sampling degrade to fix-sized decomposition
-// (the fastest estimator), the ensemble drops its cross-check and
-// degrades to its primary, and fix-sized has nothing cheaper to fall to.
+// recursive variants degrade to fix-sized decomposition (the fastest
+// estimator), and no other method has anything cheaper to fall to.
 func Fallback(method Method) (Method, bool) {
 	row, err := lookupMethod(method)
 	if err != nil {
@@ -170,10 +139,10 @@ func Fallback(method Method) (Method, bool) {
 	return row.caps.Fallback, row.caps.Fallback != ""
 }
 
-// BindSource attaches the document source methods like markov,
-// treesketch, and sampling prepare from. Build and BuildForestContext
-// bind the built trees automatically; corpora bind themselves on open.
-// Binding invalidates prepared methods, which may hold the old source.
+// BindSource attaches the document source methods like markov and
+// treesketch prepare from. Build and BuildForestContext bind the built
+// trees automatically; corpora bind themselves on open. Binding
+// invalidates prepared methods, which may hold the old source.
 func (s *Summary) BindSource(src TreeSource) {
 	s.prepMu.Lock()
 	s.source = src
@@ -198,22 +167,20 @@ func (s *Summary) LookupMethod(m Method) (Capabilities, error) {
 	return row.caps, nil
 }
 
-// preparedFor returns the cached Prepared for method m, running prepare
-// (m's table row's) on first use. It takes prepare rather than looking m
-// up so that a row's own prepare function — the ensemble's — can call it
-// without an initialization cycle through methodTable. Preparation runs
-// outside the lock (it may be expensive — sampling may index documents
-// the shared cache has not seen), so two racing first uses may both
-// prepare; the extra instance is dropped. The cache empties whenever the
-// summary rebinds its source.
-func (s *Summary) preparedFor(ctx context.Context, m Method, prepare func(context.Context, *Summary) (Prepared, error)) (Prepared, error) {
+// preparedFor returns the cached Prepared for the method of row, running
+// the row's prepare on first use. Preparation runs outside the lock (it
+// may be expensive — treesketch builds a synopsis per document), so two
+// racing first uses may both prepare; the extra instance is dropped.
+// The cache empties whenever the summary rebinds its source.
+func (s *Summary) preparedFor(ctx context.Context, row *methodRow) (Prepared, error) {
+	m := row.method
 	s.prepMu.Lock()
 	p, ok := s.prepared[m]
 	s.prepMu.Unlock()
 	if ok {
 		return p, nil
 	}
-	p, err := prepare(ctx, s)
+	p, err := row.prepare(ctx, s)
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,7 @@ import (
 	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/markov"
-	"treelattice/internal/sampling"
 	"treelattice/internal/treesketch"
-	"treelattice/internal/twigjoin"
 	"treelattice/internal/xmlparse"
 )
 
@@ -77,16 +75,6 @@ func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q 
 		return markov.BuildForest([]*labeltree.Tree{tr}, k).EstimateTwig(q)
 	case MethodTreeSketch:
 		return treesketch.Build(tr, treesketchOptions).Estimate(q)
-	case MethodSampling:
-		se, err := sampling.New([]*twigjoin.Index{twigjoin.NewIndex(tr)}, DefaultSamplingOptions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := se.EstimateContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
 	default:
 		t.Fatalf("no direct construction for method %q", m)
 		return 0
@@ -97,10 +85,7 @@ func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q 
 // a pure refactor — bit-identical to direct estimator calls for every
 // method, on the map, frozen, and compressed backends alike.
 func TestRegistryDifferentialIdentity(t *testing.T) {
-	methods := []Method{
-		MethodRecursive, MethodRecursiveVoting, MethodFixSized,
-		MethodMarkov, MethodTreeSketch, MethodSampling,
-	}
+	methods := RegisteredMethods()
 	for _, backend := range []string{"map", "frozen", "compressed"} {
 		sum, tr, queries := registrySample(t)
 		switch backend {
@@ -122,23 +107,6 @@ func TestRegistryDifferentialIdentity(t *testing.T) {
 				if got != want {
 					t.Errorf("%s/%s query %v: registry %v != direct %v", backend, m, q, got, want)
 				}
-			}
-		}
-		// The ensemble answers with its primary, annotated by its
-		// cross-check: both must equal their direct constructions.
-		for _, q := range queries {
-			primary := directEstimate(t, sum, tr, MethodRecursiveVoting, q)
-			cross := directEstimate(t, sum, tr, MethodSampling, q)
-			lo, hi := min(primary, cross), max(primary, cross)
-			div := (hi + 1) / (lo + 1)
-			got, err := sum.EstimateStrict(context.Background(), q, MethodEnsemble)
-			if err != nil {
-				t.Fatalf("%s/ensemble EstimateStrict(%v): %v", backend, q, err)
-			}
-			if got.Estimate != primary || !got.Checked || got.CrossEstimate != cross ||
-				got.Divergence != div || got.Divergent != (div >= DefaultEnsembleThreshold) {
-				t.Errorf("%s/ensemble query %v: got %+v, want estimate %v, checked cross %v, divergence %v",
-					backend, q, got, primary, cross, div)
 			}
 		}
 	}
@@ -219,65 +187,6 @@ func TestRegistryDifferentialSnapshotFiles(t *testing.T) {
 	}
 }
 
-// TestEnsembleMatchesPrimary: the ensemble answers with exactly its
-// primary method's estimate; the cross-check only annotates.
-func TestEnsembleMatchesPrimary(t *testing.T) {
-	sum, _, queries := registrySample(t)
-	for _, q := range queries {
-		primary, err := sum.EstimateContext(context.Background(), q, MethodRecursiveVoting)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sum.EstimateStrict(context.Background(), q, MethodEnsemble)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Estimate != primary {
-			t.Errorf("query %v: ensemble %v != primary %v", q, res.Estimate, primary)
-		}
-		if !res.Checked {
-			t.Errorf("query %v: ensemble did not run its cross-check", q)
-		}
-		if res.Divergence < 1 {
-			t.Errorf("query %v: divergence %v < 1", q, res.Divergence)
-		}
-	}
-}
-
-// TestEnsembleFlagsDivergence: a cross-estimate more than threshold× off
-// the primary must set Divergent; a failed cross-check leaves the answer
-// unchecked, and a failed primary fails the estimate. Exercised with fake
-// delegates that disagree wildly or fail.
-func TestEnsembleFlagsDivergence(t *testing.T) {
-	_, _, queries := registrySample(t)
-	q := queries[0]
-	fake := func(v float64, err error) Prepared {
-		return estimateFunc(func(context.Context, labeltree.Pattern) (Aggregate, error) {
-			return Aggregate{Estimate: v}, err
-		})
-	}
-	run := func(primary, cross Prepared) (Aggregate, error) {
-		return ensemble(primary, cross, DefaultEnsembleThreshold).Estimate(context.Background(), q)
-	}
-	agg, err := run(fake(100, nil), fake(3, nil))
-	if err != nil || agg.Estimate != 100 || !agg.Checked || agg.CrossEstimate != 3 || !agg.Divergent {
-		t.Fatalf("100 vs 3 should flag divergence, got %+v, %v", agg, err)
-	}
-	agg, err = run(fake(100, nil), fake(90, nil))
-	if err != nil || agg.Estimate != 100 || !agg.Checked || agg.Divergent {
-		t.Fatalf("100 vs 90 should agree, got %+v, %v", agg, err)
-	}
-	// A failed cross-check (blown budget) degrades to unchecked.
-	agg, err = run(fake(100, nil), fake(0, ErrBudgetExhausted))
-	if err != nil || agg.Estimate != 100 || agg.Checked || agg.Divergent {
-		t.Fatalf("failed cross-check must leave the estimate unchecked, got %+v, %v", agg, err)
-	}
-	// A failed primary fails the estimate, whatever the cross-check says.
-	if agg, err := run(fake(0, context.DeadlineExceeded), fake(3, nil)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("failed primary must fail the estimate, got %+v, %v", agg, err)
-	}
-}
-
 // TestUnknownMethodListsRegistered: the error for an unknown method must
 // enumerate what IS registered, so callers can self-correct.
 func TestUnknownMethodListsRegistered(t *testing.T) {
@@ -294,15 +203,16 @@ func TestUnknownMethodListsRegistered(t *testing.T) {
 }
 
 // TestRegistryFallbackLadder: the degradation ladder comes from
-// registered capabilities — sampling and ensemble must degrade to
-// something cheaper, terminal methods to nothing.
+// registered capabilities — the recursive methods must degrade to
+// fix-sized, terminal methods to nothing.
 func TestRegistryFallbackLadder(t *testing.T) {
 	cases := []struct {
 		method Method
 		want   Method
 	}{
-		{MethodSampling, MethodFixSized},
-		{MethodEnsemble, MethodRecursiveVoting},
+		{MethodRecursive, MethodFixSized},
+		{MethodRecursiveVoting, MethodFixSized},
+		{MethodFixSized, ""},
 		{MethodMarkov, ""},
 		{MethodTreeSketch, ""},
 	}
@@ -325,7 +235,7 @@ func TestRegistryFallbackLadder(t *testing.T) {
 func TestUnboundSourceUnavailable(t *testing.T) {
 	sum, _, queries := registrySample(t)
 	sum.BindSource(nil)
-	for _, m := range []Method{MethodMarkov, MethodTreeSketch, MethodSampling, MethodEnsemble} {
+	for _, m := range []Method{MethodMarkov, MethodTreeSketch} {
 		_, err := sum.EstimateContext(context.Background(), queries[0], m)
 		if !errors.Is(err, ErrMethodUnavailable) {
 			t.Errorf("method %s without source: got %v, want ErrMethodUnavailable", m, err)

@@ -261,8 +261,8 @@ func (c *Corpus) Doc(name string) (*labeltree.Tree, bool) {
 }
 
 // Trees implements core.TreeSource: the current epoch's document trees
-// in sorted name order (a stable order keeps sampling probe selection
-// deterministic).
+// in sorted name order (a stable order keeps the document-backed
+// methods' estimates deterministic).
 func (c *Corpus) Trees() []*labeltree.Tree { return c.epochs.Current().Docs }
 
 // AddXML parses an XML document from r, folds it into the summary, and

@@ -23,6 +23,7 @@ package estimate
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -171,7 +172,7 @@ func (r *Recursive) Name() string {
 
 // Estimate implements Estimator.
 func (r *Recursive) Estimate(q labeltree.Pattern) float64 {
-	est, _ := r.run(nil, q.Key(), q.Size(), nil)
+	est, _ := r.run(nil, q.Key(), q.Size(), nil, nil)
 	return est
 }
 
@@ -179,43 +180,54 @@ func (r *Recursive) Estimate(q labeltree.Pattern) float64 {
 // polls ctx every ctxOpsInterval memo operations and unwinds with ctx.Err()
 // once the context is done.
 func (r *Recursive) EstimateContext(ctx context.Context, q labeltree.Pattern) (float64, error) {
-	return r.run(ctx, q.Key(), q.Size(), nil)
+	return r.run(ctx, q.Key(), q.Size(), nil, nil)
 }
 
 // EstimateKeyContext is EstimateContext for a query given by its
 // canonical key and size, for callers that already keyed it (a cache in
 // front of the estimator).
 func (r *Recursive) EstimateKeyContext(ctx context.Context, key labeltree.Key, size int) (float64, error) {
-	return r.run(ctx, key, size, nil)
+	return r.run(ctx, key, size, nil, nil)
 }
 
 // EstimateWithTrace is Estimate plus a record of the work performed.
 func (r *Recursive) EstimateWithTrace(q labeltree.Pattern) (float64, Trace) {
 	var tr Trace
-	est, _ := r.run(nil, q.Key(), q.Size(), &tr)
+	est, _ := r.run(nil, q.Key(), q.Size(), &tr, nil)
 	return est, tr
 }
 
-// EstimateWithTraceContext is EstimateWithTrace with EstimateContext's
-// cooperative cancellation.
-func (r *Recursive) EstimateWithTraceContext(ctx context.Context, q labeltree.Pattern) (float64, Trace, error) {
+// ExplainContext is EstimateWithTrace plus the estimate's
+// decomposition-choice interval (see Interval), all from one recursion,
+// with EstimateContext's cooperative cancellation. Only voting levels
+// weigh every decomposition, so a non-voting estimator reports the point
+// interval at its estimate.
+func (r *Recursive) ExplainContext(ctx context.Context, q labeltree.Pattern) (float64, Trace, Interval, error) {
 	var tr Trace
-	est, err := r.run(ctx, q.Key(), q.Size(), &tr)
+	var iv Interval
+	est, err := r.run(ctx, q.Key(), q.Size(), &tr, &iv)
 	if err != nil {
-		return 0, Trace{}, err
+		return 0, Trace{}, Interval{}, err
 	}
-	return est, tr, nil
+	return est, tr, iv, nil
 }
 
 // run estimates the query keyed key of size nodes, polling ctx when it
-// is non-nil and recording into tr when it is non-nil.
-func (r *Recursive) run(ctx context.Context, key labeltree.Key, size int, tr *Trace) (float64, error) {
+// is non-nil, recording into tr when it is non-nil, and storing the
+// estimate's interval in iv when it is non-nil.
+func (r *Recursive) run(ctx context.Context, key labeltree.Key, size int, tr *Trace, iv *Interval) (float64, error) {
 	e := engine{sum: r.Sum, voting: r.Voting, scheme: r.Scheme,
 		memo: make(map[labeltree.Key]float64), tr: tr, ctx: ctx}
+	if iv != nil {
+		e.spread = make(map[labeltree.Key]Interval)
+	}
 	defer e.release()
 	est := e.estimateKeyed(key, size, 0)
 	if e.ctxErr != nil {
 		return 0, e.ctxErr
+	}
+	if iv != nil {
+		*iv = e.interval(key, est)
 	}
 	return est, nil
 }
@@ -237,6 +249,11 @@ type engine struct {
 	scheme VotingScheme
 	memo   map[labeltree.Key]float64
 	tr     *Trace
+
+	// spread, when non-nil, holds the decomposition-choice interval of
+	// every sub-twig decomposed at a voting level; every other sub-twig's
+	// interval is the point at its estimate (see interval).
+	spread map[labeltree.Key]Interval
 
 	// ctx, when non-nil, is polled every ctxOpsInterval estimateKeyed
 	// entries; on cancellation ctxErr latches and the recursion unwinds
@@ -356,16 +373,19 @@ func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
 	ds := e.sc.ds[base:]
 	saved := e.voting
 	e.voting = voting
+	spread := voting && e.spread != nil
+	iv := Interval{math.Inf(1), math.Inf(-1)}
 	vbase := len(e.sc.votes)
 	for _, d := range ds {
-		v := Augment(
-			e.estimateKeyed(d.lo, size-1, depth+1),
-			e.estimateKeyed(d.hi, size-1, depth+1),
-			e.estimateKeyed(d.common, size-2, depth+1),
-		)
-		e.sc.votes = append(e.sc.votes, v)
+		s1 := e.estimateKeyed(d.lo, size-1, depth+1)
+		s2 := e.estimateKeyed(d.hi, size-1, depth+1)
+		sc := e.estimateKeyed(d.common, size-2, depth+1)
+		e.sc.votes = append(e.sc.votes, Augment(s1, s2, sc))
 		if e.tr != nil {
 			e.tr.Augmentations++
+		}
+		if spread {
+			iv = iv.hull(pairBounds(e.interval(d.lo, s1), e.interval(d.hi, s2), e.interval(d.common, sc)))
 		}
 	}
 	e.voting = saved
@@ -373,7 +393,22 @@ func (e *engine) estimateKeyed(key labeltree.Key, size, depth int) float64 {
 	e.sc.votes = e.sc.votes[:vbase]
 	e.sc.ds = e.sc.ds[:base]
 	e.memo[key] = est
+	if spread {
+		e.spread[key] = iv
+	}
 	return est
+}
+
+// interval returns the decomposition-choice interval of the sub-twig
+// keyed key, whose estimate is est: the interval its voting level
+// recorded, or the point at est for a sub-twig the lattice answered or
+// reported absent, or that was reconstructed with the single canonical
+// pair after pruning.
+func (e *engine) interval(key labeltree.Key, est float64) Interval {
+	if iv, ok := e.spread[key]; ok {
+		return iv
+	}
+	return Interval{est, est}
 }
 
 // aggregate combines the per-pair vote estimates under the scheme.

@@ -40,9 +40,10 @@ func ExampleRecursive_EstimateWithTrace() {
 	// Output: estimate 5 after 2 decomposition levels
 }
 
-// ExampleEstimateInterval brackets an estimate by the spread of
-// decomposition choices; a zero-width interval means every choice agrees.
-func ExampleEstimateInterval() {
+// ExampleRecursive_ExplainContext brackets an estimate by the spread of
+// decomposition choices, from the same recursion that estimates it; a
+// zero-width interval means every choice agrees.
+func ExampleRecursive_ExplainContext() {
 	dict := labeltree.NewDict()
 	doc := `<root>` + strings.Repeat(`<a><b/><c/><d/></a>`, 4) + `</root>`
 	tree, err := xmlparse.Parse(strings.NewReader(doc), dict, xmlparse.Options{})
@@ -53,10 +54,11 @@ func ExampleEstimateInterval() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	iv, err := estimate.EstimateInterval(context.Background(), sum, labeltree.MustParsePattern("root(a(b,c,d))", dict))
+	q := labeltree.MustParsePattern("root(a(b,c,d))", dict)
+	est, _, iv, err := estimate.NewRecursive(sum, true).ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("[%.0f, %.0f]\n", iv.Lo, iv.Hi)
-	// Output: [4, 4]
+	fmt.Printf("%.0f in [%.0f, %.0f]\n", est, iv.Lo, iv.Hi)
+	// Output: 4 in [4, 4]
 }

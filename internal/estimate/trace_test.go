@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"treelattice/internal/labeltree"
+	"treelattice/internal/lattice"
 	"treelattice/internal/treetest"
 )
 
@@ -101,33 +102,38 @@ func TestIntervalPointForLatticePatterns(t *testing.T) {
 	}
 }
 
+// TestIntervalBracketsEstimators: both recursive estimates lie within
+// the voting pass's interval, on the full summary and on a δ = 0.1-pruned
+// one, whose in-range reconstructions are points.
 func TestIntervalBracketsEstimators(t *testing.T) {
 	dict, alphabet := treetest.Alphabet(3)
 	rng := rand.New(rand.NewSource(53))
 	tr := treetest.RandomTree(rng, 150, alphabet, dict)
-	sum := mineK(t, tr, 3)
-	rec := NewRecursive(sum, false)
-	vote := NewRecursive(sum, true)
-	checked := 0
-	for trial := 0; trial < 200; trial++ {
-		q := treetest.RandomPattern(rng, 4+rng.Intn(4), alphabet)
-		iv := mustInterval(t, sum, q)
-		if iv.Lo > iv.Hi {
-			t.Fatalf("inverted interval %+v for %s", iv, q.String(dict))
-		}
-		for _, est := range []Estimator{rec, vote} {
-			v := est.Estimate(q)
-			if !iv.Contains(v) {
-				t.Fatalf("%s estimate %v outside interval %+v for %s",
-					est.Name(), v, iv, q.String(dict))
+	full := mineK(t, tr, 3)
+	for _, sum := range []*lattice.Summary{full, PruneDerivable(full, 0.1)} {
+		rec := NewRecursive(sum, false)
+		vote := NewRecursive(sum, true)
+		checked := 0
+		for trial := 0; trial < 200; trial++ {
+			q := treetest.RandomPattern(rng, 4+rng.Intn(4), alphabet)
+			iv := mustInterval(t, sum, q)
+			if iv.Lo > iv.Hi {
+				t.Fatalf("inverted interval %+v for %s", iv, q.String(dict))
+			}
+			for _, est := range []Estimator{rec, vote} {
+				v := est.Estimate(q)
+				if !iv.Contains(v) {
+					t.Fatalf("pruned=%v: %s estimate %v outside interval %+v for %s",
+						sum.Pruned(), est.Name(), v, iv, q.String(dict))
+				}
+			}
+			if iv.Hi > 0 {
+				checked++
 			}
 		}
-		if iv.Hi > 0 {
-			checked++
+		if checked < 10 {
+			t.Fatalf("pruned=%v: only %d informative intervals; test is weak", sum.Pruned(), checked)
 		}
-	}
-	if checked < 10 {
-		t.Fatalf("only %d informative intervals; test is weak", checked)
 	}
 }
 
@@ -156,10 +162,11 @@ func TestIntervalZeroForImpossibleQueries(t *testing.T) {
 	}
 }
 
-// mustInterval is EstimateInterval without a deadline, failing t on error.
+// mustInterval is the voting estimator's interval for q without a
+// deadline, failing t on error.
 func mustInterval(t *testing.T, sum Store, q labeltree.Pattern) Interval {
 	t.Helper()
-	iv, err := EstimateInterval(context.Background(), sum, q)
+	_, _, iv, err := NewRecursive(sum, true).ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,6 +255,9 @@ func TestAdaptation(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	if rows[0].HeldOut == 0 || rows[1].HeldOut != rows[0].HeldOut {
+		t.Fatalf("held-out queries: %+v", rows)
+	}
 	if rows[0].Pass != 1 || rows[1].Pass != 2 {
 		t.Fatalf("pass numbering wrong: %+v", rows)
 	}
@@ -296,6 +299,11 @@ func TestMethodQErrorTable(t *testing.T) {
 				if math.IsNaN(q) || q < 1 {
 					t.Errorf("%s %s: %s q-error = %v, want >= 1", p, m, name, q)
 				}
+			}
+			// Only recursive+voting scores its interval.
+			if voting := m == core.MethodRecursiveVoting; row.Covered > row.Queries || row.Caught > row.Misses ||
+				(!voting && row.Covered+row.Misses+row.Caught > 0) || (voting && row.Covered == 0) {
+				t.Errorf("%s %s: covered %d of %d, caught %d of %d", p, m, row.Covered, row.Queries, row.Caught, row.Misses)
 			}
 		}
 	}

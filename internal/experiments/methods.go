@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"treelattice/internal/core"
@@ -17,19 +16,18 @@ import (
 type MethodRow struct {
 	Dataset datagen.Profile
 	Method  core.Method
-	// Queries counts the scored estimates. Exhausted counts queries the
-	// method could not answer within its budget; they are not scored.
-	Queries   int
-	Exhausted int
-	// The q-error distribution (metrics.QError) over the scored queries.
+	Queries int
+	// The q-error distribution (metrics.QError) over the queries.
 	MeanQError   float64
 	MedianQError float64
 	P95QError    float64
 	MaxQError    float64
-	// Checked and Divergent count the ensemble's cross-check verdicts;
-	// they stay zero for the other methods.
-	Checked   int
-	Divergent int
+	// The recursive+voting row scores its decomposition-choice interval
+	// (Summary.Explain) as an error signal: Covered counts intervals that
+	// contain the true count, Misses the queries with q-error ≥ 2, and
+	// Caught those misses whose interval is wide (Hi ≥ 2·Lo). They stay
+	// zero for the other methods.
+	Covered, Misses, Caught int
 }
 
 // Methods estimates each dataset's positive workload under every method
@@ -49,18 +47,26 @@ func (s *Suite) Methods() ([]MethodRow, error) {
 			for _, size := range s.Cfg.Sizes {
 				for _, q := range e.Positive[size] {
 					de, err := e.Summary.EstimateStrict(ctx, q.Pattern, m)
-					if errors.Is(err, core.ErrBudgetExhausted) {
-						row.Exhausted++
-						continue
-					}
 					if err != nil {
 						return nil, fmt.Errorf("experiments: %s %s: %w", p, m, err)
 					}
-					qerrs = append(qerrs, metrics.QError(de.Estimate, float64(q.TrueCount)))
-					if de.Checked {
-						row.Checked++
-						if de.Divergent {
-							row.Divergent++
+					truth := float64(q.TrueCount)
+					qe := metrics.QError(de.Estimate, truth)
+					qerrs = append(qerrs, qe)
+					if m != core.MethodRecursiveVoting {
+						continue
+					}
+					_, _, iv, err := e.Summary.Explain(ctx, q.Pattern)
+					if err != nil {
+						return nil, fmt.Errorf("experiments: %s interval: %w", p, err)
+					}
+					if iv.Contains(truth) {
+						row.Covered++
+					}
+					if qe >= 2 {
+						row.Misses++
+						if iv.Hi >= 2*iv.Lo {
+							row.Caught++
 						}
 					}
 				}

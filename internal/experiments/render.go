@@ -5,6 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 	"time"
+
+	"treelattice/internal/core"
 )
 
 // RunAll executes every experiment and renders a textual report mirroring
@@ -52,16 +54,18 @@ func (s *Suite) renderMethods(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "== Estimation methods (beyond the paper): q-error on the positive workload ==")
+	fmt.Fprintln(w, "(covered: recursive+voting intervals that contain the true count; caught: of its queries with q-error >= 2, those whose interval has hi >= 2*lo)")
 	t := tw(w)
-	fmt.Fprintln(t, "dataset\tmethod\tqueries\tmean\tmedian\tp95\tmax\texhausted\tdivergent")
+	fmt.Fprintln(t, "dataset\tmethod\tqueries\tmean\tmedian\tp95\tmax\tcovered\tcaught")
 	for _, r := range rows {
-		divergent := "-"
-		if r.Checked > 0 {
-			divergent = fmt.Sprintf("%d/%d", r.Divergent, r.Checked)
+		covered, caught := "-", "-"
+		if r.Method == core.MethodRecursiveVoting {
+			covered = fmt.Sprintf("%d/%d", r.Covered, r.Queries)
+			caught = fmt.Sprintf("%d/%d", r.Caught, r.Misses)
 		}
-		fmt.Fprintf(t, "%s\t%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%d\t%s\n",
+		fmt.Fprintf(t, "%s\t%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%s\t%s\n",
 			r.Dataset, r.Method, r.Queries, r.MeanQError, r.MedianQError,
-			r.P95QError, r.MaxQError, r.Exhausted, divergent)
+			r.P95QError, r.MaxQError, covered, caught)
 	}
 	t.Flush()
 	fmt.Fprintln(w)
@@ -73,11 +77,12 @@ func (s *Suite) renderAdaptation(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "== Online adaptation (beyond the paper): workload replay with feedback ==")
+	fmt.Fprintln(w, "== Online adaptation (beyond the paper): feedback from the workload, error on held-out queries ==")
+	fmt.Fprintf(w, "(each pass scores a seed-%d positive workload without the training queries, then feeds back the seed-%d workload's true counts)\n", s.Cfg.Seed+1, s.Cfg.Seed)
 	t := tw(w)
-	fmt.Fprintln(t, "dataset\tpass\tavg err(%)\tcorrections\tused(B)")
+	fmt.Fprintln(t, "dataset\tpass\theld-out\tavg err(%)\tcorrections\tused(B)")
 	for _, r := range rows {
-		fmt.Fprintf(t, "%s\t%d\t%.1f\t%d\t%d\n", r.Dataset, r.Pass, r.AvgErrPct, r.Corrections, r.UsedBytes)
+		fmt.Fprintf(t, "%s\t%d\t%d\t%.1f\t%d\t%d\n", r.Dataset, r.Pass, r.HeldOut, r.AvgErrPct, r.Corrections, r.UsedBytes)
 	}
 	t.Flush()
 	fmt.Fprintln(w)

@@ -70,10 +70,29 @@ func WriteTree(w io.Writer, t *Tree) (int64, error) {
 	return n, err
 }
 
+// readReserve caps how many entries a reader reserves up front for a
+// count its input's header claims; past it an array grows as entries
+// arrive (appendUpTo), so a truncated or hostile header costs memory only
+// for what the input actually holds.
+const readReserve = 1 << 16
+
+// appendUpTo appends v to s, an array that will hold n elements: its
+// capacity doubles as elements arrive but never passes n, so a complete
+// array ends exactly n long.
+func appendUpTo[T any](s []T, v T, n uint64) []T {
+	if len(s) == cap(s) {
+		t := make([]T, len(s), min(2*uint64(cap(s)), n))
+		copy(t, s)
+		s = t
+	}
+	return append(s, v)
+}
+
 // ReadTree deserializes a tree written by WriteTree, interning labels
-// into dict. It reads the labels and then the parents into arrays of the
-// exact node count, the parents' only once every label has been read, and
-// lays the child runs out from them.
+// into dict. It reads the labels and then the parents into arrays that
+// end exactly the node count long, reserving at most readReserve entries
+// of each before the entries arrive, and lays the child runs out from
+// them.
 func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(treeMagic)+1)
@@ -93,8 +112,8 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 	if nLabels > 1<<24 {
 		return nil, fmt.Errorf("labeltree: implausible label count %d", nLabels)
 	}
-	ids := make([]LabelID, nLabels)
-	for i := range ids {
+	ids := make([]LabelID, 0, min(nLabels, readReserve))
+	for i := uint64(0); i < nLabels; i++ {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("labeltree: label %d length: %w", i, err)
@@ -106,7 +125,7 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("labeltree: label %d: %w", i, err)
 		}
-		ids[i] = dict.Intern(string(buf))
+		ids = append(ids, dict.Intern(string(buf)))
 	}
 	nNodes, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -118,15 +137,15 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 	if nNodes > 1<<31 {
 		return nil, fmt.Errorf("labeltree: implausible node count %d", nNodes)
 	}
-	labels := make([]LabelID, nNodes)
-	for i := range labels {
+	labels := make([]LabelID, 0, min(nNodes, readReserve))
+	for i := uint64(0); i < nNodes; i++ {
 		li, err := binary.ReadUvarint(br)
 		if err != nil || li >= nLabels {
 			return nil, fmt.Errorf("labeltree: node %d label (err %v)", i, err)
 		}
-		labels[i] = ids[li]
+		labels = appendUpTo(labels, ids[li], nNodes)
 	}
-	parent := make([]int32, nNodes)
+	parent := make([]int32, 1, min(nNodes, readReserve))
 	parent[0] = -1
 	for i := uint64(1); i < nNodes; i++ {
 		pi, err := binary.ReadUvarint(br)
@@ -136,7 +155,7 @@ func ReadTree(r io.Reader, dict *Dict) (*Tree, error) {
 		if pi >= i {
 			return nil, fmt.Errorf("labeltree: node %d has forward parent %d", i, pi)
 		}
-		parent[i] = int32(pi)
+		parent = appendUpTo(parent, int32(pi), nNodes)
 	}
 	return newTree(dict, labels, parent), nil
 }

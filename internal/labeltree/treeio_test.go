@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -47,38 +48,107 @@ func TestTreeSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadTreeRejectsGarbage(t *testing.T) {
-	dict := labeltree.NewDict()
-	// stored returns a version-1 header, one label "a", and then vs as
-	// uvarints: the node count, labels and parents.
-	stored := func(vs ...uint64) []byte {
-		b := append([]byte("TLTR\x01\x01\x01"), 'a')
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
+// storedTree returns a version-1 tree header, one label "a", and then vs
+// as uvarints: the node count, labels and parents.
+func storedTree(vs ...uint64) []byte {
+	b := append([]byte("TLTR\x01\x01\x01"), 'a')
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
 	}
-	for _, data := range [][]byte{
+	return b
+}
+
+// garbageTrees are inputs ReadTree must reject, one per check it makes.
+func garbageTrees() [][]byte {
+	return [][]byte{
 		nil,
 		[]byte("XXXX\x01"),
 		[]byte("TLTR\x02"),     // bad version
 		[]byte("TLTR\x01\x01"), // truncated label table
 		binary.AppendUvarint([]byte("TLTR\x01"), 1<<24+1), // label count
-		stored(0),             // no nodes
-		stored(1<<31 + 1),     // node count
-		stored(2, 0),          // truncated labels
-		stored(1, 1),          // label index out of range
-		stored(2, 0, 0),       // truncated parents
-		stored(3, 0, 0, 0, 2), // forward parent
-		stored(2, 0, 0, 1),    // parent is the node itself
-	} {
+		storedTree(0),             // no nodes
+		storedTree(1<<31 + 1),     // node count
+		storedTree(2, 0),          // truncated labels
+		storedTree(1, 1),          // label index out of range
+		storedTree(2, 0, 0),       // truncated parents
+		storedTree(3, 0, 0, 0, 2), // forward parent
+		storedTree(2, 0, 0, 1),    // parent is the node itself
+	}
+}
+
+func TestReadTreeRejectsGarbage(t *testing.T) {
+	dict := labeltree.NewDict()
+	for _, data := range garbageTrees() {
 		if _, err := labeltree.ReadTree(bytes.NewReader(data), dict); err == nil {
 			t.Errorf("ReadTree(%q) succeeded", data)
 		}
 	}
-	if _, err := labeltree.ReadTree(bytes.NewReader(stored(3, 0, 0, 0, 0, 1)), dict); err != nil {
+	if _, err := labeltree.ReadTree(bytes.NewReader(storedTree(3, 0, 0, 0, 0, 1)), dict); err != nil {
 		t.Errorf("ReadTree of a valid path a(a(a)): %v", err)
 	}
+}
+
+// TestReadTreeHeaderCountsAllocateLittle: a header claiming 2^24 labels
+// or nodes that the input does not hold fails without reserving memory
+// for the claim.
+func TestReadTreeHeaderCountsAllocateLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"nodes", storedTree(1 << 24)},
+		{"labels", binary.AppendUvarint([]byte("TLTR\x01"), 1<<24)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := labeltree.ReadTree(bytes.NewReader(tc.data), labeltree.NewDict())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated %d-byte tree accepted", tc.name, len(tc.data))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: truncated %d-byte tree allocated %d bytes before failing", tc.name, len(tc.data), n)
+		}
+	}
+}
+
+// FuzzReadTree: ReadTree never panics on arbitrary bytes (a corpus reads
+// its .tltr files at open), and every tree it accepts, written again with
+// WriteTree, reads back equal: the same labels by name and the same
+// parents.
+func FuzzReadTree(f *testing.F) {
+	dict, alphabet := treetest.Alphabet(3)
+	var buf bytes.Buffer
+	if _, err := labeltree.WriteTree(&buf, treetest.RandomTree(rand.New(rand.NewSource(1)), 40, alphabet, dict)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, data := range garbageTrees() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := labeltree.ReadTree(bytes.NewReader(data), labeltree.NewDict())
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := labeltree.WriteTree(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := labeltree.ReadTree(&out, labeltree.NewDict())
+		if err != nil {
+			t.Fatalf("accepted tree does not read back after WriteTree: %v", err)
+		}
+		if back.Size() != tr.Size() {
+			t.Fatalf("read back %d nodes, accepted %d", back.Size(), tr.Size())
+		}
+		for i := int32(0); int(i) < tr.Size(); i++ {
+			if back.LabelName(i) != tr.LabelName(i) || back.Parent(i) != tr.Parent(i) {
+				t.Fatalf("node %d read back as %s under %d, accepted as %s under %d",
+					i, back.LabelName(i), back.Parent(i), tr.LabelName(i), tr.Parent(i))
+			}
+		}
+	})
 }
 
 func TestReadTreeRobustAgainstCorruption(t *testing.T) {

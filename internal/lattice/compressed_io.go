@@ -235,6 +235,11 @@ func OpenCompressed(data []byte, dict *labeltree.Dict) (*Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every label takes at least its length byte, so a count the label
+	// section cannot hold is corrupt and must not size the label table.
+	if nLabels > len(lab) {
+		return nil, fmt.Errorf("lattice: %d labels claimed in a %d-byte label section", nLabels, len(lab))
+	}
 	fenceBytes, err := sec(1)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,10 @@ package lattice
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"treelattice/internal/labeltree"
@@ -278,6 +280,44 @@ func TestReadRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := Read(bytes.NewReader(data), d); err == nil {
 			t.Errorf("Read(%q) succeeded, want error", data)
+		}
+	}
+}
+
+// TestReadLabelCountAllocatesLittle: a TLAT or TLCZ header claiming 2^24
+// labels that the input does not hold fails, under Read, ReadFrozen and
+// OpenCompressed, without reserving memory for the claim.
+func TestReadLabelCountAllocatesLittle(t *testing.T) {
+	tlat := binary.AppendUvarint([]byte("TLAT\x01\x04\x00"), 1<<24)
+	d, a, b := twoLabels()
+	s := New(3, d)
+	if err := s.Add(labeltree.PathPattern(a, b), 7); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := WriteCompressed(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	tlcz := buf.Bytes()
+	binary.LittleEndian.PutUint32(tlcz[16:], 1<<24) // the label count; the checksum covers only the sections
+	for _, read := range []struct {
+		name string
+		size int
+		fn   func() error
+	}{
+		{"Read", len(tlat), func() error { _, err := Read(bytes.NewReader(tlat), labeltree.NewDict()); return err }},
+		{"ReadFrozen", len(tlat), func() error { _, err := ReadFrozen(bytes.NewReader(tlat), labeltree.NewDict()); return err }},
+		{"OpenCompressed", len(tlcz), func() error { _, err := OpenCompressed(tlcz, labeltree.NewDict()); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read.fn()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a %d-byte summary claiming 2^24 labels", read.name, read.size)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s of a %d-byte summary claiming 2^24 labels allocated %d bytes before failing", read.name, read.size, n)
 		}
 	}
 }

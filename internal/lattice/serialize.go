@@ -136,8 +136,10 @@ func newSummaryReader(r io.Reader, dict *labeltree.Dict) (*summaryReader, error)
 	if nLabels > 1<<24 {
 		return nil, fmt.Errorf("lattice: implausible label count %d", nLabels)
 	}
-	ids := make([]labeltree.LabelID, nLabels)
-	for i := range ids {
+	// The count is the input's claim: reserve little for it, and grow the
+	// table as labels arrive, so a truncated table costs only what it holds.
+	ids := make([]labeltree.LabelID, 0, min(nLabels, 1<<10))
+	for i := uint64(0); i < nLabels; i++ {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("lattice: reading label %d: %w", i, err)
@@ -149,7 +151,7 @@ func newSummaryReader(r io.Reader, dict *labeltree.Dict) (*summaryReader, error)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("lattice: reading label %d: %w", i, err)
 		}
-		ids[i] = dict.Intern(string(buf))
+		ids = append(ids, dict.Intern(string(buf)))
 	}
 	nEntries, err := binary.ReadUvarint(br)
 	if err != nil {

@@ -25,7 +25,7 @@ const maxBatchBodyBytes = 1 << 20
 var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // batchEntry is one requested query: either a bare JSON string ("a(b)")
-// or an object {"q": "a(b)", "method": "sampling"} overriding the
+// or an object {"q": "a(b)", "method": "fix-sized"} overriding the
 // batch-level method for this item.
 type batchEntry struct {
 	Q      string `json:"q"`
@@ -62,17 +62,12 @@ type batchRequest struct {
 // that answered (or was asked, for failed items) — with per-item
 // overrides in play, positional results alone no longer identify it.
 type batchItem struct {
-	Query         string   `json:"query"`
-	Estimate      *float64 `json:"estimate,omitempty"`
-	Method        string   `json:"method"`
-	Degraded      bool     `json:"degraded,omitempty"`
-	CrossEstimate *float64 `json:"cross_estimate,omitempty"`
-	Divergence    float64  `json:"divergence,omitempty"`
-	// Divergent is a pointer so checked-but-agreeing items still carry an
-	// explicit false, matching the single endpoint's envelope.
-	Divergent *bool  `json:"divergent,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Code      string `json:"code,omitempty"`
+	Query    string   `json:"query"`
+	Estimate *float64 `json:"estimate,omitempty"`
+	Method   string   `json:"method"`
+	Degraded bool     `json:"degraded,omitempty"`
+	Error    string   `json:"error,omitempty"`
+	Code     string   `json:"code,omitempty"`
 }
 
 type batchResponse struct {
@@ -187,12 +182,6 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 			if res.Degraded {
 				items[i].Degraded = true
 				h.degraded.Inc()
-			}
-			if res.Checked {
-				ce, div := res.CrossEstimate, res.Divergent
-				items[i].CrossEstimate = &ce
-				items[i].Divergence = res.Divergence
-				items[i].Divergent = &div
 			}
 			h.observeAnswer(res.DegradedEstimate)
 		}

@@ -116,21 +116,14 @@ func newMethodMetrics(reg *obs.Registry) map[core.Method]*methodMetrics {
 	return out
 }
 
-// observeAnswer counts one answered estimate: under its method's
-// subcache counters when the method caches answers, and under the
-// ensemble counters when it carries a completed cross-check.
+// observeAnswer counts one answered estimate under its method's
+// subcache counters when the method caches answers.
 func (h *Handler) observeAnswer(res core.DegradedEstimate) {
 	if m := h.perMethod[res.Method]; m != nil && m.hits != nil {
 		if res.Cached {
 			m.hits.Inc()
 		} else {
 			m.misses.Inc()
-		}
-	}
-	if res.Checked {
-		h.ensembleChecked.Inc()
-		if res.Divergent {
-			h.ensembleDivergent.Inc()
 		}
 	}
 }

@@ -33,19 +33,20 @@
 // Queries use the twig syntax ("a(b,c(d))"). Estimation methods are the
 // rows of core's fixed method table (GET /v1/methods lists them): the
 // paper's recursive, recursive+voting (default), and fix-sized
-// decompositions, plus markov, treesketches, sampling, and ensemble. An
-// ensemble answer carries its sampling cross-check verdict
-// (cross_estimate, divergence, divergent) whenever the check completed.
+// decompositions, plus the markov and treesketches baselines.
+// GET /v1/explain answers with the recursive+voting estimate, its work
+// trace and its decomposition-choice interval (spread_lo, spread_hi),
+// all from one voting pass.
 //
 // Every error response carries the JSON envelope
 //
 //	{"error": <message>, "code": <machine-readable code>}
 //
-// with codes: bad_query, unknown_method, method_unavailable,
-// budget_exhausted, bad_document, too_large, batch_too_large, exists,
-// not_found, frozen, ingest_backpressure, method_not_allowed, canceled,
-// shed, deadline_exceeded, internal, bad_tenant, unknown_tenant,
-// not_ready, reload_failed, no_documents.
+// with codes: bad_query, unknown_label, unknown_method,
+// method_unavailable, bad_request, bad_document, too_large,
+// batch_too_large, exists, not_found, frozen, ingest_backpressure,
+// method_not_allowed, canceled, shed, deadline_exceeded, internal,
+// bad_tenant, unknown_tenant, not_ready, reload_failed, no_documents.
 //
 // GET/POST /v1/query executes a twig query (extended axis syntax, so
 // descendant steps like "//a(b,//c)" work) against the corpus documents
@@ -229,21 +230,19 @@ type Handler struct {
 	tenantMu    sync.Mutex
 	tenantStats map[string]*tenantMetrics
 
-	reg               *obs.Registry
-	inFlight          *obs.Gauge
-	epochG            *obs.Gauge
-	deltaDocsG        *obs.Gauge
-	deltaBytesG       *obs.Gauge
-	routes            map[string]*routeMetrics
-	endpoints         []endpoint
-	perMethod         map[core.Method]*methodMetrics
-	limiter           *resilience.Limiter
-	panics            *obs.Counter
-	degraded          *obs.Counter
-	timeouts          *obs.Counter
-	batchSizes        *obs.Histogram
-	ensembleChecked   *obs.Counter
-	ensembleDivergent *obs.Counter
+	reg         *obs.Registry
+	inFlight    *obs.Gauge
+	epochG      *obs.Gauge
+	deltaDocsG  *obs.Gauge
+	deltaBytesG *obs.Gauge
+	routes      map[string]*routeMetrics
+	endpoints   []endpoint
+	perMethod   map[core.Method]*methodMetrics
+	limiter     *resilience.Limiter
+	panics      *obs.Counter
+	degraded    *obs.Counter
+	timeouts    *obs.Counter
+	batchSizes  *obs.Histogram
 
 	queries          *obs.Counter
 	queryDegradedC   *obs.Counter
@@ -285,12 +284,10 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 		timeouts:    reg.Counter("http.deadline_exceeded"),
 		batchSizes: reg.Histogram("http.estimate_batch.batch_size",
 			batchSizeBounds),
-		ensembleChecked:   reg.Counter("ensemble.checked"),
-		ensembleDivergent: reg.Counter("ensemble.divergent"),
-		queries:           reg.Counter("query.executed"),
-		queryDegradedC:    reg.Counter("query.degraded"),
-		queryFallback:     reg.Counter("query.fallback"),
-		queryCandidates:   reg.Counter("query.candidates"),
+		queries:         reg.Counter("query.executed"),
+		queryDegradedC:  reg.Counter("query.degraded"),
+		queryFallback:   reg.Counter("query.fallback"),
+		queryCandidates: reg.Counter("query.candidates"),
 		queryCalibration: reg.Histogram("query.calibration_ratio",
 			calibrationBounds),
 	}
@@ -392,8 +389,7 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 // field. The caller passes the summary it resolved so the whole request
 // pins one epoch; re-loading here could observe a newer one mid-request.
 // The estimate runs within the request budget, degrading to a cheaper
-// method when the budget expires (unless disabled); an ensemble answer
-// carries its cross-check verdict.
+// method when the budget expires (unless disabled).
 func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant string, sum *core.Summary) {
 	qs := r.URL.Query().Get("q")
 	if qs == "" {
@@ -450,11 +446,6 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 	h.observeAnswer(res)
 	resp["estimate"] = res.Estimate
 	resp["method"] = string(res.Method)
-	if res.Checked {
-		resp["cross_estimate"] = res.CrossEstimate
-		resp["divergence"] = res.Divergence
-		resp["divergent"] = res.Divergent
-	}
 	writeJSON(w, resp)
 }
 
@@ -516,14 +507,9 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
-	// Both recursions run under the route's estimate budget; an expired
+	// The voting pass runs under the route's estimate budget; an expired
 	// one answers 504 like /v1/estimate past its last fallback.
-	est, trace, err := sum.EstimateWithTraceContext(r.Context(), q, core.MethodRecursiveVoting)
-	if err != nil {
-		h.coreError(w, err)
-		return
-	}
-	iv, err := sum.EstimateInterval(r.Context(), q)
+	est, trace, iv, err := sum.Explain(r.Context(), q)
 	if err != nil {
 		h.coreError(w, err)
 		return
@@ -566,13 +552,6 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 		// The recursive methods' answer caches: the one cache in front
 		// of the decomposition engine.
 		"subcache": h.subcacheSummary(s),
-		// Ensemble cross-check outcomes: how many estimates carried a
-		// completed sampling cross-check, and how many of those diverged
-		// past the threshold.
-		"ensemble": map[string]any{
-			"checked":   h.ensembleChecked.Value(),
-			"divergent": h.ensembleDivergent.Value(),
-		},
 		// Batch endpoint traffic shape: are clients batching, and how big?
 		"batch": h.batchSummary(),
 		// Twig query execution: volume, degradation, and the planner's
@@ -708,18 +687,15 @@ func coreErrorCode(err error) (int, string) {
 	case errors.Is(err, core.ErrUnknownMethod):
 		return http.StatusBadRequest, "unknown_method"
 	case errors.Is(err, core.ErrMethodUnavailable):
-		// Registered but unusable here (no documents for a sampling-class
-		// backend): a conflict with server state, not a client typo.
+		// Registered but unusable here (no documents for a
+		// document-backed method): a conflict with server state, not a
+		// client typo.
 		return http.StatusConflict, "method_unavailable"
 	case errors.Is(err, core.ErrNoDocuments):
 		// Query execution needs bound documents; snapshot-only summaries
 		// (frozen fleet tenants) can estimate but not execute. Server
 		// state, not a client typo.
 		return http.StatusConflict, "no_documents"
-	case errors.Is(err, core.ErrBudgetExhausted):
-		// A budgeted backend ran out of internal budget with fallback
-		// disabled — the 504 family, like a blown deadline.
-		return http.StatusGatewayTimeout, "budget_exhausted"
 	case errors.Is(err, context.DeadlineExceeded):
 		// The endpoint's deadline budget expired mid-computation.
 		return http.StatusGatewayTimeout, "deadline_exceeded"

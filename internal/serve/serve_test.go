@@ -90,22 +90,30 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// TestExplain: /v1/explain answers /v1/estimate's recursive+voting
+// estimate, with a trace and a spread interval around that estimate.
 func TestExplain(t *testing.T) {
 	srv, _ := newServer(t)
 	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
-	code, out := do(t, "GET", srv.URL+"/v1/explain?q=computer(laptops(laptop(brand,price)))", "")
+	const q = "computer(laptops(laptop(brand,price)))"
+	code, out := do(t, "GET", srv.URL+"/v1/explain?q="+q, "")
 	if code != 200 {
 		t.Fatalf("explain: %d %v", code, out)
 	}
-	if out["estimate"].(float64) <= 0 {
+	est := out["estimate"].(float64)
+	if est <= 0 {
 		t.Fatalf("explain estimate: %v", out)
 	}
 	if _, ok := out["trace"]; !ok {
 		t.Fatalf("explain missing trace: %v", out)
 	}
+	code, served := do(t, "GET", srv.URL+"/v1/estimate?method=recursive%2Bvoting&q="+q, "")
+	if code != 200 || served["estimate"] != est {
+		t.Fatalf("explain estimate %v, /v1/estimate answered %d %v", est, code, served)
+	}
 	lo, hi := out["spread_lo"].(float64), out["spread_hi"].(float64)
-	if lo > hi {
-		t.Fatalf("inverted spread: %v %v", lo, hi)
+	if !(lo <= est && est <= hi) {
+		t.Fatalf("estimate %v outside spread [%v, %v]", est, lo, hi)
 	}
 }
 
@@ -246,7 +254,6 @@ func TestErrorCodes(t *testing.T) {
 		{"GET", "/v1/exact?q=" + bigGroup, "", "bad_query"},
 		{"GET", "/v1/query?count=1&q=//" + bigGroup, "", "bad_query"},
 		{"GET", "/v1/query?q=//" + bigGroup, "", "bad_query"},
-		{"GET", "/v1/estimate?method=sampling&q=" + bigGroup, "", "bad_query"},
 	} {
 		_, out := do(t, tc.method, srv.URL+tc.path, tc.body)
 		if got, _ := out["code"].(string); got != tc.wantCode {

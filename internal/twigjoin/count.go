@@ -230,26 +230,6 @@ func (c *Counter) CountContext(ctx context.Context, x *Index, nodeBudget *int64)
 	return c.end()
 }
 
-// CountAnchoredContext counts the matches whose root binds exactly to the
-// data node root, under the same budget and polling contract as
-// CountContext; the anchor itself is not charged. A root whose label does
-// not match the query's counts zero without consuming budget.
-func (c *Counter) CountAnchoredContext(ctx context.Context, x *Index, root int32, nodeBudget *int64) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if x.tree.Label(root) != c.q.Pattern.Label(0) {
-		return 0, nil
-	}
-	if c.fallback {
-		return enumerateAnchored(ctx, x, c.q, root, nodeBudget)
-	}
-	c.begin(ctx, x, nodeBudget)
-	n := c.count(0, root)
-	_, err := c.end()
-	return n, err
-}
-
 func (c *Counter) begin(ctx context.Context, x *Index, budget *int64) {
 	c.x, c.ctx, c.budget, c.stats, c.work, c.err = x, ctx, budget, Stats{}, 0, nil
 	for i := range c.factors {
@@ -437,18 +417,6 @@ func CountContext(ctx context.Context, x *Index, q Query, bindOrder []int32, nod
 		return Stats{}, err
 	}
 	return c.CountContext(ctx, x, nodeBudget)
-}
-
-// CountAnchoredContext counts the matches of q whose root binds exactly
-// to the data node root; see Counter.CountAnchoredContext. The budget is
-// shared across calls through the pointer, so a sampler can spread one
-// budget over many probes.
-func CountAnchoredContext(ctx context.Context, x *Index, q Query, root int32, nodeBudget *int64) (int64, error) {
-	c, err := NewCounter(q, nil)
-	if err != nil {
-		return 0, err
-	}
-	return c.CountAnchoredContext(ctx, x, root, nodeBudget)
 }
 
 // CountAllContext counts each child-axis pattern anywhere in x's document

@@ -68,8 +68,8 @@ func acquireScratch(x *Index, q Query) *execScratch {
 }
 
 func releaseScratch(s *execScratch) {
-	// Executions unmark on unwind even when stopping early, so only
-	// externally anchored marks remain; clear whatever is left.
+	// Executions unmark on unwind even when stopping early; clear
+	// whatever a panicking emit left marked.
 	for _, v := range s.usedStack {
 		s.used[v] = false
 	}
@@ -121,21 +121,6 @@ func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32,
 // and a recursion step, so 256 visits bound the post-cancellation overrun
 // to well under a millisecond.
 const budgetPollInterval = 256
-
-// enumerateAnchored counts by enumeration the matches of q whose root
-// binds to root: the fallback of Counter.CountAnchoredContext.
-func enumerateAnchored(ctx context.Context, x *Index, q Query, root int32, nodeBudget *int64) (int64, error) {
-	scratch := acquireScratch(x, q)
-	defer releaseScratch(scratch)
-	for i := range scratch.order {
-		scratch.order[i] = int32(i)
-	}
-	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget}
-	scratch.assigned[0] = root
-	e.mark(root)
-	e.run(1, keepGoing)
-	return e.stats.Matches, e.err
-}
 
 // validateOrder checks that order is a permutation binding parents before
 // children, using pos as scratch.
