@@ -101,9 +101,11 @@ bench:
 # response time per backend: the bare estimators cold, and the two
 # recursive methods warm through a summary's answer cache) and twig
 # execution, and
-# writes BENCH_core.json with ns/op, B/op, and allocs/op per result.
+# writes BENCH_core.json with ns/op, B/op, and allocs/op per result: five
+# runs of each benchmark, reported as the median run with the range of
+# the five runs' ns/op.
 benchcore:
-	$(GO) run ./cmd/benchcore -benchtime 1s -scale 2000 -out BENCH_core.json
+	$(GO) run ./cmd/benchcore -benchtime 1s -count 5 -scale 2000 -out BENCH_core.json
 
 microbench:
 	$(GO) test -bench . -benchtime 1x ./...

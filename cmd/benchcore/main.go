@@ -8,7 +8,10 @@
 //
 // The tool shells out to `go test -bench` and parses the standard
 // benchmark output, so the numbers are exactly what a developer sees
-// running the benchmarks by hand. It fails when an alternative of the
+// running the benchmarks by hand. With -count n every benchmark runs n
+// times, and its row reports the median run's ns/op, B/op and allocs/op
+// with the fastest and slowest run's ns/op beside them, so a row shows
+// how far its own runs spread. It fails when an alternative of the
 // -bench regexp matched no benchmark, so a renamed benchmark cannot
 // silently drop its rows from the report.
 package main
@@ -16,6 +19,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,16 +27,22 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line, or, in the report, the median of
+// one benchmark's runs: its fields are the median run's, with Runs and
+// the ns/op range of all runs added.
 type Result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	NsPerOpMin  float64            `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax  float64            `json:"ns_per_op_max,omitempty"`
+	Runs        int                `json:"runs,omitempty"`
 	BytesPerOp  *int64             `json:"b_per_op,omitempty"`
 	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
@@ -47,6 +57,7 @@ type Report struct {
 	NumCPU      int      `json:"num_cpu"`
 	BenchRegexp string   `json:"bench_regexp"`
 	Benchtime   string   `json:"benchtime"`
+	Count       int      `json:"count"`
 	Scale       string   `json:"scale,omitempty"`
 	Results     []Result `json:"results"`
 }
@@ -57,10 +68,15 @@ func main() {
 		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkStoreLookup$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkPlanVsNaive$",
 		"go test -bench regexp")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (empty = go default)")
+	count := flag.Int("count", 1, "runs of each benchmark (go test -count); a row reports their median")
 	scale := flag.String("scale", "", "TWIG_BENCH_SCALE for the macro benchmarks (empty = package default)")
 	flag.Parse()
 
-	args := []string{"test", "-run", "^$", "-bench", *benchRe, "-benchmem"}
+	if *count < 1 {
+		fmt.Fprintf(os.Stderr, "benchcore: -count %d: need at least one run\n", *count)
+		os.Exit(2)
+	}
+	args := []string{"test", "-run", "^$", "-bench", *benchRe, "-benchmem", "-count", strconv.Itoa(*count)}
 	if *benchtime != "" {
 		args = append(args, "-benchtime", *benchtime)
 	}
@@ -79,7 +95,7 @@ func main() {
 	}
 	os.Stdout.Write(stdout.Bytes())
 
-	results := parseBenchOutput(&stdout)
+	results := medians(parseBenchOutput(&stdout))
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchcore: no benchmark results parsed")
 		os.Exit(1)
@@ -101,6 +117,7 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		BenchRegexp: *benchRe,
 		Benchtime:   *benchtime,
+		Count:       *count,
 		Scale:       *scale,
 		Results:     results,
 	}
@@ -129,6 +146,29 @@ func parseBenchOutput(r *bytes.Buffer) []Result {
 		if res, ok := parseBenchLine(sc.Text()); ok {
 			out = append(out, res)
 		}
+	}
+	return out
+}
+
+// medians folds the runs of each benchmark into one row, in the order
+// the benchmarks first ran: the median run by ns/op (the lower middle
+// one of an even count), with every run's ns/op range and the run count.
+func medians(runs []Result) []Result {
+	var order []string
+	byName := make(map[string][]Result)
+	for _, r := range runs {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		slices.SortStableFunc(rs, func(a, b Result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		row := rs[(len(rs)-1)/2]
+		row.NsPerOpMin, row.NsPerOpMax, row.Runs = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp, len(rs)
+		out = append(out, row)
 	}
 	return out
 }

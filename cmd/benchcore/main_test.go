@@ -69,3 +69,43 @@ func TestUnmatchedAlternatives(t *testing.T) {
 		t.Error("invalid regexp accepted")
 	}
 }
+
+// TestMedians folds repeated runs into one row per benchmark, in first-run
+// order: the median run's ns/op, B/op and allocs/op, the range of ns/op,
+// and the run count; an even count takes the lower middle run.
+func TestMedians(t *testing.T) {
+	var runs []Result
+	for _, line := range []string{
+		"BenchmarkKey/size8-8   100   170 ns/op   24 B/op   1 allocs/op",
+		"BenchmarkIndex-8       10   9000 ns/op  800 B/op   7 allocs/op",
+		"BenchmarkKey/size8-8   100   150 ns/op   24 B/op   1 allocs/op",
+		"BenchmarkIndex-8       12   7000 ns/op  800 B/op   7 allocs/op",
+		"BenchmarkKey/size8-8   100   190 ns/op   24 B/op   1 allocs/op",
+		"BenchmarkIndex-8       11   8000 ns/op  816 B/op   8 allocs/op",
+		"BenchmarkKey/size8-8   100   160 ns/op   24 B/op   1 allocs/op",
+		"BenchmarkKey/size8-8   100   180 ns/op   24 B/op   1 allocs/op",
+		"BenchmarkIndex-8        9  10000 ns/op  800 B/op   7 allocs/op",
+	} {
+		r, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("line not parsed: %q", line)
+		}
+		runs = append(runs, r)
+	}
+	got := medians(runs)
+	if len(got) != 2 || got[0].Name != "BenchmarkKey/size8" || got[1].Name != "BenchmarkIndex" {
+		t.Fatalf("rows %+v, want BenchmarkKey/size8 then BenchmarkIndex", got)
+	}
+	key, index := got[0], got[1]
+	if key.NsPerOp != 170 || key.NsPerOpMin != 150 || key.NsPerOpMax != 190 || key.Runs != 5 {
+		t.Errorf("odd count: %+v, want median 170 of 150..190 over 5 runs", key)
+	}
+	// Runs sorted by ns/op: 7000, 8000, 9000, 10000; the lower middle is 8000.
+	if index.NsPerOp != 8000 || index.NsPerOpMin != 7000 || index.NsPerOpMax != 10000 || index.Runs != 4 ||
+		index.Iterations != 11 || *index.BytesPerOp != 816 || *index.AllocsPerOp != 8 {
+		t.Errorf("even count: %+v, want the 8000 ns run of 7000..10000 over 4 runs", index)
+	}
+	if one := medians(runs[:1]); len(one) != 1 || one[0].Runs != 1 || one[0].NsPerOpMin != 170 || one[0].NsPerOpMax != 170 {
+		t.Errorf("single run: %+v", one)
+	}
+}

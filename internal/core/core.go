@@ -47,8 +47,10 @@ func Methods() []Method {
 
 // MaxK caps the lattice level. Level-wise enumeration is exponential in
 // K, and the paper's evaluation never goes beyond 5; the cap turns a
-// runaway K into ErrKTooLarge instead of an out-of-memory build.
-const MaxK = 16
+// runaway K into ErrKTooLarge instead of an out-of-memory build. It is
+// the K bound the lattice readers enforce, so every summary core builds
+// can be read back.
+const MaxK = lattice.MaxK
 
 // BuildOptions configures summary construction.
 type BuildOptions struct {

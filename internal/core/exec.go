@@ -82,8 +82,12 @@ type QueryResult struct {
 	// Degraded reports the node budget ran out mid-scan: Count is a
 	// partial answer.
 	Degraded bool
-	// Fallback reports that the query has a descendant edge and a
-	// repeated label, so its matches were counted by enumeration.
+	// Fallback reports that the product counter cannot count the query
+	// exactly, so its matches were counted by enumeration: two query
+	// nodes share a label, neither is the other's ancestor, they are not
+	// siblings in one same-label group, and a "//" edge lies on the path
+	// from their lowest common ancestor to one of them (see
+	// twigjoin.Counter).
 	Fallback bool
 	// DocsScanned is how many documents the execution visited.
 	DocsScanned int
@@ -162,6 +166,7 @@ func (s *Summary) ExecuteQueryContext(ctx context.Context, q twigjoin.Query, opt
 	if err != nil {
 		return nil, err
 	}
+	defer counter.Release()
 	res.Fallback = counter.Fallback()
 
 	var names []string

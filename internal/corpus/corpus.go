@@ -358,6 +358,7 @@ func (c *Corpus) ExactCountContext(ctx context.Context, q labeltree.Pattern) (in
 	if err != nil {
 		return 0, err
 	}
+	defer counter.Release()
 	var total int64
 	for _, tree := range c.Trees() {
 		st, err := counter.CountContext(ctx, c.indexer.For(tree), nil)

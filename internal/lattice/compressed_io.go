@@ -211,7 +211,7 @@ func OpenCompressed(data []byte, dict *labeltree.Dict) (*Compressed, error) {
 	if blockLen < 1 || blockLen > 1<<12 {
 		return nil, fmt.Errorf("lattice: implausible compressed block length %d", blockLen)
 	}
-	if k < 2 || k > 1<<20 {
+	if k < 2 || k > MaxK {
 		return nil, fmt.Errorf("lattice: implausible K=%d", k)
 	}
 	if nLabels > 1<<24 {

@@ -322,6 +322,79 @@ func TestReadLabelCountAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestReadKBound: a TLAT or TLCZ header claiming K = 2^20 fails, under
+// Read, ReadFrozen and OpenCompressed, without sizing anything by the
+// claim, while a summary at K = MaxK reads back under all three.
+func TestReadKBound(t *testing.T) {
+	// K = 2^20, not pruned, no labels, one entry claiming 2^20 nodes.
+	tlat := binary.AppendUvarint([]byte("TLAT\x01"), 1<<20)
+	tlat = append(tlat, 0, 0, 1)
+	tlat = binary.AppendUvarint(tlat, 1<<20)
+
+	d, a, b := twoLabels()
+	s := New(MaxK, d)
+	if err := s.Add(labeltree.PathPattern(a, b), 7); err != nil {
+		t.Fatal(err)
+	}
+	var plain, packed bytes.Buffer
+	if _, err := s.WriteTo(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteCompressed(&packed, s); err != nil {
+		t.Fatal(err)
+	}
+	tlcz := bytes.Clone(packed.Bytes())
+	binary.LittleEndian.PutUint32(tlcz[8:], 1<<20) // K; the checksum covers only the sections
+
+	type reader struct {
+		name string
+		fn   func(data []byte) (int, error) // the K read back
+	}
+	readPlain := func(data []byte) (int, error) {
+		s, err := Read(bytes.NewReader(data), labeltree.NewDict())
+		if err != nil {
+			return 0, err
+		}
+		return s.K(), nil
+	}
+	readFrozen := func(data []byte) (int, error) {
+		f, err := ReadFrozen(bytes.NewReader(data), labeltree.NewDict())
+		if err != nil {
+			return 0, err
+		}
+		return f.K(), nil
+	}
+	openCompressed := func(data []byte) (int, error) {
+		c, err := OpenCompressed(data, labeltree.NewDict())
+		if err != nil {
+			return 0, err
+		}
+		return c.K(), nil
+	}
+	for _, tc := range []struct {
+		reader
+		bad, good []byte
+	}{
+		{reader{"Read", readPlain}, tlat, plain.Bytes()},
+		{reader{"ReadFrozen", readFrozen}, tlat, plain.Bytes()},
+		{reader{"OpenCompressed", openCompressed}, tlcz, packed.Bytes()},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.fn(tc.bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a %d-byte summary claiming K = 2^20", tc.name, len(tc.bad))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s of a %d-byte summary claiming K = 2^20 allocated %d bytes before failing", tc.name, len(tc.bad), n)
+		}
+		if k, err := tc.fn(tc.good); err != nil || k != MaxK {
+			t.Errorf("%s of a K = %d summary: K %d, err %v", tc.name, MaxK, k, err)
+		}
+	}
+}
+
 type failingWriter struct{ after int }
 
 func (f *failingWriter) Write(p []byte) (int, error) {

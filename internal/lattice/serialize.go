@@ -21,6 +21,11 @@ const (
 	version = 1
 )
 
+// MaxK is the largest K a stored summary may claim, the level cap
+// core.MaxK builds with: a reader sizes per-entry arrays by K, so a header
+// past it is corrupt, not a deeper lattice.
+const MaxK = 16
+
 // WriteTo serializes the summary. Label IDs are written as indexes into an
 // embedded label-name table, so the summary can be loaded against any
 // dictionary.
@@ -122,7 +127,7 @@ func newSummaryReader(r io.Reader, dict *labeltree.Dict) (*summaryReader, error)
 	if err != nil {
 		return nil, fmt.Errorf("lattice: reading K: %w", err)
 	}
-	if k < 2 || k > 1<<20 {
+	if k < 2 || k > MaxK {
 		return nil, fmt.Errorf("lattice: implausible K=%d", k)
 	}
 	prunedByte, err := br.ReadByte()

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,8 +13,21 @@ import (
 )
 
 // skewedDoc has many r elements with common children and a single rare
-// child: a plan that probes the rare branch first fails fast.
+// child: a plan that probes the rare branch first fails fast. All but the
+// first r are one subtree, so the counter's memo answers them after the
+// first whatever the bind order.
 func skewedDoc(t *testing.T) (*labeltree.Tree, *labeltree.Dict) {
+	return parseSkewed(t, false)
+}
+
+// shapedSkewedDoc is skewedDoc with each r given its own shape: r number i
+// also holds an empty mark element mb for each bit b set in i, so no two
+// r subtrees are equal and the bind order decides the counter's work.
+func shapedSkewedDoc(t *testing.T) (*labeltree.Tree, *labeltree.Dict) {
+	return parseSkewed(t, true)
+}
+
+func parseSkewed(t *testing.T, shaped bool) (*labeltree.Tree, *labeltree.Dict) {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<root>")
@@ -24,6 +38,11 @@ func skewedDoc(t *testing.T) (*labeltree.Tree, *labeltree.Dict) {
 		}
 		if i == 0 {
 			sb.WriteString("<rare><y/></rare>")
+		}
+		for b := 0; shaped && i>>b != 0; b++ {
+			if i>>b&1 != 0 {
+				fmt.Fprintf(&sb, "<m%d/>", b)
+			}
 		}
 		sb.WriteString("</r>")
 	}
@@ -69,22 +88,10 @@ func TestChooseOrdersSelectiveSubtreeFirst(t *testing.T) {
 	}
 }
 
+// TestPlannedExecutionBeatsNaive: on r subtrees that all differ, binding
+// the rare branch first visits far fewer candidates than the naive order.
 func TestPlannedExecutionBeatsNaive(t *testing.T) {
-	tr, dict := skewedDoc(t)
-	est := estimatorFor(t, tr)
-	x := twigjoin.NewIndex(tr)
-	q := twigjoin.MustParseQuery("//r(common(x),rare(y))", dict)
-
-	planned := Choose(q, est)
-	gotPlanned, stPlanned := Execute(x, q, planned)
-
-	naive := Plan{Order: NaiveOrder(q)}
-	gotNaive, stNaive := Execute(x, q, naive)
-
-	truth := enumCount(twigjoin.NewIndex(tr), q.Pattern)
-	if gotPlanned != truth || gotNaive != truth {
-		t.Fatalf("match counts diverge: planned=%d naive=%d truth=%d", gotPlanned, gotNaive, truth)
-	}
+	stPlanned, stNaive := plannedAndNaive(t, shapedSkewedDoc)
 	if stPlanned.Candidates >= stNaive.Candidates {
 		t.Fatalf("planned scan (%d candidates) not cheaper than naive (%d)",
 			stPlanned.Candidates, stNaive.Candidates)
@@ -94,6 +101,39 @@ func TestPlannedExecutionBeatsNaive(t *testing.T) {
 		t.Fatalf("planned scan only marginally cheaper: %d vs %d",
 			stPlanned.Candidates, stNaive.Candidates)
 	}
+}
+
+// TestRepeatedSubtreesCollapseBindOrder: when the r subtrees repeat, the
+// counter's memo counts the repeated one once under either order, so the
+// two orders visit about as many candidates, both far below the 2,202 the
+// naive order visits without the memo.
+func TestRepeatedSubtreesCollapseBindOrder(t *testing.T) {
+	stPlanned, stNaive := plannedAndNaive(t, skewedDoc)
+	if d := stNaive.Candidates - stPlanned.Candidates; d < -8 || d > 8 || stNaive.Candidates > 250 {
+		t.Fatalf("planned %d and naive %d candidates: want both near the 200 r visits",
+			stPlanned.Candidates, stNaive.Candidates)
+	}
+}
+
+// plannedAndNaive counts //r(common(x),rare(y)) over doc's document under
+// the planner's order and the naive one, checks both against enumeration
+// and returns their stats.
+func plannedAndNaive(t *testing.T, doc func(*testing.T) (*labeltree.Tree, *labeltree.Dict)) (planned, naive twigjoin.Stats) {
+	t.Helper()
+	tr, dict := doc(t)
+	est := estimatorFor(t, tr)
+	x := twigjoin.NewIndex(tr)
+	q := twigjoin.MustParseQuery("//r(common(x),rare(y))", dict)
+
+	gotPlanned, planned := Execute(x, q, Choose(q, est))
+	gotNaive, naive := Execute(x, q, Plan{Order: NaiveOrder(q)})
+
+	truth := enumCount(twigjoin.NewIndex(tr), q.Pattern)
+	if gotPlanned != truth || gotNaive != truth {
+		t.Fatalf("match counts diverge: planned=%d naive=%d truth=%d", gotPlanned, gotNaive, truth)
+	}
+	t.Logf("planned %d, naive %d candidates", planned.Candidates, naive.Candidates)
+	return planned, naive
 }
 
 func TestAnchorPath(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -44,17 +45,29 @@ var ErrSiblingGroup = errors.New("twigjoin: too many same-label siblings")
 // reports a query with such a pair, such as //a(b,//b) or
 // //a(//b(//c),//b(//c)), and the counter then counts it by enumeration.
 //
-// A Counter is prepared once per query and reused across documents;
-// counting a document without same-label groups allocates nothing. It is
-// not safe for concurrent use.
+// count(u, v) depends only on v's subtree as an unordered labeled tree:
+// the probes under two nodes of one subtree class differ only in order,
+// and sums, products and the subset DP's permanent ignore order. So a
+// count memoizes count(u, v) for internal query nodes u by (u, class of
+// v) and answers a repeated pair at the cost of the candidate visit that
+// offered v. Enumeration, the fallback, does not use the memo.
+//
+// A Counter is prepared once per query and reused across documents. It
+// takes its memo table on its first count and keeps it until Release;
+// counting a document without same-label groups allocates nothing once
+// the table is as large as the document needs. It is not safe for
+// concurrent use.
 type Counter struct {
 	q        Query
 	order    []int32
 	fallback bool
+	internal int // query nodes with children: the memo's node keys
 	// factors holds every node's child factors, grouped by parent and in
 	// plan order within a parent; node u's are factors[first[u]:first[u+1]].
 	factors []factor
 	first   []int32
+
+	memo *memo // kept across counts until Release
 
 	// Per-count state.
 	x      *Index
@@ -62,7 +75,57 @@ type Counter struct {
 	budget *int64
 	stats  Stats
 	work   int64 // units charged: visits and subset-DP steps
+	hits   int64 // counts answered by the memo
 	err    error
+}
+
+// maxMemoSlots bounds a memo table: 24 B a slot, 384 KiB in all.
+const maxMemoSlots = 1 << 14
+
+// memo is a direct-mapped table of count(u, v) keyed by (u, class of v).
+// A slot holds a value only while its gen is the table's: each count
+// takes a new generation, which retires every slot at once.
+type memo struct {
+	slots []memoSlot
+	shift uint // 64 − log2(len(slots)): a key hash's top bits pick its slot
+	gen   uint32
+}
+
+type memoSlot struct {
+	gen   uint32
+	node  int32 // query node u
+	class int32 // subtree class of the data node u is bound to
+	n     int64 // count(u, v)
+}
+
+// memoPool holds the tables of finished counters.
+var memoPool = sync.Pool{New: func() any { return new(memo) }}
+
+// reset readies m for a count that may store up to want keys: it grows
+// the table toward want slots, at most maxMemoSlots, and takes a new
+// generation.
+func (m *memo) reset(want int) {
+	size := 64
+	for size < want && size < maxMemoSlots {
+		size <<= 1
+	}
+	if len(m.slots) < size {
+		m.slots = make([]memoSlot, size)
+		m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		m.gen = 0
+	}
+	if m.gen++; m.gen == 0 {
+		// The stamps wrapped: clear them so no slot of an old
+		// generation passes for the new one.
+		clear(m.slots)
+		m.gen = 1
+	}
+}
+
+// slot returns the one slot (u, class) may occupy.
+func (m *memo) slot(u, class int32) *memoSlot {
+	h := (uint64(uint32(u))<<32 | uint64(uint32(class))) * 0x9e3779b97f4a7c15
+	return &m.slots[h>>m.shift]
 }
 
 // factor is one child of a query node, or a group of its children that
@@ -143,6 +206,9 @@ func NewCounter(q Query, order []int32) (*Counter, error) {
 			j++
 		}
 		c.first[u] = int32(j)
+		if u > 0 && c.first[u] != c.first[u-1] {
+			c.internal++
+		}
 	}
 	return c, nil
 }
@@ -230,10 +296,26 @@ func (c *Counter) CountContext(ctx context.Context, x *Index, nodeBudget *int64)
 	return c.end()
 }
 
+// Release returns the counter's memo table to a shared pool, for a
+// Counter that counts no more or only rarely; a later count takes a
+// table again.
+func (c *Counter) Release() {
+	if c.memo != nil {
+		memoPool.Put(c.memo)
+		c.memo = nil
+	}
+}
+
 func (c *Counter) begin(ctx context.Context, x *Index, budget *int64) {
-	c.x, c.ctx, c.budget, c.stats, c.work, c.err = x, ctx, budget, Stats{}, 0, nil
+	c.x, c.ctx, c.budget, c.stats, c.work, c.hits, c.err = x, ctx, budget, Stats{}, 0, 0, nil
 	for i := range c.factors {
 		c.factors[i].regions = x.regions[c.factors[i].label]
+	}
+	if c.internal > 0 {
+		if c.memo == nil {
+			c.memo = memoPool.Get().(*memo)
+		}
+		c.memo.reset(c.internal * len(x.size))
 	}
 }
 
@@ -297,10 +379,18 @@ func (c *Counter) sum(u int32, cands []int32) int64 {
 }
 
 // count returns the matches of u's subtree with u bound to v: the product
-// of u's child factors in plan order. It returns 0 after a stop.
+// of u's child factors in plan order, or the memo's value for u and v's
+// class. It returns 0 after a stop, and a count a stop cut short is not
+// stored.
 func (c *Counter) count(u, v int32) int64 {
+	class := c.x.class[v]
+	m := c.memo.slot(u, class)
+	if m.gen == c.memo.gen && m.node == u && m.class == class {
+		c.hits++
+		return m.n
+	}
 	prod := int64(1)
-	for i := c.first[u]; i < c.first[u+1]; i++ {
+	for i := c.first[u]; i < c.first[u+1] && prod != 0; i++ {
 		f := &c.factors[i]
 		probe := c.x.probe(f.regions, v, f.axis)
 		var n int64
@@ -309,11 +399,12 @@ func (c *Counter) count(u, v int32) int64 {
 		} else {
 			n = c.group(f, probe)
 		}
-		if n == 0 || c.err != nil {
+		if c.err != nil {
 			return 0
 		}
 		prod = satMul(prod, n)
 	}
+	*m = memoSlot{gen: c.memo.gen, node: u, class: class, n: prod}
 	return prod
 }
 
@@ -416,6 +507,7 @@ func CountContext(ctx context.Context, x *Index, q Query, bindOrder []int32, nod
 	if err != nil {
 		return Stats{}, err
 	}
+	defer c.Release()
 	return c.CountContext(ctx, x, nodeBudget)
 }
 
@@ -435,9 +527,18 @@ func CountAllContext(ctx context.Context, x *Index, patterns []labeltree.Pattern
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One memo table serves all of this worker's counters.
+			m := memoPool.Get().(*memo)
+			defer memoPool.Put(m)
 			for i := next.Add(1) - 1; i < int64(len(patterns)) && ctx.Err() == nil; i = next.Add(1) - 1 {
+				c, err := NewCounter(MustQuery(patterns[i], nil), nil)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				c.memo = m
 				var st Stats
-				st, errs[i] = CountContext(ctx, x, MustQuery(patterns[i], nil), nil, nil)
+				st, errs[i] = c.CountContext(ctx, x, nil)
 				out[i] = st.Matches
 			}
 		}()

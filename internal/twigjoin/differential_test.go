@@ -85,9 +85,11 @@ func distinctSiblings(q twigjoin.Query) bool {
 	return true
 }
 
-// diffStats tallies what a differential run covered.
+// diffStats tallies what a differential run covered; memoHits counts the
+// counts the counter answered from its memo.
 type diffStats struct {
 	queries, positives, descendant, dupSiblings, anchored, fallback, bounded int
+	memoHits                                                                 int64
 }
 
 // checkCounter runs q under one bind order: the counter with a node budget
@@ -141,6 +143,7 @@ func checkCounter(t *testing.T, x *twigjoin.Index, q twigjoin.Query, order []int
 	if c.Fallback() {
 		st.fallback++
 	}
+	st.memoHits += twigjoin.MemoHits(c)
 	if got.Matches > 0 {
 		st.positives++
 	}
@@ -215,6 +218,7 @@ func TestCounterDifferential(t *testing.T) {
 			all.anchored += st.anchored
 			all.fallback += st.fallback
 			all.bounded += st.bounded
+			all.memoHits += st.memoHits
 		}
 		assertCoverage(t, all)
 	})
@@ -227,7 +231,7 @@ func assertCoverage(t *testing.T, st diffStats) {
 		"checked queries": st.queries, "positive counts": st.positives,
 		"descendant twigs": st.descendant, "duplicate sibling labels": st.dupSiblings,
 		"anchored roots": st.anchored, "fallback counts": st.fallback,
-		"work-bounded planner runs": st.bounded,
+		"work-bounded planner runs": st.bounded, "memo answers": int(st.memoHits),
 	} {
 		if n == 0 {
 			t.Errorf("differential covered no %s", name)

@@ -9,8 +9,9 @@ import (
 )
 
 // ErrNodeBudget reports an execution stopped because it exhausted its
-// candidate-visit budget. Sampling estimators branch on it with errors.Is
-// to distinguish "ran out of budget" from "the context was canceled".
+// candidate-visit budget. Query execution branches on it with errors.Is
+// to tell "ran out of budget", a partial answer it reports as degraded,
+// from "the context was canceled", which fails the request.
 var ErrNodeBudget = errors.New("twigjoin: node budget exhausted")
 
 // Match is one query answer: Match[i] is the data node bound to query

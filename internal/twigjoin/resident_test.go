@@ -17,7 +17,9 @@ import (
 // least of a few trials stands, so a collection that ran late or a
 // stray allocation elsewhere cannot fail it. The flat tree holds four
 // 32-bit words per node (label, parent, child entry, offset) and the
-// index five more (start, end, stream entry and its start, child entry).
+// index four more (start, subtree class, stream entry, child entry), and
+// a fifth, the stream entry's start, on a tree not numbered in preorder
+// (XMark's generator keeps adding items under regions it made first).
 func TestResidentBytesPerNode(t *testing.T) {
 	const (
 		copies      = 8
