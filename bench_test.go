@@ -34,6 +34,7 @@ import (
 	"treelattice/internal/treetest"
 	"treelattice/internal/twigjoin"
 	"treelattice/internal/workload"
+	"treelattice/internal/xmlparse"
 )
 
 func benchScale() int {
@@ -628,29 +629,39 @@ var (
 // form and builds its region index, which a corpus pays once per
 // document at open (the miner builds only the index, once per mined
 // document), then counts matches on the index with the counter and by
-// enumeration, per axis flavor.
+// enumeration, per axis flavor. The generator does not number XMark's
+// nodes in preorder, and a stored tree keeps its numbering, so the
+// load-preorder and index-preorder rows repeat the first two on the
+// document parsed back from its XML: the preorder-numbered form every
+// served document has.
 func BenchmarkTwigJoinExecution(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
-	var stored bytes.Buffer
-	if _, err := labeltree.WriteTree(&stored, e.Tree); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t, err := labeltree.ReadTree(bytes.NewReader(stored.Bytes()), e.Dict)
-			if err != nil {
-				b.Fatal(err)
+	parsed := parsedCopy(b, e.Tree, e.Dict)
+	for _, tc := range []struct {
+		suffix string
+		tree   *labeltree.Tree
+	}{{"", e.Tree}, {"-preorder", parsed}} {
+		var stored bytes.Buffer
+		if _, err := labeltree.WriteTree(&stored, tc.tree); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("load"+tc.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t, err := labeltree.ReadTree(bytes.NewReader(stored.Bytes()), e.Dict)
+				if err != nil {
+					b.Fatal(err)
+				}
+				treeSink = t
 			}
-			treeSink = t
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			indexSink = twigjoin.NewIndex(e.Tree)
-		}
-	})
+		})
+		b.Run("index"+tc.suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				indexSink = twigjoin.NewIndex(tc.tree)
+			}
+		})
+	}
 	x := twigjoin.NewIndex(e.Tree)
 	for _, tc := range []struct{ name, q string }{
 		{"child", "//open_auction(bidder(date),itemref)"},
@@ -659,6 +670,78 @@ func BenchmarkTwigJoinExecution(b *testing.B) {
 	} {
 		q := twigjoin.MustParseQuery(tc.q, e.Dict)
 		b.Run(tc.name, func(b *testing.B) { benchCountVsEnumerate(b, x, q) })
+	}
+}
+
+// parsedCopy returns t written as XML and parsed back into dict: the
+// form a corpus serves, numbered in preorder.
+func parsedCopy(b *testing.B, t *labeltree.Tree, dict *labeltree.Dict) *labeltree.Tree {
+	b.Helper()
+	var x bytes.Buffer
+	if err := xmlparse.Write(&x, t); err != nil {
+		b.Fatal(err)
+	}
+	p, err := xmlparse.Parse(&x, dict, xmlparse.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkExecuteQuery times served twig execution below HTTP:
+// Summary.ExecuteQueryContext over 48 documents of about 1,000 elements,
+// cycling the four profiles and parsed from XML as a corpus serves them,
+// one query of a fixed set per operation. The count row sends count-only
+// requests, which count in stored order with no plan; the limit=5 row
+// plans with the default method, counts, and materializes up to five
+// tuples. Both count in one pass with min(GOMAXPROCS, 48) workers.
+func BenchmarkExecuteQuery(b *testing.B) {
+	dict := labeltree.NewDict()
+	trees := make([]*labeltree.Tree, 48)
+	for i := range trees {
+		t, err := datagen.Generate(datagen.Config{Profile: datagen.AllProfiles()[i%4], Scale: 1000, Seed: int64(i + 1)}, dict)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trees[i] = parsedCopy(b, t, dict)
+	}
+	ctx := context.Background()
+	sum, err := core.BuildForestContext(ctx, trees, core.BuildOptions{K: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var qs []twigjoin.Query
+	for _, src := range []string{
+		"//dataset(//keyword,//author(lastname,initial))",
+		"//reference(source(journal(name)),date(year))",
+		"//movie(title,//actor(name),//genre)",
+		"//ProteinEntry(//author,//feature(location(begin,end)))",
+		"//open_auction(bidder(date),itemref)",
+		"//item(//keyword,//mail(from,date))",
+	} {
+		q, err := sum.ParseTwigQuery(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Build the documents' indexes and check the query matches.
+		if res, err := sum.ExecuteQueryContext(ctx, q, core.QueryOptions{}); err != nil || res.Count == 0 {
+			b.Fatalf("%s: count %v (%v); pick a query that occurs", src, res, err)
+		}
+		qs = append(qs, q)
+	}
+	for _, limit := range []int{0, 5} {
+		name := "count"
+		if limit > 0 {
+			name = fmt.Sprintf("limit=%d", limit)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sum.ExecuteQueryContext(ctx, qs[i%len(qs)], core.QueryOptions{Limit: limit}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

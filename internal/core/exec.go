@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"treelattice/internal/planner"
 	"treelattice/internal/twigjoin"
@@ -47,16 +46,20 @@ func (s *Summary) ParseTwigQuery(query string) (twigjoin.Query, error) {
 // QueryOptions configures ExecuteQueryContext.
 type QueryOptions struct {
 	// Method selects the estimator the planner consults for the bind
-	// order. Empty means MethodFixSized — the fastest registered
-	// estimator, and planning only needs the relative ordering.
+	// order of a request that materializes. Empty means MethodFixSized —
+	// the fastest registered estimator, and planning only needs the
+	// relative ordering.
 	Method Method
 	// Limit caps how many match tuples are materialized; Count stays
-	// exact past it. 0 materializes nothing (count-only).
+	// exact past it. 0 materializes nothing (count-only) and plans
+	// nothing: the count binds in stored numbering.
 	Limit int
 	// NodeBudget bounds the candidates visited, plus the subset-DP steps
-	// of same-label sibling groups, across the whole corpus scan; 0
-	// means unlimited. An exhausted budget marks the result Degraded
-	// with the partial count instead of failing.
+	// of same-label sibling groups, across the counting pass and the
+	// materialization; 0 means unlimited. The pass's workers share it
+	// (see twigjoin.Counter.CountCorpusContext), so it can stop a pass
+	// a few thousand units short of the limit per extra worker. An
+	// exhausted budget marks the result Degraded instead of failing.
 	NodeBudget int64
 	// NaiveOrder skips the planner and binds in stored numbering — the
 	// baseline side of every plan-vs-naive comparison.
@@ -79,8 +82,9 @@ type QueryResult struct {
 	Matches []QueryMatch
 	// Truncated reports that more matches exist than were materialized.
 	Truncated bool
-	// Degraded reports the node budget ran out mid-scan: Count is a
-	// partial answer.
+	// Degraded reports the node budget ran out: in the counting pass, so
+	// Count is a partial answer and no tuple is materialized, or while
+	// materializing, so Count is exact and Matches stops short.
 	Degraded bool
 	// Fallback reports that the product counter cannot count the query
 	// exactly, so its matches were counted by enumeration: two query
@@ -89,13 +93,16 @@ type QueryResult struct {
 	// from their lowest common ancestor to one of them (see
 	// twigjoin.Counter).
 	Fallback bool
-	// DocsScanned is how many documents the execution visited.
+	// DocsScanned is how many documents the counting pass began to
+	// count.
 	DocsScanned int
 	// Stats is the measured work, summed across documents: the
-	// candidates enumeration and the counter visited, and the count.
+	// candidates the counting pass and the materialization visited, and
+	// the count.
 	Stats twigjoin.Stats
-	// Plan is the bind order used, with its estimates. For a naive-order
-	// execution PredictedCandidates is 0 and Calibration is absent.
+	// Plan is the bind order used, with its estimates. For a count-only
+	// or naive-order execution PredictedCandidates is 0 and Calibration
+	// is absent.
 	Plan planner.Plan
 	// PlanMethod is the estimator method that drove the plan ("" for
 	// naive order).
@@ -123,17 +130,19 @@ func (s *Summary) twigIndexer() *twigjoin.Indexer {
 }
 
 // ExecuteQueryContext answers a twig query against the summary's bound
-// documents: it plans a bind order with planner.Choose against this
-// summary's estimator (the current epoch's view, since callers load the
-// summary once per request), counts the matches document by document
-// with a twigjoin.Counter prepared for that order, under the node budget
-// and ctx, and reports the measured work next to the plan's prediction
-// so the cost model is validated by real executions. Enumeration runs
-// only to materialize up to Limit tuples; the counter runs on a document
-// only when enumeration stopped there at the limit. A query the product
-// cannot count exactly (Fallback) is counted by enumeration instead. A
-// query node with more than twigjoin.MaxSiblingGroup same-label children
-// fails with twigjoin.ErrSiblingGroup.
+// documents. It counts the matches of every document in one parallel
+// pass (twigjoin.Counter.CountCorpusContext) under the node budget and
+// ctx, then, when Limit asks for tuples, enumerates the documents whose
+// count is positive in document order until it holds Limit tuples. A
+// count-only request binds in stored order, as a NaiveOrder one does; a
+// request that materializes binds in the order planner.Choose picks with
+// this summary's estimator (the current epoch's view, since callers load
+// the summary once per request), and reports the measured work next to
+// the plan's prediction so that real executions validate the cost model.
+// A query the product cannot count exactly (Fallback) is counted by
+// enumeration inside the pass. A query node with more than
+// twigjoin.MaxSiblingGroup same-label children fails with
+// twigjoin.ErrSiblingGroup.
 func (s *Summary) ExecuteQueryContext(ctx context.Context, q twigjoin.Query, opts QueryOptions) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -148,7 +157,7 @@ func (s *Summary) ExecuteQueryContext(ctx context.Context, q twigjoin.Query, opt
 	}
 
 	res := &QueryResult{}
-	if opts.NaiveOrder {
+	if opts.Limit == 0 || opts.NaiveOrder {
 		res.Plan = planner.Plan{Order: planner.NaiveOrder(q)}
 	} else {
 		method := opts.Method
@@ -169,59 +178,41 @@ func (s *Summary) ExecuteQueryContext(ctx context.Context, q twigjoin.Query, opt
 	defer counter.Release()
 	res.Fallback = counter.Fallback()
 
-	var names []string
-	if dn, ok := src.(DocNamer); ok {
-		names = dn.DocNames()
-	}
 	indexer := s.twigIndexer()
 	var budget *int64
 	if opts.NodeBudget > 0 {
 		b := opts.NodeBudget
 		budget = &b
 	}
-	for i, t := range trees {
-		x := indexer.For(t)
-		var st twigjoin.Stats
-		var err error
-		counted := false
-		if opts.Limit > len(res.Matches) {
-			// Stop at the first match past the limit: it proves the
-			// count needs the counter. Enumeration is a fallback query's
-			// counter, so it runs to the end.
-			more := false
-			st, err = twigjoin.EnumerateContext(ctx, x, q, res.Plan.Order, budget, func(m twigjoin.Match) bool {
-				if len(res.Matches) < opts.Limit {
-					name := fmt.Sprintf("doc[%d]", i)
-					if i < len(names) {
-						name = names[i]
-					}
-					res.Matches = append(res.Matches, QueryMatch{Doc: name, Nodes: append([]int32(nil), m...)})
-					return true
-				}
-				more = true
-				return res.Fallback
-			})
-			counted = !more || res.Fallback
-		}
-		if err == nil && !counted {
-			var cst twigjoin.Stats
-			cst, err = counter.CountContext(ctx, x, budget)
-			st = twigjoin.Stats{Candidates: st.Candidates + cst.Candidates, Matches: cst.Matches}
-		}
-		if res.Count += st.Matches; res.Count < 0 {
-			res.Count = math.MaxInt64
-		}
-		res.Stats.Candidates += st.Candidates
-		res.DocsScanned++
-		if err != nil {
-			if errors.Is(err, twigjoin.ErrNodeBudget) {
-				res.Degraded = true
-				break
-			}
-			return nil, err
-		}
+	pass, err := counter.CountCorpusContext(ctx, indexer, trees, budget)
+	res.Count, res.Stats, res.DocsScanned = pass.Stats.Matches, pass.Stats, pass.Scanned
+
+	// Materialize from the documents the pass found matches in, charging
+	// what it left of the budget.
+	var names []string
+	if dn, ok := src.(DocNamer); ok {
+		names = dn.DocNames()
 	}
-	res.Stats.Matches = res.Count
+	for i := 0; err == nil && i < len(trees) && len(res.Matches) < opts.Limit; i++ {
+		if pass.Counts[i] == 0 {
+			continue
+		}
+		name := fmt.Sprintf("doc[%d]", i)
+		if i < len(names) {
+			name = names[i]
+		}
+		var st twigjoin.Stats
+		st, err = twigjoin.EnumerateContext(ctx, indexer.For(trees[i]), q, res.Plan.Order, budget, func(m twigjoin.Match) bool {
+			res.Matches = append(res.Matches, QueryMatch{Doc: name, Nodes: append([]int32(nil), m...)})
+			return len(res.Matches) < opts.Limit
+		})
+		res.Stats.Candidates += st.Candidates
+	}
+	if errors.Is(err, twigjoin.ErrNodeBudget) {
+		res.Degraded = true
+	} else if err != nil {
+		return nil, err
+	}
 	res.Truncated = res.Count > int64(len(res.Matches)) && opts.Limit > 0
 	if res.Plan.PredictedCandidates > 0 {
 		res.Calibration = float64(res.Stats.Candidates) / res.Plan.PredictedCandidates

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -348,28 +347,25 @@ func (c *Corpus) ExactCount(q labeltree.Pattern) int64 {
 	return total
 }
 
-// ExactCountContext is ExactCount with cooperative cancellation: the
-// counter polls ctx at bounded intervals, so a deadline interrupts a
-// Definition-1 ground-truth scan mid-document instead of after it. A
-// query node with more than twigjoin.MaxSiblingGroup same-label children
-// wraps twigjoin.ErrSiblingGroup. Counts saturate at math.MaxInt64.
+// ExactCountContext is ExactCount with cooperative cancellation: it
+// counts every document in one parallel pass
+// (twigjoin.Counter.CountCorpusContext) with no node budget, and each
+// worker's counter polls ctx at bounded intervals, so a deadline
+// interrupts a Definition-1 ground-truth scan mid-document instead of
+// after it. A query node with more than twigjoin.MaxSiblingGroup
+// same-label children wraps twigjoin.ErrSiblingGroup. Counts saturate at
+// math.MaxInt64.
 func (c *Corpus) ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error) {
 	counter, err := twigjoin.NewCounter(twigjoin.MustQuery(q, nil), nil)
 	if err != nil {
 		return 0, err
 	}
 	defer counter.Release()
-	var total int64
-	for _, tree := range c.Trees() {
-		st, err := counter.CountContext(ctx, c.indexer.For(tree), nil)
-		if err != nil {
-			return 0, err
-		}
-		if total += st.Matches; total < 0 {
-			total = math.MaxInt64
-		}
+	pass, err := counter.CountCorpusContext(ctx, c.indexer, c.Trees(), nil)
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	return pass.Stats.Matches, nil
 }
 
 // ---- persistence helpers ----

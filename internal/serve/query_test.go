@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+
+	"treelattice/internal/core"
+	"treelattice/internal/twigjoin"
 )
 
 // TestQueryEndpoint drives GET/POST /v1/query end to end: planned and
@@ -187,5 +192,100 @@ func TestQueryGroupBudgetDegrades(t *testing.T) {
 	}
 	if got := out["candidates"].(float64); got > budget {
 		t.Fatalf("candidates = %v, over the %d budget", got, budget)
+	}
+}
+
+// TestQueryCountOnlyUnplanned: a count-only request binds in stored order
+// without planning, so it reports that order as its plan and no plan
+// method, prediction or calibration; it still rejects an unknown method.
+func TestQueryCountOnlyUnplanned(t *testing.T) {
+	srv, _ := newServer(t)
+	if code, out := do(t, "POST", srv.URL+"/v1/docs/sample", doc); code != http.StatusCreated {
+		t.Fatalf("add: %d %v", code, out)
+	}
+	for _, url := range []string{
+		"/v1/query?count=1&q=//laptop(brand,price)",
+		"/v1/query?limit=0&method=recursive&q=//laptop(brand,price)",
+	} {
+		code, out := do(t, "GET", srv.URL+url, "")
+		if code != http.StatusOK || out["count"].(float64) != 2 {
+			t.Fatalf("%s: %d %v", url, code, out)
+		}
+		if plan := fmt.Sprint(out["plan"]); plan != "[0 1 2]" {
+			t.Fatalf("%s: plan %s, want the stored order [0 1 2]", url, plan)
+		}
+		for _, field := range []string{"plan_method", "predicted_candidates", "calibration"} {
+			if v, has := out[field]; has {
+				t.Fatalf("%s: count-only answer carries %s = %v", url, field, v)
+			}
+		}
+	}
+	code, out := do(t, "GET", srv.URL+"/v1/query?count=1&method=bogus&q=//laptop(brand,price)", "")
+	if code != http.StatusBadRequest || out["code"] != "unknown_method" {
+		t.Fatalf("count-only with method=bogus: %d %v, want 400 unknown_method", code, out)
+	}
+}
+
+// TestQueryLimitTuplesMatchEnumeration: over several documents, some
+// without matches, a request with a limit, planned or naive=1, returns
+// exactly the first tuples of enumerating the documents in order under
+// the answer's plan, for fallback twigs too.
+func TestQueryLimitTuplesMatchEnumeration(t *testing.T) {
+	srv, c := newServer(t)
+	docs := []string{
+		"<computer><desktops/></computer>",
+		doc,
+		"<computer><laptops><laptop><brand/><brand/><price/></laptop></laptops></computer>",
+		"<computer><laptops><brand/><laptop><brand/><price/><price/></laptop></laptops></computer>",
+		doc,
+	}
+	for i, d := range docs {
+		if code, out := do(t, "POST", fmt.Sprintf("%s/v1/docs/d%d", srv.URL, i), d); code != http.StatusCreated {
+			t.Fatalf("add d%d: %d %v", i, code, out)
+		}
+	}
+	sum := c.Summary()
+	names := sum.Source().(core.DocNamer).DocNames()
+	for _, qs := range []string{"//laptop(brand,price)", "//computer(//brand,//price)", "//laptops(//brand,laptop(brand))"} {
+		q, err := sum.ParseTwigQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, naive := range []bool{false, true} {
+			for _, limit := range []int{1, 2, 3, 5, 100} {
+				url := fmt.Sprintf("%s/v1/query?q=%s&limit=%d&naive=%v", srv.URL, qs, limit, naive)
+				code, out := do(t, "GET", url, "")
+				if code != http.StatusOK {
+					t.Fatalf("%s: %d %v", url, code, out)
+				}
+				var order []int32
+				for _, v := range out["plan"].([]any) {
+					order = append(order, int32(v.(float64)))
+				}
+				var want []string
+				for i, tr := range c.Trees() {
+					twigjoin.Enumerate(twigjoin.NewIndex(tr), q, order, func(m twigjoin.Match) bool {
+						want = append(want, fmt.Sprint(names[i], m))
+						return len(want) < limit
+					})
+					if len(want) == limit {
+						break
+					}
+				}
+				var got []string
+				matches, _ := out["matches"].([]any)
+				for _, m := range matches {
+					mm := m.(map[string]any)
+					var nodes []int32
+					for _, v := range mm["nodes"].([]any) {
+						nodes = append(nodes, int32(v.(float64)))
+					}
+					got = append(got, fmt.Sprint(mm["doc"], twigjoin.Match(nodes)))
+				}
+				if len(want) == 0 || !slices.Equal(got, want) {
+					t.Fatalf("%s: tuples %v, enumeration %v", url, got, want)
+				}
+			}
+		}
 	}
 }

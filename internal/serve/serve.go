@@ -50,13 +50,16 @@
 //
 // GET/POST /v1/query executes a twig query (extended axis syntax, so
 // descendant steps like "//a(b,//c)" work) against the corpus documents
-// over their label-region indexes: twigjoin's counter counts the
-// matches, and enumeration materializes up to limit tuples. The bind
-// order comes from the planner consulting the serving estimator
-// (method=<name> picks it, naive=1 skips planning for the
-// stored-numbering baseline); limit caps materialized match tuples
-// (count stays exact past it), count=1 suppresses tuples entirely, and
-// a blown node budget returns the partial count marked degraded. Every
+// over their label-region indexes: twigjoin's counter counts every
+// document's matches in one parallel pass, and enumeration then
+// materializes up to limit tuples from the documents with matches. A
+// request that materializes binds in the order the planner picks with
+// the serving estimator (method=<name> picks it, naive=1 skips planning
+// for the stored-numbering baseline); a count-only one (count=1 or
+// limit=0) is never planned and binds in stored numbering. limit caps
+// materialized match tuples (count stays exact past it), count=1
+// suppresses tuples entirely, and a blown node budget returns the
+// partial count marked degraded. Every
 // planned execution records measured/predicted candidates in the
 // query.calibration_ratio histogram surfaced under /v1/stats' "query"
 // section — the cost model's live validation signal — next to

@@ -56,7 +56,8 @@ var ErrSiblingGroup = errors.New("twigjoin: too many same-label siblings")
 // takes its memo table on its first count and keeps it until Release;
 // counting a document without same-label groups allocates nothing once
 // the table is as large as the document needs. It is not safe for
-// concurrent use.
+// concurrent use; CountCorpusContext spreads one query's documents over
+// copies of it.
 type Counter struct {
 	q        Query
 	order    []int32
@@ -68,6 +69,9 @@ type Counter struct {
 	first   []int32
 
 	memo *memo // kept across counts until Release
+	// pool, when set, refills budget: CountCorpusContext sets it on each
+	// of its workers' counters for the length of a pass.
+	pool *atomic.Int64
 
 	// Per-count state.
 	x      *Index
@@ -87,7 +91,7 @@ const maxMemoSlots = 1 << 14
 // takes a new generation, which retires every slot at once.
 type memo struct {
 	slots []memoSlot
-	shift uint // 64 − log2(len(slots)): a key hash's top bits pick its slot
+	shift uint // 64 − log2(slots in use): a key hash's top bits pick its slot
 	gen   uint32
 }
 
@@ -103,7 +107,9 @@ var memoPool = sync.Pool{New: func() any { return new(memo) }}
 
 // reset readies m for a count that may store up to want keys: it grows
 // the table toward want slots, at most maxMemoSlots, and takes a new
-// generation.
+// generation. The count uses the first size slots of a larger table, so
+// which keys share a slot, and with it the count's work, depends only on
+// want and not on the counts the table served before.
 func (m *memo) reset(want int) {
 	size := 64
 	for size < want && size < maxMemoSlots {
@@ -111,9 +117,9 @@ func (m *memo) reset(want int) {
 	}
 	if len(m.slots) < size {
 		m.slots = make([]memoSlot, size)
-		m.shift = uint(64 - bits.TrailingZeros(uint(size)))
 		m.gen = 0
 	}
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	if m.gen++; m.gen == 0 {
 		// The stamps wrapped: clear them so no slot of an old
 		// generation passes for the new one.
@@ -213,6 +219,17 @@ func NewCounter(q Query, order []int32) (*Counter, error) {
 	return c, nil
 }
 
+// clone returns a Counter for c's query and bind order that shares c's
+// read-only plan and has its own group scratch and memo table.
+func (c *Counter) clone() *Counter {
+	d := &Counter{q: c.q, order: c.order, fallback: c.fallback, internal: c.internal, first: c.first,
+		factors: make([]factor, len(c.factors))}
+	for i, f := range c.factors {
+		d.factors[i] = factor{label: f.label, axis: f.axis, nodes: f.nodes}
+	}
+	return d
+}
+
 // Fallback reports that the product is not exact for the query, so the
 // counter counts by enumeration.
 func (c *Counter) Fallback() bool { return c.fallback }
@@ -284,7 +301,7 @@ func collides(q Query, groups []factor) bool {
 // The stats up to a stop are returned alongside the error.
 func (c *Counter) CountContext(ctx context.Context, x *Index, nodeBudget *int64) (Stats, error) {
 	if c.fallback {
-		return EnumerateContext(ctx, x, c.q, c.order, nodeBudget, keepGoing)
+		return enumerate(ctx, x, c.q, c.order, nodeBudget, c.pool, keepGoing)
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -336,7 +353,7 @@ func (c *Counter) end() (Stats, error) {
 // when the count must stop.
 func (c *Counter) charge(n int64) int64 {
 	if c.budget != nil {
-		if *c.budget < n {
+		if *c.budget < n && !refill(c.budget, c.pool, n) {
 			n, c.err = max(*c.budget, 0), ErrNodeBudget
 		}
 		*c.budget -= n
@@ -421,7 +438,7 @@ func (c *Counter) group(f *factor, probe []int32) int64 {
 		return 0
 	}
 	need := g * len(probe)
-	if c.budget != nil && *c.budget < int64(need) {
+	if c.budget != nil && *c.budget < int64(need) && !refill(c.budget, c.pool, int64(need)) {
 		// The cells alone would run the budget out: stop before
 		// allocating them.
 		c.visit(int64(need))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"treelattice/internal/labeltree"
 )
@@ -95,6 +96,12 @@ func Enumerate(x *Index, q Query, bindOrder []int32, emit func(Match) bool) Stat
 // The stats accumulated up to the stop are returned alongside the error,
 // so a truncated execution still reports the work it did.
 func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32, nodeBudget *int64, emit func(Match) bool) (Stats, error) {
+	return enumerate(ctx, x, q, bindOrder, nodeBudget, nil, emit)
+}
+
+// enumerate is EnumerateContext with a pool (when non-nil) that refills
+// nodeBudget as it runs out; see refill.
+func enumerate(ctx context.Context, x *Index, q Query, bindOrder []int32, nodeBudget *int64, pool *atomic.Int64, emit func(Match) bool) (Stats, error) {
 	if ctx != nil {
 		// Fail fast: the periodic poll below only fires every
 		// budgetPollInterval visits.
@@ -112,7 +119,7 @@ func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32,
 		copy(scratch.order, bindOrder)
 	}
 	validateOrder(q.Pattern, scratch.order, scratch.pos)
-	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget}
+	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget, pool: pool}
 	e.run(0, emit)
 	return e.stats, e.err
 }
@@ -155,9 +162,11 @@ type executor struct {
 
 	// ctx and budget, when set, make the execution cooperative: ctx is
 	// polled every budgetPollInterval candidate visits, and budget is
-	// decremented per visit. err latches the stop reason.
+	// decremented per visit, refilled from pool when that is set. err
+	// latches the stop reason.
 	ctx    context.Context
 	budget *int64
+	pool   *atomic.Int64
 	err    error
 }
 
@@ -192,7 +201,7 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 	for _, v := range candidates {
 		e.stats.Candidates++
 		if e.budget != nil {
-			if *e.budget <= 0 {
+			if *e.budget <= 0 && !refill(e.budget, e.pool, 1) {
 				e.err = ErrNodeBudget
 				e.stopped = true
 				return
