@@ -99,11 +99,12 @@ bench:
 # pre-optimization string-encoder reference), the store probes, the
 # paper macro benchmarks (Table 3 lattice construction, Figure 9
 # response time per backend: the bare estimators cold, and the two
-# recursive methods warm through a summary's answer cache) and twig
-# execution, and
-# writes BENCH_core.json with ns/op, B/op, and allocs/op per result: five
-# runs of each benchmark, reported as the median run with the range of
-# the five runs' ns/op.
+# recursive methods warm through a summary's answer cache), twig
+# execution, and a served estimate through the HTTP handler beside its
+# decode, parse, estimate and encode steps, and writes BENCH_core.json
+# with ns/op, B/op, and allocs/op per result: five runs of each
+# benchmark, reported as the median run with the range of the five
+# runs' ns/op.
 benchcore:
 	$(GO) run ./cmd/benchcore -benchtime 1s -count 5 -scale 2000 -out BENCH_core.json
 

@@ -1,11 +1,13 @@
 // Command benchcore runs the core micro- and macro-benchmarks of the
 // build/estimate hot path — canonical keying (BenchmarkKey and its
 // pre-optimization reference), summary construction (Table 3), store
-// probes, estimation response time (Figure 9) and twig execution, per
-// document and served over a 48-document corpus — and
-// writes the parsed results to a JSON report (BENCH_core.json). It is
-// the layer-by-layer counterpart of the serving benchmark in perfbench/,
-// whose runs `make bench` records in BENCH_serve.jsonl.
+// probes, estimation response time (Figure 9), twig execution, per
+// document and served over a 48-document corpus, and a served estimate
+// through the HTTP handler with its decode, parse, estimate and encode
+// steps alone — and writes the parsed results to a JSON report
+// (BENCH_core.json). It is the layer-by-layer counterpart of the serving
+// benchmark in perfbench/, whose runs `make bench` records in
+// BENCH_serve.jsonl.
 //
 // The tool shells out to `go test -bench` and parses the standard
 // benchmark output, so the numbers are exactly what a developer sees
@@ -66,7 +68,7 @@ type Report struct {
 func main() {
 	out := flag.String("out", "BENCH_core.json", "output report path")
 	benchRe := flag.String("bench",
-		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkStoreLookup$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkExecuteQuery$|BenchmarkPlanVsNaive$",
+		"BenchmarkKey$|BenchmarkKeyReference$|BenchmarkAppendKey$|BenchmarkKeyBuilderChildKey$|BenchmarkTable3LatticeConstruction$|BenchmarkFigure9ResponseTime$|BenchmarkStoreLookup$|BenchmarkTwigExecIndexed$|BenchmarkTwigJoinExecution$|BenchmarkExecuteQuery$|BenchmarkPlanVsNaive$|BenchmarkServeEstimate$",
 		"go test -bench regexp")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (empty = go default)")
 	count := flag.Int("count", 1, "runs of each benchmark (go test -count); a row reports their median")

@@ -110,7 +110,7 @@ func prepareTreeSketch(ctx context.Context, s *Summary) (Prepared, error) {
 			if err != nil {
 				return Aggregate{}, err
 			}
-			total += v
+			total = estimate.Saturate(total + v)
 		}
 		return Aggregate{Estimate: total}, nil
 	}), nil

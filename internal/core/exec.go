@@ -108,7 +108,8 @@ type QueryResult struct {
 	// naive order).
 	PlanMethod Method
 	// Calibration is measured candidates / predicted candidates — the
-	// cost model's validation signal, 0 when no prediction was made.
+	// cost model's validation signal, 0 when no prediction was made or
+	// the query is a Fallback one.
 	Calibration float64
 }
 
@@ -214,7 +215,10 @@ func (s *Summary) ExecuteQueryContext(ctx context.Context, q twigjoin.Query, opt
 		return nil, err
 	}
 	res.Truncated = res.Count > int64(len(res.Matches)) && opts.Limit > 0
-	if res.Plan.PredictedCandidates > 0 {
+	// A fallback query's candidates are those of counting by enumeration,
+	// which the plan's prediction does not model: it reports no
+	// calibration.
+	if res.Plan.PredictedCandidates > 0 && !res.Fallback {
 		res.Calibration = float64(res.Stats.Candidates) / res.Plan.PredictedCandidates
 	}
 	return res, nil

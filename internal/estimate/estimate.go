@@ -80,12 +80,25 @@ var _ Store = (*lattice.Compressed)(nil)
 
 // Augment applies Theorem 1 / Lemma 1: the expected count of the union of
 // two subtrees with counts s1 and s2 whose common part has count common.
-// A zero common part makes the union impossible and yields 0.
+// A zero common part makes the union impossible and yields 0. The
+// result saturates (see Saturate).
 func Augment(s1, s2, common float64) float64 {
 	if common <= 0 {
 		return 0
 	}
-	return s1 * s2 / common
+	return Saturate(s1 * s2 / common)
+}
+
+// Saturate returns x where it is finite and math.MaxFloat64 where it is
+// not. Every estimator passes its products, quotients, sums and averages
+// through it, so an estimate that overflows float64 (a star of a hundred
+// same-label leaves can) saturates instead of answering +Inf, or NaN
+// once two infinities meet, while every finite result keeps its bits.
+func Saturate(x float64) float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return math.MaxFloat64
+	}
+	return x
 }
 
 // Trace records how an estimate was produced, supporting the paper's
@@ -424,7 +437,7 @@ func aggregate(votes []float64, scheme VotingScheme) float64 {
 		if len(s)%2 == 1 {
 			return s[mid]
 		}
-		return (s[mid-1] + s[mid]) / 2
+		return Saturate((s[mid-1] + s[mid]) / 2)
 	case TrimmedMean:
 		if len(votes) < 4 {
 			break
@@ -432,18 +445,18 @@ func aggregate(votes []float64, scheme VotingScheme) float64 {
 		s := append([]float64(nil), votes...)
 		sort.Float64s(s)
 		cut := len(s) / 4
-		s = s[cut : len(s)-cut]
-		var sum float64
-		for _, v := range s {
-			sum += v
-		}
-		return sum / float64(len(s))
+		return mean(s[cut : len(s)-cut])
 	}
+	return mean(votes)
+}
+
+// mean is the saturating average of votes.
+func mean(votes []float64) float64 {
 	var sum float64
 	for _, v := range votes {
 		sum += v
 	}
-	return sum / float64(len(votes))
+	return Saturate(sum / float64(len(votes)))
 }
 
 // decomposition is one leaf-pair removal, as canonical keys: the pattern

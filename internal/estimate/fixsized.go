@@ -83,7 +83,7 @@ func (f *FixSized) estimate(ctx context.Context, q labeltree.Pattern) (float64, 
 			}
 			return 0, nil
 		}
-		est *= num / den
+		est = Saturate(est * (num / den))
 	}
 	if e.ctxErr != nil {
 		return 0, e.ctxErr

@@ -41,11 +41,11 @@ func (iv Interval) hull(o Interval) Interval {
 func pairBounds(t1, t2, c Interval) Interval {
 	var iv Interval
 	if c.Hi > 0 {
-		iv.Lo = t1.Lo * t2.Lo / c.Hi
+		iv.Lo = Saturate(t1.Lo * t2.Lo / c.Hi)
 	}
 	switch {
 	case c.Lo > 0:
-		iv.Hi = t1.Hi * t2.Hi / c.Lo
+		iv.Hi = Saturate(t1.Hi * t2.Hi / c.Lo)
 	case t1.Hi > 0 && t2.Hi > 0 && c.Hi > 0:
 		// The common part may or may not occur across decomposition
 		// choices; the ratio is unbounded above.

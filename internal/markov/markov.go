@@ -9,6 +9,7 @@ package markov
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"treelattice/internal/labeltree"
@@ -114,9 +115,19 @@ func (tb *Table) Estimate(path []labeltree.LabelID) float64 {
 		if den == 0 {
 			return 0
 		}
-		est *= num / den
+		est = saturate(est * (num / den))
 	}
 	return est
+}
+
+// saturate is estimate.Saturate, kept here because estimate's tests
+// import this package: x where it is finite, math.MaxFloat64 where it
+// is not, so a wide twig's product saturates instead of overflowing.
+func saturate(x float64) float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return math.MaxFloat64
+	}
+	return x
 }
 
 // EstimatePattern estimates a path-shaped twig pattern. It panics on
@@ -154,7 +165,7 @@ func (tb *Table) EstimateTwig(p labeltree.Pattern) float64 {
 	est := 1.0
 	for n := int32(0); int(n) < p.Size(); n++ {
 		if degree[n] == 0 {
-			est *= tb.Estimate(pathTo(n))
+			est = saturate(est * tb.Estimate(pathTo(n)))
 		}
 	}
 	for n := int32(0); int(n) < p.Size(); n++ {
@@ -166,7 +177,7 @@ func (tb *Table) EstimateTwig(p labeltree.Pattern) float64 {
 			return 0
 		}
 		for j := 0; j < degree[n]-1; j++ {
-			est /= v
+			est = saturate(est / v)
 		}
 	}
 	return est

@@ -65,10 +65,10 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultLatencyBounds are the histogram bucket upper bounds (seconds)
-// used for request and estimate latencies: roughly logarithmic from 25µs
-// to 5s, dense in the sub-millisecond range where estimates live.
+// used for request and estimate latencies: roughly logarithmic from 1µs
+// to 5s, dense in the microseconds where served estimates live.
 var DefaultLatencyBounds = []float64{
-	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
+	1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
 	1, 2.5, 5,
 }

@@ -174,6 +174,32 @@ func TestQueryStatsSection(t *testing.T) {
 	}
 }
 
+// TestQueryFallbackUncalibrated: a fallback request with a limit, one
+// whose matches are counted by enumeration, is planned but reports no
+// calibration and leaves query.calibration_ratio where it was: the
+// plan's prediction does not model enumeration's candidates.
+func TestQueryFallbackUncalibrated(t *testing.T) {
+	srv, _ := newServer(t)
+	if code, out := do(t, "POST", srv.URL+"/v1/docs/sample", doc); code != http.StatusCreated {
+		t.Fatalf("add: %d %v", code, out)
+	}
+	code, out := do(t, "GET", srv.URL+"/v1/query?limit=3&q=//laptops(//brand,laptop(brand))", "")
+	if code != http.StatusOK || out["count"].(float64) != 2 || len(out["matches"].([]any)) != 2 {
+		t.Fatalf("fallback query: %d %v", code, out)
+	}
+	if out["plan_method"] != "fix-sized" || out["predicted_candidates"] == nil {
+		t.Fatalf("fallback query with a limit was not planned: %v", out)
+	}
+	if v, has := out["calibration"]; has {
+		t.Fatalf("fallback query reports calibration %v", v)
+	}
+	_, out = do(t, "GET", srv.URL+"/v1/stats", "")
+	qs := out["query"].(map[string]any)
+	if qs["fallback"].(float64) != 1 || qs["calibrated"].(float64) != 0 {
+		t.Fatalf("stats after one fallback query: fallback %v, calibrated %v; want 1, 0", qs["fallback"], qs["calibrated"])
+	}
+}
+
 // TestQueryGroupBudgetDegrades: the subset DP of a same-label sibling
 // group charges the node budget, so a count-only query whose 16 siblings
 // share a few thousand candidates stops at the budget, degraded, instead

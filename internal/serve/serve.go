@@ -36,7 +36,9 @@
 // decompositions, plus the markov and treesketches baselines.
 // GET /v1/explain answers with the recursive+voting estimate, its work
 // trace and its decomposition-choice interval (spread_lo, spread_hi),
-// all from one voting pass.
+// all from one voting pass; an interval unbounded above reports
+// spread_hi as the largest float64, as an estimate that overflows
+// saturates there.
 //
 // Every error response carries the JSON envelope
 //
@@ -99,6 +101,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -373,14 +376,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-func (h *Handler) method(r *http.Request) core.Method {
-	m := r.URL.Query().Get("method")
-	if m == "" {
-		return core.MethodRecursiveVoting
-	}
-	return core.Method(m)
-}
-
 // estimate serves GET /v1/estimate against the live corpus.
 func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 	h.answerEstimate(w, r, "", h.c.Summary())
@@ -394,12 +389,16 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 // The estimate runs within the request budget, degrading to a cheaper
 // method when the budget expires (unless disabled).
 func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant string, sum *core.Summary) {
-	qs := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	qs := params.Get("q")
 	if qs == "" {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	method := h.method(r)
+	method := core.MethodRecursiveVoting
+	if m := params.Get("method"); m != "" {
+		method = core.Method(m)
+	}
 	// Validate the method before the query: with an empty corpus every
 	// label is unknown, and a bogus method should still 400. LookupMethod
 	// checks the registry without preparing the backend.
@@ -407,19 +406,17 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 		writeCoreError(w, err)
 		return
 	}
-	resp := map[string]any{"query": qs}
 	if tenant != "" {
 		if !h.admitTenant(w, tenant) {
 			return
 		}
 		defer h.quota.Release(tenant)
-		resp["tenant"] = tenant
 	}
+	resp := &estimateResponse{Query: qs, Tenant: tenant}
 	q, err := sum.ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		// A label no document has ever carried cannot match: the true
-		// selectivity is exactly zero.
-		resp["estimate"] = 0.0
+		// selectivity is exactly zero, answered without a method.
 		writeJSON(w, resp)
 		return
 	}
@@ -444,12 +441,23 @@ func (h *Handler) answerEstimate(w http.ResponseWriter, r *http.Request, tenant 
 	}
 	if res.Degraded {
 		h.degraded.Inc()
-		resp["degraded"] = true
 	}
 	h.observeAnswer(res)
-	resp["estimate"] = res.Estimate
-	resp["method"] = string(res.Method)
+	resp.Degraded, resp.Estimate, resp.Method = res.Degraded, res.Estimate, string(res.Method)
 	writeJSON(w, resp)
+}
+
+// estimateResponse is the /v1/estimate and /v1/t/{tenant}/estimate
+// answer. Its fields are in sorted key order, and each optional one is
+// left out when the answer lacks it (degraded on an undegraded answer,
+// method on an unknown-label zero, tenant on the corpus route):
+// TestResponseBytes pins the bytes.
+type estimateResponse struct {
+	Degraded bool    `json:"degraded,omitempty"`
+	Estimate float64 `json:"estimate"`
+	Method   string  `json:"method,omitempty"`
+	Query    string  `json:"query"`
+	Tenant   string  `json:"tenant,omitempty"`
 }
 
 // methodCapabilities is one /v1/methods entry: the method's name plus
@@ -483,7 +491,7 @@ func (h *Handler) exact(w http.ResponseWriter, r *http.Request) {
 	}
 	q, err := h.c.Summary().ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
-		writeJSON(w, map[string]any{"query": qs, "count": int64(0)})
+		writeJSON(w, &exactResponse{Query: qs})
 		return
 	}
 	if err != nil {
@@ -495,7 +503,13 @@ func (h *Handler) exact(w http.ResponseWriter, r *http.Request) {
 		h.coreError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"query": qs, "count": count})
+	writeJSON(w, &exactResponse{Count: count, Query: qs})
+}
+
+// exactResponse is the /v1/exact answer, its fields in key order.
+type exactResponse struct {
+	Count int64  `json:"count"`
+	Query string `json:"query"`
 }
 
 func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
@@ -517,12 +531,14 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		h.coreError(w, err)
 		return
 	}
+	// An interval unbounded above has Hi = +Inf, which JSON cannot
+	// carry: it saturates like an overflowing estimate.
 	writeJSON(w, explainResponse{
 		Query:    qs,
 		Estimate: est,
 		Trace:    trace,
 		SpreadLo: iv.Lo,
-		SpreadHi: iv.Hi,
+		SpreadHi: estimate.Saturate(iv.Hi),
 	})
 }
 
@@ -648,9 +664,7 @@ func (h *Handler) addDoc(w http.ResponseWriter, r *http.Request) {
 		writeCorpusError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"added": name})
+	writeStatusJSON(w, http.StatusCreated, &docResponse{Added: name})
 }
 
 func (h *Handler) removeDoc(w http.ResponseWriter, r *http.Request) {
@@ -659,7 +673,14 @@ func (h *Handler) removeDoc(w http.ResponseWriter, r *http.Request) {
 		writeCorpusError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"removed": name})
+	writeJSON(w, &docResponse{Removed: name})
+}
+
+// docResponse is the answer to POST and DELETE /v1/docs/{name}: the one
+// field the verb sets.
+type docResponse struct {
+	Added   string `json:"added,omitempty"`
+	Removed string `json:"removed,omitempty"`
 }
 
 func methodNotAllowed(allow string) http.HandlerFunc {
@@ -745,16 +766,65 @@ func writeCorpusError(w http.ResponseWriter, err error) {
 	}
 }
 
+// writeJSON answers 200 with v as JSON.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do than note it.
-		fmt.Println("serve: encoding response:", err)
-	}
+	writeStatusJSON(w, http.StatusOK, v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+// writeStatusJSON answers status with v as JSON. It encodes v whole
+// before writing anything, so a value encoding/json rejects answers 500
+// internal instead of a success status with no body.
+func writeStatusJSON(w http.ResponseWriter, status int, v any) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	defer b.release()
+	if err := b.enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "encoding response: "+err.Error())
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "code": code})
+	_, _ = w.Write(b.buf.Bytes())
+}
+
+// jsonContentType is every response's Content-Type value, one slice
+// shared by all of them: a Header only reads it, and Header.Add appends
+// past its full capacity into a new array.
+var jsonContentType = []string{"application/json"}
+
+// errorEnvelope is every error response's body, its fields in key order.
+type errorEnvelope struct {
+	Code  string `json:"code"`
+	Error string `json:"error"`
+}
+
+// writeError answers status with the error envelope, which always
+// encodes: it holds two strings.
+func writeError(w http.ResponseWriter, status int, code, msg string) {
+	writeStatusJSON(w, status, &errorEnvelope{Code: code, Error: msg})
+}
+
+// jsonBuffer is a response body under construction and the encoder that
+// writes into it; jsonBuffers recycles them across requests.
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBuffers = sync.Pool{New: func() any {
+	b := new(jsonBuffer)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// maxPooledJSON bounds the buffers jsonBuffers keeps: one that held a
+// large response (a /v1/stats or /v1/metrics snapshot, a long /v1/query
+// page) is not kept live for the small answers that follow it.
+const maxPooledJSON = 16 << 10
+
+func (b *jsonBuffer) release() {
+	if b.buf.Cap() > maxPooledJSON {
+		return
+	}
+	b.buf.Reset()
+	jsonBuffers.Put(b)
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 
+	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
 )
 
@@ -371,21 +372,21 @@ func (s *Synopsis) Estimate(q labeltree.Pattern) float64 {
 			var sum float64
 			for _, e := range s.edges[c] {
 				if s.labels[e.to] == q.Label(pc) {
-					sum += e.avg * perElement(e.to, pc)
+					sum = estimate.Saturate(sum + e.avg*perElement(e.to, pc))
 				}
 			}
 			if sum == 0 {
 				prod = 0
 				break
 			}
-			prod *= sum
+			prod = estimate.Saturate(prod * sum)
 		}
 		memo[key] = prod
 		return prod
 	}
 	var total float64
 	for _, c := range s.byLabel[q.RootLabel()] {
-		total += float64(s.counts[c]) * perElement(c, 0)
+		total = estimate.Saturate(total + float64(s.counts[c])*perElement(c, 0))
 	}
 	return total
 }
